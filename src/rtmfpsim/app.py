@@ -182,8 +182,7 @@ class RtmfpApp:
         st.bytes += len(payload)
         st.touch(now)
         self._send_hashers[i].update(payload)
-        self.engine.send_message(self.session, fs.flow_id, payload,
-                                 fs.time_critical, now)
+        self.engine.send_message(self.session, fs.flow_id, payload, now)
         if self._sent_counts[i] < fs.num_packets:
             interval = max(0, int(round(fs.interval_dist.sample(self._ival_rngs[i]))))
             self._schedule_tick(i, now + interval)

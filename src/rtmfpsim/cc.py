@@ -61,9 +61,6 @@ class CongestionController:
             return self.params.decrease_time_critical
         return self.params.decrease_normal
 
-    def can_send(self, packet_size: int) -> bool:
-        return self.flight_size + packet_size <= self.cwnd
-
     def has_room(self) -> bool:
         return self.flight_size < self.cwnd
 
@@ -123,9 +120,6 @@ class CcRegistry:
         if session in self.sessions:
             self.sessions.remove(session)
         self.update()
-
-    def time_critical_count(self) -> int:
-        return sum(1 for s in self.sessions if s.tc_active)
 
     def set_time_critical(self, session, active: bool) -> None:
         session.tc_active = active

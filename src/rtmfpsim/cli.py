@@ -53,16 +53,15 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run one scenario from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--trace", default=None)
-    p_run.add_argument("--out", default=None)
 
     p_preset = sub.add_parser("preset", help="run a named validation preset")
     p_preset.add_argument("name", choices=harness.PRESET_NAMES)
     p_preset.add_argument("--seed", type=int, default=1)
     p_preset.add_argument("--override", action="append", default=[],
                           metavar="SECTION.KEY=VALUE")
-    p_preset.add_argument("--trace", default=None)
-    p_preset.add_argument("--out", default=None)
+    for p in (p_run, p_preset):
+        p.add_argument("--trace", default=None)
+        p.add_argument("--out", default=None)
 
     p_report = sub.add_parser("report", help="summarize CSVs in an output directory")
     p_report.add_argument("--out", required=True)

@@ -1,61 +1,43 @@
 """Scenario configuration: a sectioned key-value text format.
 
 Sections are `[scenario]`, `[topology]`, `[host.N]` and `[app.N.M]` (app M on
-host N). Keys on hosts and apps mirror the protocol model's parameter names
-(localPort, maxSegmentSize, rcvBufferSize, ccCwndInit, flowsOutgoing,
-flowPacketSize, flowSendInterval, flowNumPackets, flowTimeCritical, flowId,
-maxRuntime, readDelay, localEpd, remoteAddress, remotePort, remoteEpd).
+host N). The keys each section accepts are the rows of the key tables below
+(SCENARIO_KEYS, TOPOLOGY_KEYS, HOST_KEYS, APP_KEYS, FLOW_KEYS): config key,
+target field, parser, allowed range and other accepted spellings.
 Dimensioned values require a unit suffix (byte, us, ms, s; bandwidths use
-bit/kbit/Mbit/Gbit). Per-flow values are space-separated lists, one entry per
+bit/kbit/Mbit/Gbit). FLOW_KEYS values are space-separated lists, one entry per
 outgoing flow. Sizes and intervals may be distributions:
 constant(v) | uniform(a,b) | exponential(mean); a bare value means constant.
-
-Example:
-
-    [scenario]
-    seed = 7
-    duration = 30s
-
-    [topology]
-    bottleneckBandwidth = 10Mbit
-    bottleneckDelay = 20ms
-
-    [host.1]
-    localPort = 4711
-
-    [app.1.0]
-    localEpd = 4712
-    remoteAddress = "host2"
-    remotePort = 2013
-    remoteEpd = 2014
-    flowsOutgoing = 2
-    flowPacketSize = "140byte 140byte"
-    flowSendInterval = "1000us 1000us"
-    flowNumPackets = "500000 500000"
-    flowTimeCritical = "1 1"
-    flowId = "19 88"
-    maxRuntime = 1800s
-    readDelay = 0ms
+configs/two-peer-bottleneck.conf is a complete example.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
+from . import flows, wire
 from .app import AppConfig, FlowSpec
-from .netsim import Dist
+from .netsim import MTU_DEFAULT, Dist
 
 
 class ConfigError(Exception):
-    """Malformed configuration; message carries the offending line number."""
+    """Malformed configuration; the message starts with where: `line N`, or
+    `override section.key` for a value given as an override."""
 
 
 _TIME_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
 _BW_UNITS = {"bit": 1, "kbit": 1_000, "Mbit": 1_000_000, "Gbit": 1_000_000_000}
 _NUM_RE = re.compile(r"^(-?\d+(?:\.\d+)?)([A-Za-z]*)$")
-_DIST_RE = re.compile(r"^(constant|uniform|exponential)\((.*)\)$")
+_DIST_ARGS = {"constant": 1, "uniform": 2, "exponential": 1}  # Dist constructors
+_DIST_RE = re.compile(rf"^({'|'.join(_DIST_ARGS)})\((.*)\)$")
+
+# The largest packet the engine builds without a size budget is an ack of one
+# flow with MAX_ACK_GAPS gap ranges (1052 bytes); a smaller maxSegmentSize
+# would fail to encode it at run time.
+MIN_SEGMENT_SIZE = (wire.PACKET_HEADER + wire.CHUNK_HEADER
+                    + wire.ack_body_len(flows.MAX_ACK_GAPS))
 
 
 @dataclass
@@ -95,9 +77,9 @@ class ScenarioConfig:
     apps: list[tuple[str, AppConfig]] = field(default_factory=list)  # (host, app)
 
 
-def parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Raw pass: section -> {key: (value string, line number)}."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def parse_sections(text: str) -> dict[str, dict[str, tuple[str, str]]]:
+    """Raw pass: section -> {key: (value string, where)}, where is `line N`."""
+    sections: dict[str, dict[str, tuple[str, str]]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -118,7 +100,7 @@ def parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             value = value[1:-1]
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = (value, lineno)
+        sections[current][key] = (value, f"line {lineno}")
     return sections
 
 
@@ -128,122 +110,191 @@ def apply_overrides(sections: dict, overrides: dict[str, str]) -> None:
         section, _, key = dotted.rpartition(".")
         if not section or not key:
             raise ConfigError(f"override {dotted!r}: expected section.key=value")
-        sections.setdefault(section, {})[key] = (value, 0)
+        sections.setdefault(section, {})[key] = (value, f"override {dotted}")
 
 
-def _scaled(value: str, units: dict[str, int], what: str, lineno: int) -> float:
+def _scaled(value: str, units: dict[str, int], what: str, where: str) -> float:
     m = _NUM_RE.match(value)
     if not m:
-        raise ConfigError(f"line {lineno}: cannot parse {what} value {value!r}")
+        raise ConfigError(f"{where}: cannot parse {what} value {value!r}")
     num, unit = m.group(1), m.group(2)
     if unit not in units:
         expected = "/".join(units)
         raise ConfigError(
-            f"line {lineno}: {what} value {value!r} needs a unit ({expected})")
+            f"{where}: {what} value {value!r} needs a unit ({expected})")
     return float(num) * units[unit]
 
 
-def parse_time_us(value: str, lineno: int = 0) -> int:
-    return int(round(_scaled(value, _TIME_UNITS, "time", lineno)))
+def parse_time_us(value: str, where: str = "config") -> int:
+    return int(round(_scaled(value, _TIME_UNITS, "time", where)))
 
 
-def parse_bytes(value: str, lineno: int = 0) -> int:
-    return int(round(_scaled(value, {"byte": 1}, "byte", lineno)))
+def parse_bytes(value: str, where: str = "config") -> int:
+    return int(round(_scaled(value, {"byte": 1}, "byte", where)))
 
 
-def parse_bandwidth(value: str, lineno: int = 0) -> int:
-    return int(round(_scaled(value, _BW_UNITS, "bandwidth", lineno)))
+def parse_bandwidth(value: str, where: str = "config") -> int:
+    return int(round(_scaled(value, _BW_UNITS, "bandwidth", where)))
 
 
-def _parse_plain(value: str, lineno: int, kind: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: expected {kind}, got {value!r}")
-
-
-def parse_dist(token: str, unit_parser, lineno: int = 0) -> Dist:
+def parse_dist(token: str, unit_parser, where: str = "config") -> Dist:
     """`140byte` / `constant(140byte)` / `uniform(a,b)` / `exponential(mean)`."""
     m = _DIST_RE.match(token)
     if m is None:
-        return Dist.constant(unit_parser(token, lineno))
-    kind, args_text = m.group(1), m.group(2)
-    args = [a.strip() for a in args_text.split(",") if a.strip()]
+        return Dist.constant(unit_parser(token, where))
+    kind = m.group(1)
+    args = [unit_parser(a.strip(), where) for a in m.group(2).split(",") if a.strip()]
     try:
-        if kind == "constant":
-            if len(args) != 1:
-                raise ValueError("constant takes one argument")
-            return Dist.constant(unit_parser(args[0], lineno))
-        if kind == "uniform":
-            if len(args) != 2:
-                raise ValueError("uniform takes two arguments")
-            return Dist.uniform(unit_parser(args[0], lineno), unit_parser(args[1], lineno))
-        if len(args) != 1:
-            raise ValueError("exponential takes one argument")
-        return Dist.exponential(unit_parser(args[0], lineno))
-    except (ValueError, ConfigError) as e:
-        raise ConfigError(f"line {lineno}: bad distribution {token!r}: {e}")
+        if len(args) != _DIST_ARGS[kind]:
+            raise ValueError(f"{kind} takes {_DIST_ARGS[kind]} argument(s)")
+        return getattr(Dist, kind)(*args)
+    except ValueError as e:
+        raise ConfigError(f"{where}: bad distribution {token!r}: {e}")
 
 
-def _take(sec: dict, key: str) -> Optional[tuple[str, int]]:
-    return sec.pop(key, None)
-
-
-def _reject_unknown(sec: dict, where: str) -> None:
-    for key, (_, lineno) in sec.items():
-        raise ConfigError(f"line {lineno}: unknown key {key!r} in [{where}]")
-
-
-def _int_value(entry: tuple[str, int], what: str) -> int:
-    value, lineno = entry
+def _int(value: str, where: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {what} must be an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
-def build_config(sections: dict[str, dict[str, tuple[str, int]]]) -> ScenarioConfig:
+def _float(value: str, where: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
+def _flag(value: str, where: str) -> bool:
+    return bool(_int(value, where))
+
+
+def _text(value: str, where: str) -> str:
+    return value
+
+
+def _side(value: str, where: str) -> str:
+    if value not in ("left", "right"):
+        raise ConfigError(f"{where}: side must be left or right")
+    return value
+
+
+def _load(value: str, where: str) -> float:
+    # Strictly inside (0, 1): at 0 the generator never sends, at 1 the link never drains.
+    load = _float(value, where)
+    if not 0.0 < load < 1.0:
+        raise ConfigError(f"{where}: backgroundLoad = {load} is outside (0.0, 1.0)")
+    return load
+
+
+def _times(value: str, where: str) -> list[int]:
+    return [parse_time_us(tok, where) for tok in value.split()]
+
+
+def _dist_of(unit_parser: Callable[[str, str], int]) -> Callable[[str, str], Dist]:
+    return lambda value, where: parse_dist(value, unit_parser, where)
+
+
+class Key(NamedTuple):
+    """One row of a key table. A parsed value must lie in [lo, hi]; None
+    leaves that side unbounded. `aliases` are other accepted spellings, of
+    which a section may use only one."""
+    key: str
+    field: str
+    parse: Callable[[str, str], object]
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    aliases: tuple[str, ...] = ()
+    required: bool = False
+
+
+SCENARIO_KEYS = (
+    Key("seed", "seed", _int),
+    Key("duration", "duration_us", parse_time_us),
+    Key("probeTimes", "probe_times_us", _times),
+)
+TOPOLOGY_KEYS = (
+    Key("bottleneckBandwidth", "bottleneck_bandwidth_bps", parse_bandwidth),
+    Key("bottleneckDelay", "bottleneck_delay_us", parse_time_us),
+    # A queue smaller than one MTU would drop everything.
+    Key("bottleneckQueue", "bottleneck_queue_bytes", parse_bytes, MTU_DEFAULT),
+    Key("bottleneckLoss", "bottleneck_loss", _float, 0.0, 1.0),
+    Key("accessBandwidth", "access_bandwidth_bps", parse_bandwidth),
+    Key("accessDelay", "access_delay_us", parse_time_us),
+    Key("accessQueue", "access_queue_bytes", parse_bytes),
+    Key("background", "background", _flag),
+    Key("backgroundLoad", "background_load", _load),
+    Key("backgroundPacketSize", "background_size", _dist_of(parse_bytes)),
+)
+HOST_KEYS = (
+    Key("localPort", "local_port", _int, 1, 65535),
+    Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
+    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1),
+    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, aliases=("ccWndInit",)),
+    Key("ccMss", "cc_mss", parse_bytes),
+    Key("side", "side", _side),
+    Key("migrateAt", "migrate_at_us", parse_time_us),
+    Key("migrateTo", "migrate_to_port", _int, 1, 65535),
+)
+APP_KEYS = (
+    Key("localEpd", "local_epd", _int, 0, 0xFFFFFFFF, required=True),
+    Key("remoteAddress", "remote_address", _text),
+    Key("remotePort", "remote_port", _int, 1, 65535),
+    Key("remoteEpd", "remote_epd", _int, 0, 0xFFFFFFFF),
+    Key("maxRuntime", "max_runtime_us", parse_time_us),
+    Key("readDelay", "read_delay_us", parse_time_us),
+    Key("startTime", "start_time_us", parse_time_us),
+    Key("flowsOutgoing", "flows_outgoing", _int, 0),
+)
+# Fields of FlowSpec. In an app section each value is a space-separated list
+# with one entry per outgoing flow; flow i is read from entry i.
+FLOW_KEYS = (
+    Key("flowPacketSize", "size_dist", _dist_of(parse_bytes), required=True),
+    Key("flowSendInterval", "interval_dist", _dist_of(parse_time_us), required=True),
+    Key("flowNumPackets", "num_packets", _int, 0, required=True),
+    Key("flowTimeCritical", "time_critical", _flag),
+    Key("flowId", "flow_id", _int, 0, 0xFFFF),
+)
+
+
+def _read(sec: dict, section: str, rows: tuple[Key, ...]) -> dict:
+    """Parse and range-check each row's key of a raw section and reject any
+    other key; -> {field: value}."""
+    out = {}
+    for row in rows:
+        spellings = [k for k in (row.key, *row.aliases) if k in sec]
+        if len(spellings) > 1:
+            raise ConfigError(f"{sec[spellings[1]][1]}: duplicate key {spellings[1]!r} "
+                              f"(also given as {spellings[0]!r}) in [{section}]")
+        if not spellings:
+            if row.required:
+                raise ConfigError(f"[{section}]: {row.key} is required")
+            continue
+        value, where = sec.pop(spellings[0])
+        out[row.field] = value = row.parse(value, where)
+        if (row.lo is not None and value < row.lo) or (row.hi is not None and value > row.hi):
+            span = f">= {row.lo}" if row.hi is None else f"[{row.lo}, {row.hi}]"
+            raise ConfigError(f"{where}: {row.key} = {value} is outside {span}")
+    _reject_unknown(sec, section)
+    return out
+
+
+def _reject_unknown(sec: dict, section: str) -> None:
+    for key, (_, where) in sec.items():
+        raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+
+
+def _where(sec: dict, section: str) -> str:
+    """Location of a section's first key, for errors about the section."""
+    return next(iter(sec.values()))[1] if sec else f"[{section}]"
+
+
+def build_config(sections: dict[str, dict[str, tuple[str, str]]]) -> ScenarioConfig:
     sections = {name: dict(body) for name, body in sections.items()}
-    cfg = ScenarioConfig()
-
-    sec = sections.pop("scenario", {})
-    if (e := _take(sec, "seed")) is not None:
-        cfg.seed = _int_value(e, "seed")
-    if (e := _take(sec, "duration")) is not None:
-        cfg.duration_us = parse_time_us(*e)
-    if (e := _take(sec, "probeTimes")) is not None:
-        value, lineno = e
-        cfg.probe_times_us = [parse_time_us(tok, lineno) for tok in value.split()]
-    _reject_unknown(sec, "scenario")
-
-    topo = cfg.topology
-    sec = sections.pop("topology", {})
-    if (e := _take(sec, "bottleneckBandwidth")) is not None:
-        topo.bottleneck_bandwidth_bps = parse_bandwidth(*e)
-    if (e := _take(sec, "bottleneckDelay")) is not None:
-        topo.bottleneck_delay_us = parse_time_us(*e)
-    if (e := _take(sec, "bottleneckQueue")) is not None:
-        topo.bottleneck_queue_bytes = parse_bytes(*e)
-    if (e := _take(sec, "bottleneckLoss")) is not None:
-        topo.bottleneck_loss = _parse_plain(e[0], e[1], "a probability")
-        if not 0.0 <= topo.bottleneck_loss <= 1.0:
-            raise ConfigError(f"line {e[1]}: bottleneckLoss must be within [0,1]")
-    if (e := _take(sec, "accessBandwidth")) is not None:
-        topo.access_bandwidth_bps = parse_bandwidth(*e)
-    if (e := _take(sec, "accessDelay")) is not None:
-        topo.access_delay_us = parse_time_us(*e)
-    if (e := _take(sec, "accessQueue")) is not None:
-        topo.access_queue_bytes = parse_bytes(*e)
-    if (e := _take(sec, "background")) is not None:
-        topo.background = bool(_int_value(e, "background"))
-    if (e := _take(sec, "backgroundLoad")) is not None:
-        topo.background_load = _parse_plain(e[0], e[1], "a load fraction")
-        if not 0.0 < topo.background_load < 1.0:
-            raise ConfigError(
-                f"line {e[1]}: background load must stay strictly below capacity")
-    if (e := _take(sec, "backgroundPacketSize")) is not None:
-        topo.background_size = parse_dist(e[0], parse_bytes, e[1])
-    _reject_unknown(sec, "topology")
+    scenario = _read(sections.pop("scenario", {}), "scenario", SCENARIO_KEYS)
+    topology = TopologySpec(**_read(sections.pop("topology", {}), "topology", TOPOLOGY_KEYS))
+    cfg = ScenarioConfig(**scenario, topology=topology)
 
     def _sort_key(name: str):
         return tuple((0, int(p)) if p.isdigit() else (1, p)
@@ -251,29 +302,8 @@ def build_config(sections: dict[str, dict[str, tuple[str, int]]]) -> ScenarioCon
 
     host_names = sorted((n for n in sections if n.startswith("host.")), key=_sort_key)
     for name in host_names:
-        sec = sections.pop(name)
-        host = HostSpec(name="host" + name.split(".", 1)[1])
-        if (e := _take(sec, "localPort")) is not None:
-            host.local_port = _int_value(e, "localPort")
-        if (e := _take(sec, "maxSegmentSize")) is not None:
-            host.max_segment_size = parse_bytes(*e)
-        if (e := _take(sec, "rcvBufferSize")) is not None:
-            host.rcv_buffer_size = parse_bytes(*e)
-        # Both spellings occur in the wild; canonical key is ccCwndInit.
-        for spelling in ("ccCwndInit", "ccWndInit"):
-            if (e := _take(sec, spelling)) is not None:
-                host.cc_cwnd_init = parse_bytes(*e)
-        if (e := _take(sec, "ccMss")) is not None:
-            host.cc_mss = parse_bytes(*e)
-        if (e := _take(sec, "side")) is not None:
-            if e[0] not in ("left", "right"):
-                raise ConfigError(f"line {e[1]}: side must be left or right")
-            host.side = e[0]
-        if (e := _take(sec, "migrateAt")) is not None:
-            host.migrate_at_us = parse_time_us(*e)
-        if (e := _take(sec, "migrateTo")) is not None:
-            host.migrate_to_port = _int_value(e, "migrateTo")
-        _reject_unknown(sec, name)
+        host = HostSpec(name="host" + name.split(".", 1)[1],
+                        **_read(sections.pop(name), name, HOST_KEYS))
         cfg.hosts[host.name] = host
 
     app_names = sorted((n for n in sections if n.startswith("app.")), key=_sort_key)
@@ -281,65 +311,24 @@ def build_config(sections: dict[str, dict[str, tuple[str, int]]]) -> ScenarioCon
         sec = sections.pop(name)
         parts = name.split(".")
         if len(parts) != 3:
-            lineno = next(iter(sec.values()))[1] if sec else 0
-            raise ConfigError(f"line {lineno}: app sections are [app.<host>.<index>]")
+            raise ConfigError(f"{_where(sec, name)}: app sections are [app.<host>.<index>]")
         host_name = "host" + parts[1]
         if host_name not in cfg.hosts:
-            lineno = next(iter(sec.values()))[1] if sec else 0
-            raise ConfigError(f"line {lineno}: [{name}] references missing [host.{parts[1]}]")
-        if (e := _take(sec, "localEpd")) is None:
-            raise ConfigError(f"[{name}]: localEpd is required")
-        app = AppConfig(local_epd=_int_value(e, "localEpd"))
-        if (e := _take(sec, "remoteAddress")) is not None:
-            app.remote_address = e[0]
-        if (e := _take(sec, "remotePort")) is not None:
-            app.remote_port = _int_value(e, "remotePort")
-        if (e := _take(sec, "remoteEpd")) is not None:
-            app.remote_epd = _int_value(e, "remoteEpd")
-        if (e := _take(sec, "maxRuntime")) is not None:
-            app.max_runtime_us = parse_time_us(*e)
-        if (e := _take(sec, "readDelay")) is not None:
-            app.read_delay_us = parse_time_us(*e)
-        if (e := _take(sec, "startTime")) is not None:
-            app.start_time_us = parse_time_us(*e)
-
-        n_flows = 0
-        if (e := _take(sec, "flowsOutgoing")) is not None:
-            n_flows = _int_value(e, "flowsOutgoing")
-
-        def flow_list(key: str, parser, required: bool):
-            entry = _take(sec, key)
-            if entry is None:
-                if required and n_flows:
-                    raise ConfigError(f"[{name}]: {key} is required when flowsOutgoing > 0")
-                return None
-            value, lineno = entry
-            tokens = value.split()
-            if len(tokens) != n_flows:
-                raise ConfigError(
-                    f"line {lineno}: {key} has {len(tokens)} entries, "
-                    f"flowsOutgoing = {n_flows}")
-            return [parser(tok, lineno) for tok in tokens]
-
-        sizes = flow_list("flowPacketSize",
-                          lambda tok, ln: parse_dist(tok, parse_bytes, ln), True)
-        intervals = flow_list("flowSendInterval",
-                              lambda tok, ln: parse_dist(tok, parse_time_us, ln), True)
-        counts = flow_list("flowNumPackets",
-                           lambda tok, ln: _int_value((tok, ln), "flowNumPackets"), True)
-        tcs = flow_list("flowTimeCritical",
-                        lambda tok, ln: bool(_int_value((tok, ln), "flowTimeCritical")),
-                        False)
-        ids = flow_list("flowId",
-                        lambda tok, ln: _int_value((tok, ln), "flowId"), False)
-        _reject_unknown(sec, name)
+            raise ConfigError(
+                f"{_where(sec, name)}: [{name}] references missing [host.{parts[1]}]")
+        columns = {row.key: sec.pop(row.key) for row in FLOW_KEYS if row.key in sec}
+        values = _read(sec, name, APP_KEYS)
+        n_flows = values.pop("flows_outgoing", 0)
+        app = AppConfig(**values)
+        for key, (value, where) in columns.items():
+            if len(value.split()) != n_flows:
+                raise ConfigError(f"{where}: {key} has {len(value.split())} entries, "
+                                  f"flowsOutgoing = {n_flows}")
         for i in range(n_flows):
-            app.flows.append(FlowSpec(
-                flow_id=ids[i] if ids else i + 1,
-                size_dist=sizes[i],
-                interval_dist=intervals[i],
-                num_packets=counts[i],
-                time_critical=tcs[i] if tcs else False))
+            entries = {key: (value.split()[i], where) for key, (value, where) in columns.items()}
+            spec = _read(entries, name, FLOW_KEYS)
+            spec.setdefault("flow_id", i + 1)
+            app.flows.append(FlowSpec(**spec))
         try:
             app.validate()
         except ValueError as e:
@@ -347,13 +336,9 @@ def build_config(sections: dict[str, dict[str, tuple[str, int]]]) -> ScenarioCon
         cfg.apps.append((host_name, app))
 
     for name in sections:
-        raise ConfigError(f"unknown section [{name}]")
+        raise ConfigError(f"{_where(sections[name], name)}: unknown section [{name}]")
 
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ScenarioConfig) -> None:
+    # Checks across sections.
     epds = [app.local_epd for _, app in cfg.apps]
     if len(set(epds)) != len(epds):
         raise ConfigError(f"localEpd values must be unique, got {epds}")
@@ -372,8 +357,7 @@ def _validate(cfg: ScenarioConfig) -> None:
     for host in cfg.hosts.values():
         if (host.migrate_at_us is None) != (host.migrate_to_port is None):
             raise ConfigError(f"{host.name}: migrateAt and migrateTo go together")
-    if cfg.topology.bottleneck_queue_bytes < 1500:
-        raise ConfigError("bottleneckQueue smaller than one MTU would drop everything")
+    return cfg
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ScenarioConfig:

@@ -76,7 +76,6 @@ class Session:
         self.rttvar_us: int = 0
         self.rto_backoff = 1
         self.rto_timer: Optional[netsim.Event] = None
-        self.rto_deadline: Optional[int] = None
         self.last_peer_ts: int = wire.TS_NONE
         # Counters exported to the harness.
         self.packets_in = 0
@@ -180,7 +179,7 @@ class RtmfpEngine:
         s.hs_sends += 1
         chunk = wire.HandshakeChunk(wire.T_IHELLO, epd=s.remote_epd, sid=s.local_sid)
         for addr in s.candidates:
-            self._send_packet(s, HANDSHAKE_SID, [chunk], addr, now, established=False)
+            self._send_packet(s, [chunk], now, addr, established=False)
 
     def _arm_handshake_timer(self, s: Session, now: int) -> None:
         delay = self.params.handshake_timeout_us * (1 << (s.hs_sends - 1))
@@ -202,10 +201,7 @@ class RtmfpEngine:
             self._send_ihello(s, now)
         elif s.state == S_KEYING_SENT:
             s.hs_sends += 1
-            self._send_packet(
-                s, s.peer_sid,
-                [wire.HandshakeChunk(wire.T_IIKEYING, sid=s.local_sid)],
-                s.peer_address, now, established=False)
+            self._send_handshake(s, wire.T_IIKEYING, now)
         self._arm_handshake_timer(s, now)
 
     def _on_ihello(self, dgram: netsim.Datagram, chunk: wire.HandshakeChunk,
@@ -231,10 +227,12 @@ class RtmfpEngine:
                            lambda t: self._gc_half_open(s), f"hs-gc {s.label}")
         s.last_peer_ts = peer_ts
         if s.state in (S_RHELLO_SENT,):
-            self._send_packet(
-                s, s.peer_sid,
-                [wire.HandshakeChunk(wire.T_RHELLO, epd=chunk.epd, sid=s.local_sid)],
-                s.peer_address, now, established=False)
+            self._send_handshake(s, wire.T_RHELLO, now, epd=chunk.epd)
+
+    def _send_handshake(self, s: Session, kind: int, now: int, epd: int = 0) -> None:
+        """RHello, IIKeying or RIKeying: carries our session id to the known peer."""
+        chunk = wire.HandshakeChunk(kind, epd=epd, sid=s.local_sid)
+        self._send_packet(s, [chunk], now, established=False)
 
     def _gc_half_open(self, s: Session) -> None:
         if s.state not in (S_OPEN, S_CLOSED):
@@ -252,25 +250,19 @@ class RtmfpEngine:
             if s.hs_timer:
                 s.hs_timer.cancel()
             s.hs_sends += 1
-            self._send_packet(s, s.peer_sid,
-                              [wire.HandshakeChunk(wire.T_IIKEYING, sid=s.local_sid)],
-                              s.peer_address, now, established=False)
+            self._send_handshake(s, wire.T_IIKEYING, now)
             self._arm_handshake_timer(s, now)
         elif chunk.kind == wire.T_IIKEYING:
             if s.state == S_RHELLO_SENT:
                 s.state = S_OPEN
                 self.handshakes_completed += 1
                 self.registry.add(s)
-                self._send_packet(s, s.peer_sid,
-                                  [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)],
-                                  s.peer_address, now, established=False)
+                self._send_handshake(s, wire.T_RIKEYING, now)
                 if s.app is not None:
                     s.app.session_opened(s, now)
             elif s.state == S_OPEN:
                 # Our RIKeying was lost; repeat it.
-                self._send_packet(s, s.peer_sid,
-                                  [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)],
-                                  s.peer_address, now, established=False)
+                self._send_handshake(s, wire.T_RIKEYING, now)
             else:
                 s.stale_handshake += 1
         elif chunk.kind == wire.T_RIKEYING:
@@ -362,7 +354,7 @@ class RtmfpEngine:
                 lost += res.lost_bytes
                 losses += res.losses_detected
             elif isinstance(chunk, wire.CloseChunk):
-                self._close_session(s, now, notify=True)
+                self._close_session(s)
                 return
         ack_chunks = []
         for rf in touched:
@@ -373,7 +365,7 @@ class RtmfpEngine:
             elif rf.ack_pending():
                 self._arm_delack(s, rf, now)
         if ack_chunks:
-            self._send_packet(s, s.peer_sid, ack_chunks, s.peer_address, now)
+            self._send_packet(s, ack_chunks, now)
         for rf in touched:
             if rf.has_ready() and s.app is not None:
                 s.app.data_notification(s, rf.flow_id, now)
@@ -411,24 +403,20 @@ class RtmfpEngine:
         self._delack.pop((s.local_sid, rf.flow_id), None)
         if s.state != S_OPEN or not rf.ack_pending():
             return
-        self._send_packet(s, s.peer_sid, [rf.make_ack(now)], s.peer_address, now)
+        self._send_packet(s, [rf.make_ack(now)], now)
 
     def _rearm_rto(self, s: Session, now: int) -> None:
         if s.rto_timer is not None:
             s.rto_timer.cancel()
             s.rto_timer = None
-            s.rto_deadline = None
         if not s.in_flight():
             return
-        deadline = now + s.rto_us()
-        s.rto_deadline = deadline
         s.rto_timer = self.sim.schedule(
-            deadline, self.host.node_id, netsim.KIND_TIMER,
+            now + s.rto_us(), self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_rto(s, t), f"rto {s.label}")
 
     def _on_rto(self, s: Session, now: int) -> None:
         s.rto_timer = None
-        s.rto_deadline = None
         if s.state != S_OPEN or not s.in_flight():
             return
         s.rto_fires += 1
@@ -443,10 +431,9 @@ class RtmfpEngine:
 
     # ------------------------------------------------------------- transmit
 
-    def send_message(self, s: Session, flow_id: int, payload: bytes,
-                     time_critical: bool, now: int) -> None:
+    def send_message(self, s: Session, flow_id: int, payload: bytes, now: int) -> None:
         f = s.send_flows[flow_id]
-        f.enqueue_message(flows_mod.Message(payload, time_critical, flow_id))
+        f.enqueue_message(flows_mod.Message(payload))
         self._update_tc_active(s, now)
         self.transmit_opportunity(s, now)
 
@@ -474,7 +461,7 @@ class RtmfpEngine:
             payload_bytes = sum(len(c.payload) for c in chunks)
             assert s.cc.flight_size <= s.cc.cwnd, "window gate violated at send time"
             s.cc.add_to_flight(payload_bytes)
-            self._send_packet(s, s.peer_sid, chunks, s.peer_address, now)
+            self._send_packet(s, chunks, now)
             s.data_packets_out += 1
             if s.last_fill_was_full:
                 s.full_packets_out += 1
@@ -486,17 +473,20 @@ class RtmfpEngine:
             self._log_cc(s, now)
         return sent
 
-    def _send_packet(self, s: Session, sid: Optional[int], chunks: list,
-                     dst: tuple[str, int], now: int, established: bool = True) -> None:
+    def _send_packet(self, s: Session, chunks: list, now: int,
+                     dst: Optional[tuple[str, int]] = None, established: bool = True) -> None:
+        """To the peer, or to `dst` (an IHello candidate). Until the RHello
+        names the peer's session id, packets go to HANDSHAKE_SID."""
         flags = wire.FLAG_ESTABLISHED if established else 0
         if s.tc_active:
             flags |= wire.FLAG_TIME_CRITICAL
-        pkt = wire.Packet(sid if sid is not None else HANDSHAKE_SID, flags,
+        pkt = wire.Packet(s.peer_sid if s.peer_sid is not None else HANDSHAKE_SID, flags,
                           timestamp=(now // 1000) & 0xFFFF,
                           ts_echo=s.last_peer_ts,
                           chunks=chunks)
         buf = wire.encode(pkt, max_size=self.params.max_segment_size)
         s.packets_out += 1
+        dst = dst or s.peer_address
         self.host.send(netsim.Datagram((self.host.node_id, self.local_port), dst, buf), now)
 
     # ----------------------------------------------------------- app surface
@@ -508,22 +498,15 @@ class RtmfpEngine:
             return []
         msgs = rf.app_read(max_bytes)
         if msgs and rf.window_update_due(self.params.chunk_capacity) and s.state == S_OPEN:
-            self._send_packet(s, s.peer_sid, [rf.make_ack(self.sim.now)],
-                              s.peer_address, self.sim.now)
+            self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs
 
-    def close_session(self, s: Session, now: int) -> None:
-        if s.state == S_OPEN:
-            self._send_packet(s, s.peer_sid, [wire.CloseChunk()], s.peer_address, now)
-        self._close_session(s, now, notify=False)
-
-    def _close_session(self, s: Session, now: int, notify: bool) -> None:
+    def _close_session(self, s: Session) -> None:
+        """The peer sent a Close chunk."""
         if s.state == S_CLOSED:
             return
         s.state = S_CLOSED
         self.registry.remove(s)
-        if notify and s.app is not None and hasattr(s.app, "session_closed"):
-            s.app.session_closed(s, now)
 
     def migrate(self, new_port: int, now: int) -> None:
         """Rebind to a different local port; the peer learns the new address

@@ -30,8 +30,6 @@ DEFAULT_ADV_BUFFER = 65536
 @dataclass
 class Message:
     payload: bytes
-    time_critical: bool = False
-    flow_id: int = 0
 
 
 @dataclass
@@ -40,7 +38,6 @@ class OutboundChunk:
     frag: int
     payload: bytes
     state: int = ST_QUEUED
-    sent_at: int = -1
     loss_reports: int = 0
     # After a retransmission, only acks that cover data sent later may report
     # this chunk missing again; otherwise stale acks from before the repair
@@ -100,9 +97,6 @@ class SendFlow:
     def has_pending(self) -> bool:
         return bool(self._unsent or self.outstanding)
 
-    def has_sendable(self) -> bool:
-        return self.next_chunk() is not None
-
     def next_chunk(self) -> Optional[OutboundChunk]:
         """Next chunk this flow would put on the wire, or None.
 
@@ -134,7 +128,6 @@ class SendFlow:
             self.outstanding_payload += len(ch.payload)
             self.highest_sent_seq = max(self.highest_sent_seq, ch.seq)
         ch.state = ST_IN_FLIGHT
-        ch.sent_at = now
 
     def on_ack(self, ack: wire.AckChunk, now: int) -> AckResult:
         """Retire covered chunks, refresh the flow-control gate, count losses."""
@@ -230,7 +223,7 @@ class RecvFlow:
             self._next_deliver += 1
             if frag == wire.FRAG_WHOLE:
                 assert not self._partial, "whole chunk inside a fragment run"
-                self._ready.append(Message(payload, flow_id=self.flow_id))
+                self._ready.append(Message(payload))
             elif frag == wire.FRAG_FIRST:
                 assert not self._partial, "nested first fragment"
                 self._partial = [payload]
@@ -240,7 +233,7 @@ class RecvFlow:
             else:  # FRAG_LAST
                 assert self._partial, "last fragment without first"
                 self._partial.append(payload)
-                self._ready.append(Message(b"".join(self._partial), flow_id=self.flow_id))
+                self._ready.append(Message(b"".join(self._partial)))
                 self._partial = []
 
     def end_of_packet(self, now: int) -> Optional[wire.AckChunk]:

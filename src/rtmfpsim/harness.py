@@ -1,7 +1,8 @@
 """Experiment harness: scenario execution, validation presets, fairness and
 window-trace analysis, CSV output.
 
-Presets (each a family of self-contained config texts):
+Presets (each point is one base config plus `section.key` overrides, rendered
+to config text by preset_points):
 
   bottleneck-basic        one flow over the 10 Mbit/20 ms bottleneck with
                           background traffic; the determinism reference.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .app import FlowStats
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, apply_overrides, parse_config
 from .netsim import ceil_div
 from .topology import SimBundle, build_bottleneck
 
@@ -166,10 +167,10 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
     result.cwnd_series.sort(key=lambda row: row[0])
 
     bn = bundle.bottleneck
-    full_packets = sum(s.full_packets_out for e in bundle.engines.values()
-                       for s in e.sessions.values())
-    full_chunks = sum(s.full_packet_chunks for e in bundle.engines.values()
-                      for s in e.sessions.values())
+    engines = list(bundle.engines.values())
+    sessions = [s for e in engines for s in e.sessions.values()]
+    full_packets = sum(s.full_packets_out for s in sessions)
+    full_chunks = sum(s.full_packet_chunks for s in sessions)
     result.summary = {
         "scenario": scenario_id,
         "seed": cfg.seed,
@@ -181,15 +182,12 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         "bottleneck_dropped": bn.dropped,
         "full_packets": full_packets,
         "mean_full_packet_chunks": (full_chunks / full_packets) if full_packets else 0.0,
-        "handshakes_completed": sum(e.handshakes_completed
-                                    for e in bundle.engines.values()),
-        "sessions_failed": sum(e.sessions_failed for e in bundle.engines.values()),
-        "mobility_events": sum(s.mobility_events for e in bundle.engines.values()
-                               for s in e.sessions.values()),
-        "rto_fires": sum(s.rto_fires for e in bundle.engines.values()
-                         for s in e.sessions.values()),
-        "decode_errors": sum(e.decode_errors for e in bundle.engines.values()),
-        "unknown_session": sum(e.unknown_session for e in bundle.engines.values()),
+        "handshakes_completed": sum(e.handshakes_completed for e in engines),
+        "sessions_failed": sum(e.sessions_failed for e in engines),
+        "mobility_events": sum(s.mobility_events for s in sessions),
+        "rto_fires": sum(s.rto_fires for s in sessions),
+        "decode_errors": sum(e.decode_errors for e in engines),
+        "unknown_session": sum(e.unknown_session for e in engines),
     }
     return result
 
@@ -209,232 +207,87 @@ def run_config(text: str, overrides: Optional[dict[str, str]] = None,
 # --------------------------------------------------------------------- presets
 
 
-def _basic_config(seed: int = 1) -> str:
-    return f"""
-[scenario]
-seed = {seed}
-duration = 15s
+# Every preset point is this base plus `section.key` overrides, applied with
+# the same semantics as `--override`.
+_BASE = {
+    "scenario": {"duration": "10s"},
+    "topology": {"bottleneckBandwidth": "10Mbit", "bottleneckDelay": "10ms",
+                 "bottleneckQueue": "65536byte"},
+    "host.1": {"localPort": "4711"},
+    "host.2": {"localPort": "2013", "rcvBufferSize": "524288byte"},
+    "app.1.0": {"localEpd": "4712", "remoteAddress": "host2", "remotePort": "2013",
+                "remoteEpd": "2014", "flowsOutgoing": "1", "flowPacketSize": "1450byte",
+                "flowSendInterval": "100us", "flowNumPackets": "1000000",
+                "flowId": "19"},
+    "app.2.0": {"localEpd": "2014"},
+}
 
-[topology]
-bottleneckBandwidth = 10Mbit
-bottleneckDelay = 20ms
-bottleneckQueue = 65536byte
-background = 1
-
-[host.1]
-localPort = 4711
-
-[host.2]
-localPort = 2013
-
-[app.1.0]
-localEpd = 4712
-remoteAddress = "host2"
-remotePort = 2013
-remoteEpd = 2014
-flowsOutgoing = 1
-flowPacketSize = "140byte"
-flowSendInterval = "1000us"
-flowNumPackets = "5000"
-flowTimeCritical = "0"
-flowId = "19"
-readDelay = 0ms
-
-[app.2.0]
-localEpd = 2014
-"""
-
-
-def _bdp_config(delay_ms: int, seed: int) -> str:
-    return f"""
-[scenario]
-seed = {seed}
-duration = 12s
-probeTimes = "2400ms"
-
-[topology]
-bottleneckBandwidth = 100Mbit
-bottleneckDelay = {delay_ms}ms
-bottleneckQueue = 131072byte
-
-[host.1]
-localPort = 4711
-
-[host.2]
-localPort = 2013
-rcvBufferSize = 65536byte
-
-[app.1.0]
-localEpd = 4712
-remoteAddress = "host2"
-remotePort = 2013
-remoteEpd = 2014
-flowsOutgoing = 1
-flowPacketSize = "1450byte"
-flowSendInterval = "100us"
-flowNumPackets = "1000000"
-flowId = "19"
-readDelay = 0ms
-
-[app.2.0]
-localEpd = 2014
-"""
-
-
-def _fairness_config(seed: int, stagger_us: int) -> str:
-    start2 = f"startTime = {stagger_us}us" if stagger_us else ""
-    return f"""
-[scenario]
-seed = {seed}
-duration = 60s
-probeTimes = "12s 40s"
-
-[topology]
-bottleneckBandwidth = 10Mbit
-bottleneckDelay = 20ms
-bottleneckQueue = 32768byte
-background = 1
-backgroundPacketSize = 500byte
-
-[host.1]
-localPort = 4711
-
-[host.2]
-localPort = 2013
-rcvBufferSize = 524288byte
-
-[host.3]
-localPort = 4711
-
-[host.4]
-localPort = 2013
-rcvBufferSize = 524288byte
-
-[app.1.0]
-localEpd = 100
-remoteAddress = "host2"
-remotePort = 2013
-remoteEpd = 200
-flowsOutgoing = 1
-flowPacketSize = "1450byte"
-flowSendInterval = "800us"
-flowNumPackets = "1000000"
-flowId = "1"
-
-[app.2.0]
-localEpd = 200
-
-[app.3.0]
-localEpd = 300
-remoteAddress = "host4"
-remotePort = 2013
-remoteEpd = 400
-flowsOutgoing = 1
-flowPacketSize = "1450byte"
-flowSendInterval = "800us"
-flowNumPackets = "1000000"
-flowId = "1"
-{start2}
-
-[app.4.0]
-localEpd = 400
-"""
-
-
-def _bundling_config(size: int, seed: int) -> str:
-    interval_us = max(10, size * 8 // 12)  # offered load ~12 Mbit/s
-    return f"""
-[scenario]
-seed = {seed}
-duration = 10s
-
-[topology]
-bottleneckBandwidth = 10Mbit
-bottleneckDelay = 10ms
-bottleneckQueue = 65536byte
-
-[host.1]
-localPort = 4711
-
-[host.2]
-localPort = 2013
-rcvBufferSize = 524288byte
-
-[app.1.0]
-localEpd = 4712
-remoteAddress = "host2"
-remotePort = 2013
-remoteEpd = 2014
-flowsOutgoing = 1
-flowPacketSize = "{size}byte"
-flowSendInterval = "{interval_us}us"
-flowNumPackets = "1000000"
-flowId = "19"
-
-[app.2.0]
-localEpd = 2014
-"""
-
-
-def _loss_config(loss_pct: float, seed: int) -> str:
-    return f"""
-[scenario]
-seed = {seed}
-duration = 30s
-
-[topology]
-bottleneckBandwidth = 10Mbit
-bottleneckDelay = 10ms
-bottleneckQueue = 65536byte
-bottleneckLoss = {loss_pct / 100.0}
-
-[host.1]
-localPort = 4711
-
-[host.2]
-localPort = 2013
-rcvBufferSize = 262144byte
-
-[app.1.0]
-localEpd = 4712
-remoteAddress = "host2"
-remotePort = 2013
-remoteEpd = 2014
-flowsOutgoing = 1
-flowPacketSize = "140byte"
-flowSendInterval = "100us"
-flowNumPackets = "10000"
-flowId = "19"
-
-[app.2.0]
-localEpd = 2014
-"""
-
+# Two sessions, host1 -> host2 and host3 -> host4, over a 32 KiB queue.
+_FAIRNESS = {
+    "scenario.duration": "60s", "scenario.probeTimes": "12s 40s",
+    "topology.bottleneckDelay": "20ms", "topology.bottleneckQueue": "32768byte",
+    "topology.background": "1", "topology.backgroundPacketSize": "500byte",
+    "host.3.localPort": "4711",
+    "host.4.localPort": "2013", "host.4.rcvBufferSize": "524288byte",
+    "app.1.0.localEpd": "100", "app.1.0.remoteEpd": "200",
+    "app.1.0.flowSendInterval": "800us", "app.1.0.flowId": "1",
+    "app.2.0.localEpd": "200",
+    **{f"app.3.0.{key}": value for key, value in _BASE["app.1.0"].items()},
+    "app.3.0.localEpd": "300", "app.3.0.remoteAddress": "host4",
+    "app.3.0.remoteEpd": "400", "app.3.0.flowSendInterval": "800us",
+    "app.3.0.flowId": "1",
+    "app.4.0.localEpd": "400",
+}
 
 BDP_DELAYS_MS = (0, 10, 25, 50, 100)
 BUNDLING_SIZES = (50, 140, 500, 1000, 1450)
 LOSS_RATES_PCT = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
-PRESET_NAMES = ("bottleneck-basic", "bdp-sweep", "fairness-simultaneous",
-                "fairness-staggered", "bundling-sweep", "loss-sweep")
+
+# preset name -> [(scenario id, overrides onto _BASE)]
+PRESETS: dict[str, list[tuple[str, dict[str, str]]]] = {
+    "bottleneck-basic": [("bottleneck-basic", {
+        "scenario.duration": "15s", "topology.bottleneckDelay": "20ms",
+        "topology.background": "1", "host.2.rcvBufferSize": "65536byte",
+        "app.1.0.flowPacketSize": "140byte", "app.1.0.flowSendInterval": "1000us",
+        "app.1.0.flowNumPackets": "5000"})],
+    "bdp-sweep": [(f"bdp-sweep/delay={d}ms", {
+        "scenario.duration": "12s", "scenario.probeTimes": "2400ms",
+        "topology.bottleneckBandwidth": "100Mbit", "topology.bottleneckDelay": f"{d}ms",
+        "topology.bottleneckQueue": "131072byte", "host.2.rcvBufferSize": "65536byte"})
+        for d in BDP_DELAYS_MS],
+    "fairness-simultaneous": [("fairness-simultaneous", _FAIRNESS)],
+    "fairness-staggered": [("fairness-staggered",
+                            {**_FAIRNESS, "app.3.0.startTime": "10000000us"})],
+    "bundling-sweep": [(f"bundling-sweep/size={s}B", {
+        "app.1.0.flowPacketSize": f"{s}byte",
+        # offered load ~12 Mbit/s
+        "app.1.0.flowSendInterval": f"{max(10, s * 8 // 12)}us"})
+        for s in BUNDLING_SIZES],
+    "loss-sweep": [(f"loss-sweep/loss={p:g}pct", {
+        "scenario.duration": "30s", "topology.bottleneckLoss": f"{p / 100.0}",
+        "host.2.rcvBufferSize": "262144byte", "app.1.0.flowPacketSize": "140byte",
+        "app.1.0.flowNumPackets": "10000"})
+        for p in LOSS_RATES_PCT],
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
+def _render(overrides: dict[str, str]) -> str:
+    """_BASE with `section.key` overrides applied, as config text."""
+    sections = {name: {key: (value, "base") for key, value in body.items()}
+                for name, body in _BASE.items()}
+    apply_overrides(sections, overrides)
+    return "".join(f"\n[{name}]\n" + "".join(f"{key} = {value}\n"
+                                             for key, (value, _) in body.items())
+                   for name, body in sections.items())
 
 
 def preset_points(name: str, seed: int = 1) -> list[tuple[str, str]]:
     """-> [(scenario id, config text)], one entry per sweep point."""
-    if name == "bottleneck-basic":
-        return [("bottleneck-basic", _basic_config(seed))]
-    if name == "bdp-sweep":
-        return [(f"bdp-sweep/delay={d}ms", _bdp_config(d, seed)) for d in BDP_DELAYS_MS]
-    if name == "fairness-simultaneous":
-        return [("fairness-simultaneous", _fairness_config(seed, 0))]
-    if name == "fairness-staggered":
-        return [("fairness-staggered", _fairness_config(seed, 10_000_000))]
-    if name == "bundling-sweep":
-        return [(f"bundling-sweep/size={s}B", _bundling_config(s, seed))
-                for s in BUNDLING_SIZES]
-    if name == "loss-sweep":
-        return [(f"loss-sweep/loss={p:g}pct", _loss_config(p, seed))
-                for p in LOSS_RATES_PCT]
-    raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return [(scenario_id, _render({"scenario.seed": str(seed), **overrides}))
+            for scenario_id, overrides in PRESETS[name]]
 
 
 def run_preset(name: str, seed: int = 1,
@@ -444,11 +297,11 @@ def run_preset(name: str, seed: int = 1,
     for scenario_id, text in preset_points(name, seed):
         results.append(run_config(text, overrides, scenario_id, trace=trace))
     if name == "bdp-sweep":
-        for res, delay_ms in zip(results, BDP_DELAYS_MS):
+        for res in results:
             topo = res.cfg.topology
             rwnd = res.cfg.hosts["host2"].rcv_buffer_size
             res.summary["bdp_theory_bps"] = bdp_bound_bps(
-                topo.bottleneck_bandwidth_bps, delay_ms * 1000, rwnd)
+                topo.bottleneck_bandwidth_bps, topo.bottleneck_delay_us, rwnd)
     return results
 
 
@@ -475,15 +328,13 @@ def _safe_name(scenario_id: str) -> str:
 
 def write_outputs(results: list[RunResult], out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
+    files = [("results.csv", results_csv(results))]
+    files += [(f"cwnd__{_safe_name(res.scenario)}.csv", cwnd_csv(res)) for res in results]
     written = []
-    path = os.path.join(out_dir, "results.csv")
-    with open(path, "w") as f:
-        f.write(results_csv(results))
-    written.append(path)
-    for res in results:
-        path = os.path.join(out_dir, f"cwnd__{_safe_name(res.scenario)}.csv")
+    for name, text in files:
+        path = os.path.join(out_dir, name)
         with open(path, "w") as f:
-            f.write(cwnd_csv(res))
+            f.write(text)
         written.append(path)
     return written
 

@@ -130,22 +130,6 @@ class Simulator:
         self.processed_events += count
         return count
 
-    def run(self) -> int:
-        """Drain the queue completely; the clock stops at the last event."""
-        count = 0
-        heap = self._heap
-        while heap:
-            _, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_at
-            if self._trace is not None:
-                self._trace(f"{ev.fire_at}\t{ev.node}\t{ev.kind}\t{ev.detail}")
-            ev.action(ev.fire_at)
-            count += 1
-        self.processed_events += count
-        return count
-
 
 class Link:
     """Unidirectional point-to-point link with serialization, delay, loss and

@@ -149,26 +149,22 @@ def build_bottleneck(cfg: ScenarioConfig,
     rr = Router("router.r")
     bundle.routers = {"router.l": rl, "router.r": rr}
 
-    bundle.links["bottleneck:lr"] = netsim.Link(
-        sim, "bottleneck:lr", rr, topo.bottleneck_bandwidth_bps,
-        topo.bottleneck_delay_us, topo.bottleneck_queue_bytes, topo.bottleneck_loss)
-    bundle.links["bottleneck:rl"] = netsim.Link(
-        sim, "bottleneck:rl", rl, topo.bottleneck_bandwidth_bps,
-        topo.bottleneck_delay_us, topo.bottleneck_queue_bytes, topo.bottleneck_loss)
+    for name, router in (("bottleneck:lr", rr), ("bottleneck:rl", rl)):
+        bundle.links[name] = netsim.Link(
+            sim, name, router, topo.bottleneck_bandwidth_bps,
+            topo.bottleneck_delay_us, topo.bottleneck_queue_bytes, topo.bottleneck_loss)
 
     sides = _host_sides(cfg)
 
     def attach_host(name: str) -> Host:
         host = Host(name)
         router = rl if sides.get(name, "left") == "left" else rr
-        up = netsim.Link(sim, f"access:{name}:up", router, topo.access_bandwidth_bps,
-                         topo.access_delay_us, topo.access_queue_bytes)
-        down = netsim.Link(sim, f"access:{name}:down", host, topo.access_bandwidth_bps,
-                           topo.access_delay_us, topo.access_queue_bytes)
-        host.uplink = up
-        bundle.links[f"access:{name}:up"] = up
-        bundle.links[f"access:{name}:down"] = down
-        router.routes[name] = down
+        for way, node in (("up", router), ("down", host)):
+            bundle.links[f"access:{name}:{way}"] = netsim.Link(
+                sim, f"access:{name}:{way}", node, topo.access_bandwidth_bps,
+                topo.access_delay_us, topo.access_queue_bytes)
+        host.uplink = bundle.links[f"access:{name}:up"]
+        router.routes[name] = bundle.links[f"access:{name}:down"]
         bundle.hosts[name] = host
         return host
 

@@ -48,7 +48,6 @@ T_ACK = 0x11
 T_CLOSE = 0x1F
 
 HANDSHAKE_TYPES = (T_IHELLO, T_RHELLO, T_IIKEYING, T_RIKEYING)
-KNOWN_TYPES = HANDSHAKE_TYPES + (T_DATA, T_ACK, T_CLOSE)
 
 # Packet flag bits.
 FLAG_ESTABLISHED = 0x01
@@ -128,31 +127,12 @@ class Packet:
     chunks: list[Chunk] = field(default_factory=list)
 
 
-def chunk_overhead(kind: int) -> int:
-    """Fixed per-chunk header cost in bytes (same for every chunk kind)."""
-    return CHUNK_HEADER
-
-
 def ack_body_len(n_gaps: int) -> int:
     return _ACK_FIXED.size + _GAP.size * n_gaps
 
 
 def encoded_size(p: Packet) -> int:
     return PACKET_HEADER + sum(CHUNK_HEADER + c.body_len() for c in p.chunks)
-
-
-def _chunk_fields(c: Chunk) -> tuple[int, int, int, int]:
-    """-> (type, flags, flow_id, seq) for the chunk header."""
-    if isinstance(c, DataChunk):
-        flags = (c.frag & 0x03) | (_DATA_TC_BIT if c.time_critical else 0)
-        return T_DATA, flags, c.flow_id, c.seq
-    if isinstance(c, AckChunk):
-        return T_ACK, 0, c.flow_id, c.cum_ack
-    if isinstance(c, HandshakeChunk):
-        return c.kind, 0, 0, 0
-    if isinstance(c, CloseChunk):
-        return T_CLOSE, 0, 0, 0
-    raise EncodeError(f"unknown chunk object: {c!r}")
 
 
 def encode(p: Packet, max_size: int | None = None) -> bytes:
@@ -162,18 +142,25 @@ def encode(p: Packet, max_size: int | None = None) -> bytes:
     out = [_PKT_HDR.pack(p.session_id & 0xFFFFFFFF, p.flags & 0xFF,
                          p.timestamp & 0xFFFF, p.ts_echo & 0xFFFF)]
     for c in p.chunks:
-        ctype, cflags, flow_id, seq = _chunk_fields(c)
+        # Chunk header fields are (type, flags, flow_id, seq); flags, flow_id
+        # and seq are 0 unless the kind uses them.
+        cflags = flow_id = seq = 0
         if isinstance(c, DataChunk):
             if len(c.payload) < 1:
                 raise EncodeError("data chunk payload must be >= 1 byte")
-            body = c.payload
+            ctype, flow_id, seq, body = T_DATA, c.flow_id, c.seq, c.payload
+            cflags = (c.frag & 0x03) | (_DATA_TC_BIT if c.time_critical else 0)
         elif isinstance(c, AckChunk):
+            ctype, flow_id, seq = T_ACK, c.flow_id, c.cum_ack
             body = _ACK_FIXED.pack(c.adv_buffer & 0xFFFFFFFF, len(c.gaps))
             body += b"".join(_GAP.pack(a & 0xFFFFFFFF, b & 0xFFFFFFFF) for a, b in c.gaps)
         elif isinstance(c, HandshakeChunk):
+            ctype = c.kind
             body = _HS_FIXED.pack(c.epd & 0xFFFFFFFF, c.sid & 0xFFFFFFFF) + c.cookie
+        elif isinstance(c, CloseChunk):
+            ctype, body = T_CLOSE, b""
         else:
-            body = b""
+            raise EncodeError(f"unknown chunk object: {c!r}")
         out.append(_CHK_HDR.pack(ctype, len(body), cflags, flow_id & 0xFFFF,
                                  seq & 0xFFFFFFFF))
         out.append(body)

@@ -129,7 +129,7 @@ def test_02_codec_round_trip_and_size_formula():
         p = random_packet(rng)
         buf = wire.encode(p)
         expected = wire.PACKET_HEADER + sum(
-            wire.chunk_overhead(0) + c.body_len() for c in p.chunks)
+            wire.CHUNK_HEADER + c.body_len() for c in p.chunks)
         all_sized &= len(buf) == expected
         all_equal &= wire.decode(buf) == p
     check(2, "codec", [
@@ -290,7 +290,9 @@ def test_06_retransmit_on_third_loss_report_before_rto():
                 if isinstance(c, wire.DataChunk):
                     if c.seq in seen_seqs:
                         session = next(iter(engine1.sessions.values()))
-                        retransmit_events.append((now, c.seq, session.rto_deadline))
+                        timer = session.rto_timer
+                        retransmit_events.append(
+                            (now, c.seq, timer.fire_at if timer is not None else None))
                     seen_seqs.add(c.seq)
 
         bundle.links["bottleneck:lr"].observer = observer

@@ -130,16 +130,17 @@ def test_repeated_timeouts_pin_window_at_initial():
 # ------------------------------------------------------------------- gating
 
 
-def test_can_send_boundaries():
+def test_has_room_boundaries():
+    # The engine sends only while flight < cwnd: flight == cwnd admits nothing.
     cc = make_cc(cwnd=4380)
     cc.flight_size = 0
-    assert cc.can_send(1472)
+    assert cc.has_room()
+    cc.flight_size = 4379
+    assert cc.has_room()
     cc.flight_size = 4380
-    assert not cc.can_send(1)
     assert not cc.has_room()
-    cc.flight_size = 2920
-    assert cc.can_send(1460)  # exact fit
-    assert not cc.can_send(1461)
+    cc.flight_size = 4381
+    assert not cc.has_room()
 
 
 # ----------------------------------------------------------------- registry

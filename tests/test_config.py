@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rtmfpsim import config
 from rtmfpsim.config import (ConfigError, parse_bandwidth, parse_bytes,
                              parse_config, parse_dist, parse_time_us)
 
@@ -164,3 +165,96 @@ def test_flow_interval_distribution_is_sampled_per_call():
     cfg = parse_config(text)
     assert cfg.apps[0][1].flows[0].interval_dist.kind == "exponential"
     assert cfg.apps[0][1].flows[1].interval_dist.kind == "constant"
+
+
+# ------------------------------------------------------------ key table ranges
+
+MINIMAL = {
+    "scenario": {"duration": "1s"},
+    "topology": {},
+    "host.1": {"localPort": "4711"},
+    "host.2": {"localPort": "2013"},
+    "app.1.0": {"localEpd": "4712", "remoteAddress": "host2", "remotePort": "2013",
+                "remoteEpd": "2014", "flowsOutgoing": "1", "flowPacketSize": "140byte",
+                "flowSendInterval": "1000us", "flowNumPackets": "10", "flowId": "19"},
+    "app.2.0": {"localEpd": "2014"},
+}
+TABLES = [("scenario", config.SCENARIO_KEYS), ("topology", config.TOPOLOGY_KEYS),
+          ("host.1", config.HOST_KEYS), ("app.1.0", config.APP_KEYS),
+          ("app.1.0", config.FLOW_KEYS)]
+UNITS = {config.parse_bytes: "byte", config.parse_time_us: "us",
+         config.parse_bandwidth: "bit"}
+
+
+def text_with(section, key, value):
+    """MINIMAL with `key = value` as the last line of the text; -> (text, line)."""
+    body = {name: dict(keys) for name, keys in MINIMAL.items()}
+    body[section].pop(key, None)
+    order = [name for name in body if name != section] + [section]
+    lines = []
+    for name in order:
+        lines += [f"[{name}]"] + [f"{k} = {v}" for k, v in body[name].items()]
+    lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n", len(lines)
+
+
+def out_of_range_cases():
+    for section, rows in TABLES:
+        for row in rows:
+            if row.lo is None:
+                continue
+            step = 1 if isinstance(row.lo, int) else 0.5
+            bad = [row.lo - step] + ([] if row.hi is None else [row.hi + step])
+            for value in bad:
+                yield pytest.param(section, row.key, f"{value}{UNITS.get(row.parse, '')}",
+                                   id=f"{row.key}={value}")
+    # The one open range, (0, 1), is checked by its parser, not by lo/hi.
+    for value in ("0", "1", "-0.5", "1.5"):
+        yield pytest.param("topology", "backgroundLoad", value, id=f"backgroundLoad={value}")
+
+
+@pytest.mark.parametrize("section,key,value", list(out_of_range_cases()))
+def test_out_of_range_value_names_its_line(section, key, value):
+    text, line = text_with(section, key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).startswith(f"line {line}: {key} = ")
+    assert "outside" in str(err.value)
+
+
+def test_minimal_config_parses():
+    text, _ = text_with("scenario", "seed", "1")
+    assert parse_config(text).apps[0][1].flows[0].flow_id == 19
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("app.1.0", "flowId", "65535"), ("app.1.0", "flowId", "0"),
+    ("app.1.0", "flowNumPackets", "0"), ("app.1.0", "localEpd", "4294967295"),
+    ("host.1", "maxSegmentSize", "1052byte"), ("host.1", "maxSegmentSize", "1500byte"),
+    ("host.1", "rcvBufferSize", "1byte"), ("host.1", "localPort", "65535"),
+    ("topology", "bottleneckQueue", "1500byte"), ("topology", "bottleneckLoss", "1"),
+    ("topology", "backgroundLoad", "0.999"),
+])
+def test_range_boundaries_are_accepted(section, key, value):
+    text, _ = text_with(section, key, value)
+    parse_config(text)
+
+
+def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
+    text, line = text_with("host.1", "ccWndInit", "4380byte")
+    text = text.replace("[host.1]\n", "[host.1]\nccCwndInit = 8760byte\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).startswith(f"line {line + 1}: duplicate key 'ccWndInit'")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("app.1.0.bogus", "1", "override app.1.0.bogus: unknown key 'bogus'"),
+    ("app.1.0.flowId", "19 70000", "override app.1.0.flowId: flowId = 70000 is outside"),
+    ("host.1.maxSegmentSize", "30byte", "override host.1.maxSegmentSize: maxSegmentSize"),
+    ("scenario.duration", "5", "override scenario.duration: time value '5' needs a unit"),
+])
+def test_override_errors_name_the_override(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(FIG_STYLE, overrides={key: value})
+    assert str(err.value).startswith(message)

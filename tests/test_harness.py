@@ -30,11 +30,17 @@ def test_jain_needs_flows():
         compute_fairness([])
 
 
+def point_text(name, seed=1):
+    """Config text of a single-point preset."""
+    [(_, text)] = preset_points(name, seed)
+    return text
+
+
 # ----------------------------------------------------------------- topology
 
 
 def test_build_dumbbell_shapes_routes():
-    cfg = parse_config(harness._fairness_config(seed=1, stagger_us=0))
+    cfg = parse_config(point_text("fairness-simultaneous", seed=1))
     bundle = build_bottleneck(cfg)
     assert set(bundle.hosts) >= {"host1", "host2", "host3", "host4"}
     # Initiators sit left, receivers right; cross traffic uses the bottleneck.
@@ -46,7 +52,7 @@ def test_build_dumbbell_shapes_routes():
 
 
 def test_background_offered_load_is_five_percent():
-    cfg = parse_config(harness._fairness_config(seed=3, stagger_us=0))
+    cfg = parse_config(point_text("fairness-simultaneous", seed=3))
     bundle = build_bottleneck(cfg)
     bundle.sim.run_until(cfg.duration_us)
     rate = bundle.background.bytes_sent * 8 * 1_000_000 / cfg.duration_us
@@ -65,9 +71,7 @@ def test_background_disabled_leaves_only_protocol_traffic():
 
 
 def test_side_override_controls_placement():
-    text = harness._basic_config(1).replace("[host.2]\nlocalPort = 2013",
-                                            "[host.2]\nlocalPort = 2013\nside = left")
-    cfg = parse_config(text)
+    cfg = parse_config(point_text("bottleneck-basic"), overrides={"host.2.side": "left"})
     bundle = build_bottleneck(cfg)
     assert bundle.routers["router.l"].routes["host2"].name == "access:host2:down"
 
@@ -168,8 +172,8 @@ def test_rtt_floor_shows_in_handshake_timing():
 def test_cli_run_and_report(tmp_path, capsys):
     from rtmfpsim.cli import main
     cfg_path = tmp_path / "scenario.conf"
-    cfg_path.write_text(harness._basic_config(9).replace(
-        'flowNumPackets = "5000"', 'flowNumPackets = "200"'))
+    cfg_path.write_text(point_text("bottleneck-basic", seed=9).replace(
+        "flowNumPackets = 5000", "flowNumPackets = 200"))
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     assert (out_dir / "results.csv").exists()
@@ -195,3 +199,26 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli.harness, "run_preset", explode)
     assert cli.main(["preset", "bottleneck-basic"]) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    ["app.1.0.flowId=70000"],
+    ["app.1.0.localEpd=4294967296"],
+    ["app.1.0.remoteEpd=-1"],
+    ["host.2.localPort=70000"],
+    ["host.1.migrateAt=1s", "host.1.migrateTo=70000"],
+    ["app.1.0.flowNumPackets=-5"],
+    ["host.2.rcvBufferSize=0byte"],
+    ["host.1.maxSegmentSize=30byte"],
+    ["host.1.maxSegmentSize=1600byte"],
+    ["host.1.ccCwndInit=8760byte", "host.1.ccWndInit=4380byte"],
+    ["app.1.0.bogus=1"],
+])
+def test_cli_bad_override_is_a_config_error(overrides, capsys):
+    from rtmfpsim.cli import main
+    argv = ["preset", "bottleneck-basic"]
+    for pair in overrides:
+        argv += ["--override", pair]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: override {overrides[-1].partition('=')[0]}: ")

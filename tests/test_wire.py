@@ -36,8 +36,13 @@ def test_oversize_packet_rejected_when_limit_given():
 
 
 def test_chunk_overhead_is_fixed_ten_bytes():
-    assert wire.chunk_overhead(wire.T_DATA) == 10
-    assert wire.chunk_overhead(wire.T_ACK) == 10
+    # Every chunk kind costs the same 10-byte header on the wire.
+    for chunk in (data(seq=1), wire.AckChunk(19, 0), wire.HandshakeChunk(wire.T_IHELLO),
+                  wire.CloseChunk()):
+        p = wire.Packet(1, chunks=[chunk])
+        assert wire.encoded_size(p) == len(wire.encode(p))
+        assert wire.encoded_size(p) == wire.PACKET_HEADER + wire.CHUNK_HEADER + chunk.body_len()
+    assert wire.CHUNK_HEADER == 10
     assert wire.ack_body_len(0) == 6
     assert wire.ack_body_len(3) == 6 + 24
 
