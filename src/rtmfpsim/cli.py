@@ -43,7 +43,7 @@ def _finish(results, out_dir: str | None) -> None:
         print(f"{res.scenario}: seed={res.seed} "
               f"util={s['bottleneck_utilization']:.3f} "
               f"handshakes={s['handshakes_completed']} "
-              f"rows={len(res.rows)}")
+              f"rows={len(res.flow_stats)}")
 
 
 def main(argv: list[str] | None = None) -> int:

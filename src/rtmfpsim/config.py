@@ -38,6 +38,9 @@ _DIST_RE = re.compile(rf"^({'|'.join(_DIST_ARGS)})\((.*)\)$")
 # would fail to encode it at run time.
 MIN_SEGMENT_SIZE = (wire.PACKET_HEADER + wire.CHUNK_HEADER
                     + wire.ack_body_len(flows.MAX_ACK_GAPS))
+# The largest chunk payload a packet can carry. A smaller initial window cannot
+# admit a chunk that size, so a flow of large messages would never send.
+MIN_CWND_INIT = MTU_DEFAULT - wire.PACKET_HEADER - wire.CHUNK_HEADER
 
 
 @dataclass
@@ -189,7 +192,11 @@ def _load(value: str, where: str) -> float:
 
 
 def _times(value: str, where: str) -> list[int]:
-    return [parse_time_us(tok, where) for tok in value.split()]
+    times = [parse_time_us(tok, where) for tok in value.split()]
+    for t in times:
+        if t < 0:
+            raise ConfigError(f"{where}: probeTimes = {t} is outside >= 0")
+    return times
 
 
 def _dist_of(unit_parser: Callable[[str, str], int]) -> Callable[[str, str], Dist]:
@@ -211,17 +218,17 @@ class Key(NamedTuple):
 
 SCENARIO_KEYS = (
     Key("seed", "seed", _int),
-    Key("duration", "duration_us", parse_time_us),
+    Key("duration", "duration_us", parse_time_us, 0),
     Key("probeTimes", "probe_times_us", _times),
 )
 TOPOLOGY_KEYS = (
-    Key("bottleneckBandwidth", "bottleneck_bandwidth_bps", parse_bandwidth),
-    Key("bottleneckDelay", "bottleneck_delay_us", parse_time_us),
+    Key("bottleneckBandwidth", "bottleneck_bandwidth_bps", parse_bandwidth, 1),
+    Key("bottleneckDelay", "bottleneck_delay_us", parse_time_us, 0),
     # A queue smaller than one MTU would drop everything.
     Key("bottleneckQueue", "bottleneck_queue_bytes", parse_bytes, MTU_DEFAULT),
     Key("bottleneckLoss", "bottleneck_loss", _float, 0.0, 1.0),
-    Key("accessBandwidth", "access_bandwidth_bps", parse_bandwidth),
-    Key("accessDelay", "access_delay_us", parse_time_us),
+    Key("accessBandwidth", "access_bandwidth_bps", parse_bandwidth, 1),
+    Key("accessDelay", "access_delay_us", parse_time_us, 0),
     Key("accessQueue", "access_queue_bytes", parse_bytes),
     Key("background", "background", _flag),
     Key("backgroundLoad", "background_load", _load),
@@ -231,10 +238,10 @@ HOST_KEYS = (
     Key("localPort", "local_port", _int, 1, 65535),
     Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
     Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1),
-    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, aliases=("ccWndInit",)),
+    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, MIN_CWND_INIT, aliases=("ccWndInit",)),
     Key("ccMss", "cc_mss", parse_bytes),
     Key("side", "side", _side),
-    Key("migrateAt", "migrate_at_us", parse_time_us),
+    Key("migrateAt", "migrate_at_us", parse_time_us, 0),
     Key("migrateTo", "migrate_to_port", _int, 1, 65535),
 )
 APP_KEYS = (
@@ -242,9 +249,9 @@ APP_KEYS = (
     Key("remoteAddress", "remote_address", _text),
     Key("remotePort", "remote_port", _int, 1, 65535),
     Key("remoteEpd", "remote_epd", _int, 0, 0xFFFFFFFF),
-    Key("maxRuntime", "max_runtime_us", parse_time_us),
-    Key("readDelay", "read_delay_us", parse_time_us),
-    Key("startTime", "start_time_us", parse_time_us),
+    Key("maxRuntime", "max_runtime_us", parse_time_us, 0),
+    Key("readDelay", "read_delay_us", parse_time_us, 0),
+    Key("startTime", "start_time_us", parse_time_us, 0),
     Key("flowsOutgoing", "flows_outgoing", _int, 0),
 )
 # Fields of FlowSpec. In an app section each value is a space-separated list

@@ -10,14 +10,25 @@ single event loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import cc as cc_mod
 from . import flows as flows_mod
 from . import netsim, wire
 
+if TYPE_CHECKING:  # config imports app, which imports this module
+    from .config import HostSpec
+
 HANDSHAKE_SID = 0
+# The first handshake retry waits this long; each further one waits twice as
+# long as the one before.
+HANDSHAKE_TIMEOUT_US = 1_000_000
+HANDSHAKE_ATTEMPTS = 5
+# Retransmission timeout: RTO_INITIAL_US until the first RTT sample, then
+# srtt + 4 * rttvar but at least RTO_MIN_US.
+RTO_MIN_US = 200_000
+RTO_INITIAL_US = 1_000_000
+DELAYED_ACK_US = 50_000
 
 S_IDLE = "Idle"
 S_IHELLO_SENT = "IHelloSent"
@@ -29,23 +40,6 @@ S_CLOSED = "Closed"
 
 class ConfigurationError(Exception):
     """Invalid engine/app wiring detected before or at startup."""
-
-
-@dataclass
-class EngineParams:
-    local_port: int = 4711
-    max_segment_size: int = 1472
-    rcv_buffer_size: int = 65536
-    cc_params: cc_mod.CcParams = field(default_factory=cc_mod.CcParams)
-    handshake_timeout_us: int = 1_000_000
-    handshake_attempts: int = 5
-    rto_min_us: int = 200_000
-    rto_initial_us: int = 1_000_000
-    delayed_ack_us: int = 50_000
-
-    @property
-    def chunk_capacity(self) -> int:
-        return self.max_segment_size - wire.PACKET_HEADER - wire.CHUNK_HEADER
 
 
 class Session:
@@ -62,7 +56,7 @@ class Session:
         self.peer_address: Optional[tuple[str, int]] = None
         self.state = S_IDLE
         self.app = None
-        self.cc = cc_mod.CongestionController(engine.params.cc_params)
+        self.cc = cc_mod.CongestionController(engine.spec.cc_cwnd_init, engine.spec.cc_mss)
         self.send_flows: dict[int, flows_mod.SendFlow] = {}
         self.recv_flows: dict[int, flows_mod.RecvFlow] = {}
         self.rr_cursor: dict[bool, int] = {}
@@ -94,11 +88,10 @@ class Session:
         return f"{self.local_epd}{arrow}{self.remote_epd}"
 
     def rto_us(self) -> int:
-        p = self.engine.params
         if self.srtt_us is None:
-            base = p.rto_initial_us
+            base = RTO_INITIAL_US
         else:
-            base = max(p.rto_min_us, self.srtt_us + 4 * self.rttvar_us)
+            base = max(RTO_MIN_US, self.srtt_us + 4 * self.rttvar_us)
         return base * self.rto_backoff
 
     def observe_rtt(self, sample_us: int) -> None:
@@ -118,7 +111,7 @@ class Session:
             raise ConfigurationError("flows can only be created on an Open session")
         if flow_id in self.send_flows:
             raise ConfigurationError(f"duplicate send flow id {flow_id}")
-        f = flows_mod.SendFlow(flow_id, time_critical, self.engine.params.chunk_capacity)
+        f = flows_mod.SendFlow(flow_id, time_critical, self.engine.chunk_capacity)
         self.send_flows[flow_id] = f
         return f
 
@@ -126,18 +119,18 @@ class Session:
 class RtmfpEngine:
     """Protocol layer bound to one (host, port)."""
 
-    def __init__(self, sim: netsim.Simulator, host, params: EngineParams | None = None):
+    def __init__(self, sim: netsim.Simulator, host, spec: HostSpec):
         self.sim = sim
         self.host = host
-        self.params = params or EngineParams()
-        self.local_port = self.params.local_port
+        self.spec = spec
+        self.local_port = spec.local_port
+        self.chunk_capacity = spec.max_segment_size - wire.PACKET_HEADER - wire.CHUNK_HEADER
         host.bind(self.local_port, self.handle_datagram)
         self.apps: dict[int, object] = {}
         self.sessions: dict[int, Session] = {}
         self._half_open: dict[tuple, Session] = {}
         self.registry = cc_mod.CcRegistry()
         self._rng = sim.stream(f"engine:{host.node_id}:{self.local_port}")
-        self._delack: dict[tuple[int, int], netsim.Event] = {}
         self.decode_errors = 0
         self.unknown_session = 0
         self.unknown_epd = 0
@@ -182,7 +175,7 @@ class RtmfpEngine:
             self._send_packet(s, [chunk], now, addr, established=False)
 
     def _arm_handshake_timer(self, s: Session, now: int) -> None:
-        delay = self.params.handshake_timeout_us * (1 << (s.hs_sends - 1))
+        delay = HANDSHAKE_TIMEOUT_US * (1 << (s.hs_sends - 1))
         s.hs_timer = self.sim.after(
             delay, self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
@@ -190,7 +183,7 @@ class RtmfpEngine:
     def _on_handshake_timer(self, s: Session, now: int) -> None:
         if s.state in (S_OPEN, S_CLOSED):
             return
-        if s.hs_sends >= self.params.handshake_attempts:
+        if s.hs_sends >= HANDSHAKE_ATTEMPTS:
             s.state = S_CLOSED
             self.sessions_failed += 1
             if s.app is not None:
@@ -221,8 +214,7 @@ class RtmfpEngine:
             self.sessions[s.local_sid] = s
             self._half_open[key] = s
             # Garbage-collect a half-open responder session that never completes.
-            total_wait = self.params.handshake_timeout_us * (
-                (1 << self.params.handshake_attempts) - 1)
+            total_wait = HANDSHAKE_TIMEOUT_US * ((1 << HANDSHAKE_ATTEMPTS) - 1)
             self.sim.after(total_wait, self.host.node_id, netsim.KIND_TIMER,
                            lambda t: self._gc_half_open(s), f"hs-gc {s.label}")
         s.last_peer_ts = peer_ts
@@ -257,6 +249,7 @@ class RtmfpEngine:
                 s.state = S_OPEN
                 self.handshakes_completed += 1
                 self.registry.add(s)
+                self._update_modes(now)
                 self._send_handshake(s, wire.T_RIKEYING, now)
                 if s.app is not None:
                     s.app.session_opened(s, now)
@@ -274,6 +267,7 @@ class RtmfpEngine:
             if s.hs_timer:
                 s.hs_timer.cancel()
             self.registry.add(s)
+            self._update_modes(now)
             if s.app is not None:
                 s.app.session_opened(s, now)
             self.transmit_opportunity(s, now)
@@ -317,8 +311,7 @@ class RtmfpEngine:
             tc = bool(pkt.flags & wire.FLAG_TIME_CRITICAL)
             if tc != s.peer_signaled_tc:
                 s.peer_signaled_tc = tc
-                for changed in self.registry.update():
-                    self._log_cc(changed, now)
+                self._update_modes(now)
         self._process_chunks(s, pkt, dgram, now)
 
     def _process_chunks(self, s: Session, pkt: wire.Packet,
@@ -336,8 +329,7 @@ class RtmfpEngine:
                     continue
                 rf = s.recv_flows.get(chunk.flow_id)
                 if rf is None:
-                    rf = flows_mod.RecvFlow(chunk.flow_id,
-                                            self.params.rcv_buffer_size,
+                    rf = flows_mod.RecvFlow(chunk.flow_id, self.spec.rcv_buffer_size,
                                             chunk.time_critical)
                     s.recv_flows[chunk.flow_id] = rf
                 rf.on_data_chunk(chunk, now)
@@ -354,18 +346,30 @@ class RtmfpEngine:
                 lost += res.lost_bytes
                 losses += res.losses_detected
             elif isinstance(chunk, wire.CloseChunk):
-                self._close_session(s)
+                self._close_session(s, now)
                 return
         ack_chunks = []
         for rf in touched:
             ack = rf.end_of_packet(now)
             if ack is not None:
                 ack_chunks.append(ack)
-                self._cancel_delack(s, rf)
+                if rf.delack_timer is not None:
+                    rf.delack_timer.cancel()
+                    rf.delack_timer = None
             elif rf.ack_pending():
                 self._arm_delack(s, rf, now)
-        if ack_chunks:
-            self._send_packet(s, ack_chunks, now)
+        # Greedy packing: a new packet whenever the next ack does not fit.
+        packets: list[list[wire.AckChunk]] = []
+        room = 0
+        for ack in ack_chunks:
+            size = wire.CHUNK_HEADER + ack.body_len()
+            if size > room:
+                packets.append([])
+                room = self.spec.max_segment_size - wire.PACKET_HEADER
+            packets[-1].append(ack)
+            room -= size
+        for batch in packets:
+            self._send_packet(s, batch, now)
         for rf in touched:
             if rf.has_ready() and s.app is not None:
                 s.app.data_notification(s, rf.flow_id, now)
@@ -387,20 +391,14 @@ class RtmfpEngine:
     # ---------------------------------------------------------------- timers
 
     def _arm_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
-        key = (s.local_sid, rf.flow_id)
-        if key in self._delack:
+        if rf.delack_timer is not None:
             return
-        self._delack[key] = self.sim.after(
-            self.params.delayed_ack_us, self.host.node_id, netsim.KIND_TIMER,
+        rf.delack_timer = self.sim.after(
+            DELAYED_ACK_US, self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_delack(s, rf, t), f"delack {s.label}/{rf.flow_id}")
 
-    def _cancel_delack(self, s: Session, rf: flows_mod.RecvFlow) -> None:
-        ev = self._delack.pop((s.local_sid, rf.flow_id), None)
-        if ev is not None:
-            ev.cancel()
-
     def _on_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
-        self._delack.pop((s.local_sid, rf.flow_id), None)
+        rf.delack_timer = None
         if s.state != S_OPEN or not rf.ack_pending():
             return
         self._send_packet(s, [rf.make_ack(now)], now)
@@ -441,9 +439,13 @@ class RtmfpEngine:
         active = any(f.time_critical and f.has_pending()
                      for f in s.send_flows.values())
         if active != s.tc_active:
-            self.registry.set_time_critical(s, active)
-            for changed in self.registry.update():
-                self._log_cc(changed, now)
+            s.tc_active = active
+            self._update_modes(now)
+
+    def _update_modes(self, now: int) -> None:
+        """Recompute every local session's mode; log each one that switched."""
+        for changed in self.registry.update():
+            self._log_cc(changed, now)
 
     def transmit_opportunity(self, s: Session, now: int) -> int:
         """Send as many packets as the window, flow control and queues allow."""
@@ -454,7 +456,7 @@ class RtmfpEngine:
             payload_budget = int(s.cc.cwnd) - s.cc.flight_size
             if payload_budget <= 0:
                 break
-            chunks = flows_mod.fill_packet(s, self.params.max_segment_size,
+            chunks = flows_mod.fill_packet(s, self.spec.max_segment_size,
                                            payload_budget, now)
             if not chunks:
                 break
@@ -484,7 +486,7 @@ class RtmfpEngine:
                           timestamp=(now // 1000) & 0xFFFF,
                           ts_echo=s.last_peer_ts,
                           chunks=chunks)
-        buf = wire.encode(pkt, max_size=self.params.max_segment_size)
+        buf = wire.encode(pkt, max_size=self.spec.max_segment_size)
         s.packets_out += 1
         dst = dst or s.peer_address
         self.host.send(netsim.Datagram((self.host.node_id, self.local_port), dst, buf), now)
@@ -497,16 +499,17 @@ class RtmfpEngine:
         if rf is None:
             return []
         msgs = rf.app_read(max_bytes)
-        if msgs and rf.window_update_due(self.params.chunk_capacity) and s.state == S_OPEN:
+        if msgs and rf.window_update_due(self.chunk_capacity) and s.state == S_OPEN:
             self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs
 
-    def _close_session(self, s: Session) -> None:
+    def _close_session(self, s: Session, now: int) -> None:
         """The peer sent a Close chunk."""
         if s.state == S_CLOSED:
             return
         s.state = S_CLOSED
         self.registry.remove(s)
+        self._update_modes(now)
 
     def migrate(self, new_port: int, now: int) -> None:
         """Rebind to a different local port; the peer learns the new address

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from . import wire
+from . import netsim, wire
 
 # Chunk states on the send side.
 ST_QUEUED = 0
@@ -182,10 +182,10 @@ class RecvFlow:
         self.rcv_buffer_size = rcv_buffer_size
         self.time_critical = time_critical
         self.cum_ack = 0
-        self._buffer: dict[int, tuple[int, bytes]] = {}  # seq -> (frag, payload)
+        self._buffer: dict[int, tuple[int, bytes]] = {}  # seq > cum_ack -> (frag, payload)
         self._partial: list[bytes] = []
-        self._next_deliver = 1
         self._ready: deque[Message] = deque()
+        self.delack_timer: Optional[netsim.Event] = None
         self.occupied_bytes = 0
         self.data_since_last_ack = 0
         self.last_advertised = rcv_buffer_size
@@ -201,7 +201,8 @@ class RecvFlow:
         return max(0, self.rcv_buffer_size - self.occupied_bytes)
 
     def has_gaps(self) -> bool:
-        return bool(self._buffer) and max(self._buffer) > self.cum_ack
+        # In-order chunks leave the buffer as cum_ack passes them.
+        return bool(self._buffer)
 
     def on_data_chunk(self, c: wire.DataChunk, now: int) -> None:
         """Buffer one chunk; ack emission is decided at end_of_packet()."""
@@ -215,12 +216,7 @@ class RecvFlow:
         self.occupied_bytes += len(c.payload)
         while self.cum_ack + 1 in self._buffer:
             self.cum_ack += 1
-        self._reassemble()
-
-    def _reassemble(self) -> None:
-        while self._next_deliver <= self.cum_ack:
-            frag, payload = self._buffer.pop(self._next_deliver)
-            self._next_deliver += 1
+            frag, payload = self._buffer.pop(self.cum_ack)
             if frag == wire.FRAG_WHOLE:
                 assert not self._partial, "whole chunk inside a fragment run"
                 self._ready.append(Message(payload))
@@ -250,8 +246,6 @@ class RecvFlow:
             run_start = None
             prev = None
             for seq in sorted(self._buffer):
-                if seq <= self.cum_ack:
-                    continue
                 if run_start is None:
                     run_start, prev = seq, seq
                 elif seq == prev + 1:

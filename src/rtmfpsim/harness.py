@@ -33,36 +33,11 @@ CWND_HEADER = "time_us,host,session,cwnd_bytes,flight_bytes,mode"
 
 
 @dataclass
-class ResultRow:
-    scenario: str
-    seed: int
-    host: str
-    app: int
-    flow_id: int
-    direction: str
-    msgs_sent: int
-    msgs_recv: int
-    bytes_sent: int
-    bytes_recv: int
-    retransmissions: int
-    start_us: int
-    end_us: int
-    goodput_bps: float
-
-    def as_csv(self) -> str:
-        return (f"{self.scenario},{self.seed},{self.host},{self.app},{self.flow_id},"
-                f"{self.direction},{self.msgs_sent},{self.msgs_recv},{self.bytes_sent},"
-                f"{self.bytes_recv},{self.retransmissions},{self.start_us},"
-                f"{self.end_us},{self.goodput_bps:.3f}")
-
-
-@dataclass
 class RunResult:
     scenario: str
     seed: int
     cfg: ScenarioConfig
     bundle: SimBundle
-    rows: list[ResultRow] = field(default_factory=list)
     flow_stats: list[FlowStats] = field(default_factory=list)
     cwnd_series: list[tuple[int, str, str, int, int, str]] = field(default_factory=list)
     window_bytes: dict[tuple[str, int, int, int], int] = field(default_factory=dict)
@@ -148,19 +123,8 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
     bundle.sim.run_until(cfg.duration_us)
 
     for app in bundle.apps:
-        for st in app.finalize():
-            result.flow_stats.append(st)
-            result.rows.append(ResultRow(
-                scenario=scenario_id, seed=cfg.seed, host=st.host, app=st.app_epd,
-                flow_id=st.flow_id, direction=st.direction,
-                msgs_sent=st.msgs if st.direction == "send" else 0,
-                msgs_recv=st.msgs if st.direction == "recv" else 0,
-                bytes_sent=st.bytes if st.direction == "send" else 0,
-                bytes_recv=st.bytes if st.direction == "recv" else 0,
-                retransmissions=st.retransmissions if st.direction == "send" else 0,
-                start_us=st.first_us or 0, end_us=st.last_us or 0,
-                goodput_bps=st.goodput_bps))
-    result.rows.sort(key=lambda r: (r.scenario, r.host, r.app, r.flow_id, r.direction))
+        result.flow_stats.extend(app.finalize())
+    result.flow_stats.sort(key=lambda st: (st.host, st.app_epd, st.flow_id, st.direction))
 
     for engine in bundle.engines.values():
         result.cwnd_series.extend(engine.cwnd_log)
@@ -311,7 +275,13 @@ def run_preset(name: str, seed: int = 1,
 def results_csv(results: list[RunResult]) -> str:
     lines = [RESULTS_HEADER]
     for res in results:
-        lines.extend(row.as_csv() for row in res.rows)
+        for st in res.flow_stats:
+            # Receive rows carry no retransmissions: only send flows count them.
+            counts = (f"{st.msgs},0,{st.bytes},0" if st.direction == "send"
+                      else f"0,{st.msgs},0,{st.bytes}")
+            lines.append(f"{res.scenario},{res.seed},{st.host},{st.app_epd},{st.flow_id},"
+                         f"{st.direction},{counts},{st.retransmissions},{st.first_us or 0},"
+                         f"{st.last_us or 0},{st.goodput_bps:.3f}")
     return "\n".join(lines) + "\n"
 
 

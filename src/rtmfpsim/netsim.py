@@ -262,10 +262,3 @@ class Dist:
         if self.kind == "uniform":
             return (self.a + self.b) / 2.0
         return self.a
-
-    def __str__(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.a:g})"
-        if self.kind == "uniform":
-            return f"uniform({self.a:g},{self.b:g})"
-        return f"exponential({self.a:g})"

@@ -14,8 +14,7 @@ from typing import Callable, Optional
 from . import netsim
 from .app import RtmfpApp
 from .config import ConfigError, ScenarioConfig
-from .engine import EngineParams, RtmfpEngine
-from .cc import CcParams
+from .engine import RtmfpEngine
 
 BG_PORT = 9
 
@@ -184,12 +183,7 @@ def build_bottleneck(cfg: ScenarioConfig,
             rl.routes.setdefault(name, bundle.links["bottleneck:lr"])
 
     for name, spec in cfg.hosts.items():
-        params = EngineParams(
-            local_port=spec.local_port,
-            max_segment_size=spec.max_segment_size,
-            rcv_buffer_size=spec.rcv_buffer_size,
-            cc_params=CcParams(cwnd_init=spec.cc_cwnd_init, mss=spec.cc_mss))
-        engine = RtmfpEngine(sim, bundle.hosts[name], params)
+        engine = RtmfpEngine(sim, bundle.hosts[name], spec)
         bundle.engines[name] = engine
         if spec.migrate_at_us is not None:
             sim.schedule(spec.migrate_at_us, name, netsim.KIND_APP_TICK,

@@ -445,6 +445,28 @@ def test_10_time_critical_mode_dominates():
     ])
 
 
+def test_10_every_mode_switch_has_a_cwnd_row_at_its_time():
+    # The time-critical flow drains after 300 messages, so both sessions of
+    # host1 switch modes twice; each switch must be logged when it happens.
+    switches = []
+
+    def record(bundle):
+        for engine in bundle.engines.values():
+            def update(engine=engine, inner=engine.registry.update):
+                changed = inner()
+                switches.extend((engine.sim.now, engine.host.node_id, s.label, s.cc.mode)
+                                for s in changed)
+                return changed
+            engine.registry.update = update
+
+    res = run_config(MODE_ASYMMETRY_CONFIG, {"scenario.duration": "2s",
+                                             "app.1.0.flowNumPackets": "300"},
+                     scenario_id="mode-switch", prepare=record)
+    rows = {(t, host, label, mode) for t, host, label, _, _, mode in res.cwnd_series}
+    assert {mode for *_, mode in switches} == {"normal", "time_critical", "deferring"}
+    assert [sw for sw in switches if sw not in rows] == []
+
+
 # -------------------------------------------------------------- criterion 11
 
 

@@ -1,7 +1,10 @@
+import csv
+import io
+
 import pytest
 
 from rtmfpsim.app import AppConfig, FlowSpec, make_payload, parse_payload
-from rtmfpsim.harness import run_config
+from rtmfpsim.harness import results_csv, run_config
 from rtmfpsim.netsim import Dist
 
 
@@ -145,11 +148,13 @@ def test_loss_free_conservation_and_integrity():
 
 def test_goodput_matches_recomputation_from_counters():
     res = run_config(app_config(num=2000), scenario_id="goodput")
-    st = res.stats("host2", 2014, 19, "recv")
-    expected = st.bytes * 8 * 1_000_000 / (st.last_us - st.first_us)
-    assert st.goodput_bps == pytest.approx(expected)
-    row = next(r for r in res.rows if r.direction == "recv")
-    assert row.goodput_bps == pytest.approx(expected, rel=1e-9)
+    rows = csv.DictReader(io.StringIO(results_csv([res])))
+    row = next(r for r in rows if r["direction"] == "recv")
+    span_us = int(row["end_us"]) - int(row["start_us"])
+    assert int(row["msgs_recv"]) == 2000 and span_us > 0
+    expected = int(row["bytes_recv"]) * 8 * 1_000_000 / span_us
+    # The column is printed with three decimals.
+    assert float(row["goodput_bps"]) == pytest.approx(expected, abs=0.0005)
 
 
 def test_receiver_only_app_just_waits():
@@ -165,5 +170,5 @@ localPort = 4711
 localEpd = 42
 """
     res = run_config(text, scenario_id="idle")
-    assert res.rows == []
+    assert res.flow_stats == []
     assert res.summary["handshakes_completed"] == 0

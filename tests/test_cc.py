@@ -1,11 +1,13 @@
 import pytest
 
 from rtmfpsim.cc import (MODE_DEFERRING, MODE_NORMAL, MODE_TIME_CRITICAL,
-                         CcParams, CcRegistry, CongestionController)
+                         CcRegistry, CongestionController)
+from rtmfpsim.config import HostSpec
 
 
 def make_cc(cwnd=None, ssthresh=None, mode=MODE_NORMAL):
-    cc = CongestionController(CcParams())
+    # A host's defaults: 4380-byte initial window, 1460-byte segments.
+    cc = CongestionController(HostSpec.cc_cwnd_init, HostSpec.cc_mss)
     if cwnd is not None:
         cc.cwnd = float(cwnd)
     if ssthresh is not None:
@@ -62,7 +64,7 @@ def test_zero_bytes_acked_changes_nothing():
 
 def test_slow_start_adds_at_most_one_mss_per_ack():
     cc = make_cc(cwnd=4380)  # ssthresh is huge: slow start
-    assert cc.phase == "slow_start"
+    assert cc.cwnd < cc.ssthresh  # slow start
     cc.flight_size = 4380
     cc.on_ack_progress(2920, now=0)
     assert cc.cwnd == 4380 + 1460
@@ -93,6 +95,12 @@ def test_loss_reduces_by_one_eighth_in_time_critical_mode():
     assert cc.cwnd == 8750
 
 
+def test_loss_halves_window_in_deferring_mode():
+    cc = make_cc(cwnd=10000, ssthresh=1, mode=MODE_DEFERRING)
+    cc.on_loss_event(now=1000)
+    assert cc.cwnd == 5000
+
+
 def test_window_floor_is_two_segments():
     cc = make_cc(cwnd=2920, ssthresh=1)
     cc.on_loss_event(now=1000)
@@ -117,7 +125,7 @@ def test_timeout_resets_window_and_halves_ssthresh():
     cc.on_timeout()
     assert cc.cwnd == 4380
     assert cc.ssthresh == 10000
-    assert cc.phase == "slow_start"
+    assert cc.cwnd < cc.ssthresh  # slow start
 
 
 def test_repeated_timeouts_pin_window_at_initial():
@@ -151,7 +159,8 @@ def test_one_time_critical_session_makes_the_other_defer():
     a, b = FakeSession("a"), FakeSession("b")
     reg.add(a)
     reg.add(b)
-    reg.set_time_critical(a, True)
+    a.tc_active = True
+    assert reg.update() == [a, b]
     assert a.cc.mode == MODE_TIME_CRITICAL
     assert b.cc.mode == MODE_DEFERRING
 
@@ -161,8 +170,10 @@ def test_modes_revert_when_time_critical_flow_drains():
     a, b = FakeSession("a"), FakeSession("b")
     reg.add(a)
     reg.add(b)
-    reg.set_time_critical(a, True)
-    reg.set_time_critical(a, False)
+    a.tc_active = True
+    reg.update()
+    a.tc_active = False
+    assert reg.update() == [a, b]
     assert a.cc.mode == MODE_NORMAL
     assert b.cc.mode == MODE_NORMAL
 
@@ -171,9 +182,11 @@ def test_single_session_host_only_changes_own_mode():
     reg = CcRegistry()
     a = FakeSession("a")
     reg.add(a)
-    reg.set_time_critical(a, True)
+    a.tc_active = True
+    assert reg.update() == [a]
     assert a.cc.mode == MODE_TIME_CRITICAL
-    reg.set_time_critical(a, False)
+    a.tc_active = False
+    assert reg.update() == [a]
     assert a.cc.mode == MODE_NORMAL
 
 
@@ -182,7 +195,8 @@ def test_deferring_iff_some_other_local_session_is_time_critical():
     sessions = [FakeSession(str(i)) for i in range(4)]
     for s in sessions:
         reg.add(s)
-    reg.set_time_critical(sessions[2], True)
+    sessions[2].tc_active = True
+    assert reg.update() == sessions
     for i, s in enumerate(sessions):
         expected = MODE_TIME_CRITICAL if i == 2 else MODE_DEFERRING
         assert s.cc.mode == expected

@@ -211,6 +211,8 @@ def out_of_range_cases():
     # The one open range, (0, 1), is checked by its parser, not by lo/hi.
     for value in ("0", "1", "-0.5", "1.5"):
         yield pytest.param("topology", "backgroundLoad", value, id=f"backgroundLoad={value}")
+    # A list value: each entry is checked by the parser.
+    yield pytest.param("scenario", "probeTimes", "1s -1us", id="probeTimes=1s -1us")
 
 
 @pytest.mark.parametrize("section,key,value", list(out_of_range_cases()))
@@ -233,7 +235,9 @@ def test_minimal_config_parses():
     ("host.1", "maxSegmentSize", "1052byte"), ("host.1", "maxSegmentSize", "1500byte"),
     ("host.1", "rcvBufferSize", "1byte"), ("host.1", "localPort", "65535"),
     ("topology", "bottleneckQueue", "1500byte"), ("topology", "bottleneckLoss", "1"),
-    ("topology", "backgroundLoad", "0.999"),
+    ("topology", "backgroundLoad", "0.999"), ("host.1", "ccCwndInit", "1478byte"),
+    ("topology", "bottleneckBandwidth", "1bit"), ("scenario", "duration", "0us"),
+    ("scenario", "probeTimes", "0us 1s"), ("app.1.0", "startTime", "0us"),
 ])
 def test_range_boundaries_are_accepted(section, key, value):
     text, _ = text_with(section, key, value)

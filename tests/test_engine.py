@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import PacketSniffer
-from rtmfpsim import wire
+from rtmfpsim import netsim, wire
 from rtmfpsim.engine import S_CLOSED, S_OPEN, ConfigurationError
-from rtmfpsim.flows import Message
+from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import run_config
 
 
@@ -199,6 +199,36 @@ def test_recv_flow_auto_created_on_first_data_chunk():
     session = next(iter(engine2.sessions.values()))
     assert sorted(session.recv_flows) == [19, 88]
     assert res.stats("host2", 2014, 88, "recv").msgs == 50
+
+
+def test_acks_of_two_gappy_flows_are_split_to_fit_the_segment_size():
+    # Two acks of MAX_ACK_GAPS ranges each are 2 x 1040 bytes: one packet
+    # cannot hold both within maxSegmentSize (1472 bytes).
+    uplink = PacketSniffer()
+
+    def tap(bundle):
+        bundle.links["access:host2:up"].observer = uplink
+
+    res, _ = run_sniffed(mini_config(num=50, duration_s=1), prepare=tap)
+    engine2 = res.bundle.engines["host2"]
+    session = next(iter(engine2.sessions.values()))
+    top = 2 * MAX_ACK_GAPS + 2
+    chunks = []
+    for flow_id in (101, 102):
+        rf = session.recv_flows[flow_id] = RecvFlow(flow_id, 1 << 20)
+        for seq in range(2, top, 2):  # every odd seq missing: one gap per chunk
+            rf.on_data_chunk(wire.DataChunk(flow_id, seq, wire.FRAG_WHOLE, False, b"x"), 0)
+        chunks.append(wire.DataChunk(flow_id, top + 1, wire.FRAG_WHOLE, False, b"x"))
+    pkt = wire.Packet(session.local_sid, wire.FLAG_ESTABLISHED, 0, wire.TS_NONE, chunks)
+    dgram = netsim.Datagram(session.peer_address, ("host2", engine2.local_port),
+                            wire.encode(pkt))
+    before = len(uplink.records)
+    engine2.handle_datagram(dgram, res.bundle.sim.now)
+    sent = uplink.records[before:]
+    assert [len(d.payload) for _, d, *_ in sent] == [1052, 1052]
+    acks = [c for *_, p in sent for c in p.chunks]
+    assert [(a.flow_id, len(a.gaps)) for a in acks] == [(101, MAX_ACK_GAPS),
+                                                       (102, MAX_ACK_GAPS)]
 
 
 # ----------------------------------------------------------------- transmit

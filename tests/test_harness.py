@@ -96,8 +96,8 @@ def test_every_preset_parses_and_names_points():
 
 def test_preset_emits_one_row_per_flow_direction():
     res = run_preset("bottleneck-basic", seed=5)[0]
-    assert len(res.rows) == 2  # one send row, one recv row for the single flow
-    directions = {(r.host, r.direction) for r in res.rows}
+    assert len(res.flow_stats) == 2  # one send row, one recv row for the single flow
+    directions = {(r.host, r.direction) for r in res.flow_stats}
     assert directions == {("host1", "send"), ("host2", "recv")}
 
 
@@ -213,6 +213,15 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
     ["host.1.maxSegmentSize=1600byte"],
     ["host.1.ccCwndInit=8760byte", "host.1.ccWndInit=4380byte"],
     ["app.1.0.bogus=1"],
+    ["host.1.ccCwndInit=0byte"],
+    ["host.1.ccCwndInit=1449byte"],
+    ["scenario.duration=-1s"],
+    ["scenario.probeTimes=-1s"],
+    ["topology.bottleneckDelay=-5ms"],
+    ["topology.bottleneckBandwidth=0bit"],
+    ["topology.accessBandwidth=0bit"],
+    ["host.1.migrateTo=4721", "host.1.migrateAt=-1s"],
+    ["app.1.0.startTime=-1s"],
 ])
 def test_cli_bad_override_is_a_config_error(overrides, capsys):
     from rtmfpsim.cli import main

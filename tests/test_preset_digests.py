@@ -19,6 +19,26 @@ from rtmfpsim import harness
 VECTORS = os.path.join(os.path.dirname(__file__), "vectors", "preset_digests.txt")
 OVERRIDES = {"scenario.duration": "1s"}
 
+# Cases no preset point covers, as (preset, name, overrides on top of
+# OVERRIDES): a time-critical flow that drains so the modes revert, a port
+# migration, and a session with two outgoing flows. Only their results CSV is
+# pinned (sha256 below); their cwnd rows are not.
+EXTRA_POINTS = [
+    ("fairness-simultaneous", "time-critical-drains", {
+        "app.1.0.flowTimeCritical": "1", "app.1.0.flowNumPackets": "300"}),
+    ("bottleneck-basic", "migration", {
+        "host.1.migrateAt": "500ms", "host.1.migrateTo": "4721"}),
+    ("bottleneck-basic", "two-flows", {
+        "app.1.0.flowsOutgoing": "2", "app.1.0.flowPacketSize": "140byte 140byte",
+        "app.1.0.flowSendInterval": "1000us 1000us",
+        "app.1.0.flowNumPackets": "5000 5000", "app.1.0.flowId": "19 20"}),
+]
+EXTRA_RESULTS_SHA256 = {
+    "time-critical-drains": "c2a6d22a4d31c3220ec1a15a0617bd0853fc55c712a2c88cc7fbe342fc30ce42",
+    "migration": "b2848155bf07e815b8227cd6a854f43dbbbeab19795aa1be0a0ea0ddf7d62214",
+    "two-flows": "73e5413d76b9ebbd8f67a4c9e398d90c8b8191e121575c2f5677122918fdab5c",
+}
+
 
 def preset_digests():
     """-> [(scenario id, sha256 hex)] over every point of every preset."""
@@ -40,6 +60,15 @@ def test_preset_digests_match_pinned_vectors():
     expected = pinned()
     assert len(expected) == 19
     assert preset_digests() == expected
+
+
+@pytest.mark.parametrize("preset,name,overrides", EXTRA_POINTS,
+                         ids=[name for _, name, _ in EXTRA_POINTS])
+def test_extra_point_results_match_pinned_digest(preset, name, overrides):
+    (scenario_id, text), = harness.preset_points(preset, seed=1)
+    res = harness.run_config(text, {**OVERRIDES, **overrides}, scenario_id)
+    rendered = harness.results_csv([res])
+    assert hashlib.sha256(rendered.encode()).hexdigest() == EXTRA_RESULTS_SHA256[name]
 
 
 if __name__ == "__main__":
