@@ -24,14 +24,17 @@ _HEADER = struct.Struct("!IQ")
 SIZE_CLAMP_MIN = 1
 SIZE_CLAMP_MAX = 65536
 
+# Every message body of up to SIZE_CLAMP_MAX bytes is one slice of this.
+_FILL = _PATTERN * (SIZE_CLAMP_MAX // 256 + 2)
+
 
 def make_payload(flow_id: int, index: int, size: int) -> bytes:
     """Deterministic pseudo-payload; carries (flow_id, index) when it fits."""
     if size >= _HEADER.size:
         fill = size - _HEADER.size
         off = index % 256
-        body = (_PATTERN * (fill // 256 + 2))[off:off + fill]
-        return _HEADER.pack(flow_id & 0xFFFFFFFF, index) + body
+        pattern = _FILL if off + fill <= len(_FILL) else _PATTERN * (fill // 256 + 2)
+        return _HEADER.pack(flow_id & 0xFFFFFFFF, index) + pattern[off:off + fill]
     return _PATTERN[:size]
 
 
@@ -158,10 +161,10 @@ class RtmfpApp:
     # ---------------------------------------------------------------- sending
 
     def _schedule_tick(self, i: int, at: int) -> None:
-        fs = self.config.flows[i]
         self.sim.schedule(at, self.host_id, netsim.KIND_APP_TICK,
                           lambda t: self.send_tick(i, t),
-                          f"epd={self.config.local_epd} flow={fs.flow_id}")
+                          f"epd={self.config.local_epd} flow={self.config.flows[i].flow_id}"
+                          if self.sim.tracing else "")
 
     def send_tick(self, i: int, now: int) -> None:
         fs = self.config.flows[i]
@@ -204,7 +207,8 @@ class RtmfpApp:
         side.read_pending = True
         self.sim.after(self.config.read_delay_us, self.host_id, netsim.KIND_APP_TICK,
                        lambda t: self._do_read(session, flow_id, t),
-                       f"read epd={self.config.local_epd} flow={flow_id}")
+                       f"read epd={self.config.local_epd} flow={flow_id}"
+                       if self.sim.tracing else "")
 
     def _do_read(self, session: Session, flow_id: int, now: int) -> None:
         side = self._recv_side(flow_id)

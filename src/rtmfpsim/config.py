@@ -41,6 +41,9 @@ MIN_SEGMENT_SIZE = (wire.PACKET_HEADER + wire.CHUNK_HEADER
 # The largest chunk payload a packet can carry. A smaller initial window cannot
 # admit a chunk that size, so a flow of large messages would never send.
 MIN_CWND_INIT = MTU_DEFAULT - wire.PACKET_HEADER - wire.CHUNK_HEADER
+# The window never shrinks below two segments (cc floor = 2 * ccMss); that
+# floor must still admit the largest chunk payload.
+MIN_CC_MSS = -(-MIN_CWND_INIT // 2)
 
 
 @dataclass
@@ -229,7 +232,7 @@ TOPOLOGY_KEYS = (
     Key("bottleneckLoss", "bottleneck_loss", _float, 0.0, 1.0),
     Key("accessBandwidth", "access_bandwidth_bps", parse_bandwidth, 1),
     Key("accessDelay", "access_delay_us", parse_time_us, 0),
-    Key("accessQueue", "access_queue_bytes", parse_bytes),
+    Key("accessQueue", "access_queue_bytes", parse_bytes, MTU_DEFAULT),
     Key("background", "background", _flag),
     Key("backgroundLoad", "background_load", _load),
     Key("backgroundPacketSize", "background_size", _dist_of(parse_bytes)),
@@ -239,7 +242,7 @@ HOST_KEYS = (
     Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
     Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1),
     Key("ccCwndInit", "cc_cwnd_init", parse_bytes, MIN_CWND_INIT, aliases=("ccWndInit",)),
-    Key("ccMss", "cc_mss", parse_bytes),
+    Key("ccMss", "cc_mss", parse_bytes, MIN_CC_MSS),
     Key("side", "side", _side),
     Key("migrateAt", "migrate_at_us", parse_time_us, 0),
     Key("migrateTo", "migrate_to_port", _int, 1, 65535),

@@ -395,7 +395,8 @@ class RtmfpEngine:
             return
         rf.delack_timer = self.sim.after(
             DELAYED_ACK_US, self.host.node_id, netsim.KIND_TIMER,
-            lambda t: self._on_delack(s, rf, t), f"delack {s.label}/{rf.flow_id}")
+            lambda t: self._on_delack(s, rf, t),
+            f"delack {s.label}/{rf.flow_id}" if self.sim.tracing else "")
 
     def _on_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
         rf.delack_timer = None
@@ -411,7 +412,7 @@ class RtmfpEngine:
             return
         s.rto_timer = self.sim.schedule(
             now + s.rto_us(), self.host.node_id, netsim.KIND_TIMER,
-            lambda t: self._on_rto(s, t), f"rto {s.label}")
+            lambda t: self._on_rto(s, t), f"rto {s.label}" if self.sim.tracing else "")
 
     def _on_rto(self, s: Session, now: int) -> None:
         s.rto_timer = None
@@ -432,7 +433,10 @@ class RtmfpEngine:
     def send_message(self, s: Session, flow_id: int, payload: bytes, now: int) -> None:
         f = s.send_flows[flow_id]
         f.enqueue_message(flows_mod.Message(payload))
-        self._update_tc_active(s, now)
+        # Queueing on another flow cannot change whether a time-critical flow
+        # has data; every path that drains a flow runs the update itself.
+        if f.time_critical:
+            self._update_tc_active(s, now)
         self.transmit_opportunity(s, now)
 
     def _update_tc_active(self, s: Session, now: int) -> None:

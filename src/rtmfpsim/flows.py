@@ -27,12 +27,12 @@ MAX_ACK_GAPS = 128
 DEFAULT_ADV_BUFFER = 65536
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     payload: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class OutboundChunk:
     seq: int
     frag: int
@@ -45,7 +45,7 @@ class OutboundChunk:
     recover_seq: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AckResult:
     """Byte counts handed to the congestion controller after an ack."""
     acked_bytes: int = 0
@@ -75,21 +75,24 @@ class SendFlow:
         """Fragment a message into sequenced chunks and queue them."""
         payload = m.payload
         cap = self.chunk_capacity
-        pieces = [payload[i:i + cap] for i in range(0, len(payload), cap)] or [b""]
+        if len(payload) <= cap:
+            pieces = [payload]
+        else:
+            pieces = [payload[i:i + cap] for i in range(0, len(payload), cap)]
+        last = len(pieces) - 1
         chunks = []
         for i, piece in enumerate(pieces):
-            if len(pieces) == 1:
+            if not last:
                 frag = wire.FRAG_WHOLE
             elif i == 0:
                 frag = wire.FRAG_FIRST
-            elif i == len(pieces) - 1:
+            elif i == last:
                 frag = wire.FRAG_LAST
             else:
                 frag = wire.FRAG_MIDDLE
-            ch = OutboundChunk(self.next_seq, frag, piece)
-            self.next_seq += 1
-            self._unsent.append(ch)
-            chunks.append(ch)
+            chunks.append(OutboundChunk(self.next_seq + i, frag, piece))
+        self.next_seq += len(chunks)
+        self._unsent.extend(chunks)
         self.messages_enqueued += 1
         self.bytes_enqueued += len(payload)
         return chunks
@@ -133,15 +136,24 @@ class SendFlow:
         """Retire covered chunks, refresh the flow-control gate, count losses."""
         res = AckResult()
         self.peer_adv_buffer = ack.adv_buffer
+        # One walk over the outstanding seqs (ascending) against the sorted
+        # gaps: the cost is bounded by what we have in flight and by the ack's
+        # length, never by how wide a range the peer claims.
+        cum_ack = ack.cum_ack
+        gaps = sorted(ack.gaps)
+        n_gaps = len(gaps)
+        g = 0
         covered: list[int] = []
         for seq in self.outstanding:
-            if seq > ack.cum_ack:
+            if seq <= cum_ack:
+                covered.append(seq)
+                continue
+            while g < n_gaps and gaps[g][1] < seq:
+                g += 1
+            if g == n_gaps:
                 break
-            covered.append(seq)
-        for lo, hi in ack.gaps:
-            for seq in range(lo, hi + 1):
-                if seq in self.outstanding:
-                    covered.append(seq)
+            if gaps[g][0] <= seq:
+                covered.append(seq)
         for seq in covered:
             ch = self.outstanding.pop(seq)
             self.outstanding_payload -= len(ch.payload)
@@ -302,7 +314,29 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
     served round-robin, lowest unsent sequence first, retransmissions before
     new chunks. Returns None when nothing is eligible.
     """
-    flows = list(session.send_flows.values())
+    send_flows = session.send_flows
+    # Most calls find nothing the window or the receiver's buffer admits, so
+    # look for one chunk that fits before building anything.
+    room = budget - wire.PACKET_HEADER - wire.CHUNK_HEADER
+    if payload_budget is not None and payload_budget < room:
+        room = payload_budget
+    for f in send_flows.values():
+        ch = f.next_chunk()
+        if ch is not None and len(ch.payload) <= room:
+            break
+    else:
+        # A pass that picks nothing still moves each priority group's
+        # round-robin cursor on by one flow, as the full pass below does.
+        # With a single flow that move is a no-op.
+        if len(send_flows) > 1:
+            cursor = session.rr_cursor
+            n_tc = sum(1 for f in send_flows.values() if f.time_critical)
+            for cursor_key, n in ((True, n_tc), (False, len(send_flows) - n_tc)):
+                if n:
+                    cursor[cursor_key] = (cursor.get(cursor_key, 0) + 1) % n
+        return None
+    # Some chunk fits, so the pass below picks at least one.
+    flows = list(send_flows.values())
     tc = [f for f in flows if f.time_critical]
     normal = [f for f in flows if not f.time_critical]
     picked: list[tuple[SendFlow, OutboundChunk]] = []
@@ -320,19 +354,17 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
                 ch = f.next_chunk()
                 if ch is None:
                     continue
-                add = wire.CHUNK_HEADER + len(ch.payload)
-                if wire_len + add > budget:
+                size = len(ch.payload)
+                if wire_len + wire.CHUNK_HEADER + size > budget:
                     continue
-                if payload_budget is not None and pay_len + len(ch.payload) > payload_budget:
+                if payload_budget is not None and pay_len + size > payload_budget:
                     continue
                 f.mark_sent(ch, now)
                 picked.append((f, ch))
-                wire_len += add
-                pay_len += len(ch.payload)
+                wire_len += wire.CHUNK_HEADER + size
+                pay_len += size
                 progress = True
         session.rr_cursor[cursor_key] = (start + 1) % len(group)
-    if not picked:
-        return None
     # Whether the packet is MTU-full (the next eligible chunk did not fit):
     # consumed by bundling statistics.
     full = False

@@ -13,7 +13,9 @@ import hashlib
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 MTU_DEFAULT = 1500
@@ -33,7 +35,7 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """A queued callback. (fire_at, seq) totally orders the queue."""
 
@@ -49,22 +51,19 @@ class Event:
         self.cancelled = True
 
 
-@dataclass(frozen=True)
 class Datagram:
     """A UDP-style datagram addressed by (node id, port) pairs."""
 
-    src: tuple[str, int]
-    dst: tuple[str, int]
-    payload: bytes
+    __slots__ = ("src", "dst", "payload", "size")
 
-    def __post_init__(self):
-        for _, port in (self.src, self.dst):
+    def __init__(self, src: tuple[str, int], dst: tuple[str, int], payload: bytes):
+        for _, port in (src, dst):
             if not 1 <= port <= 65535:
                 raise SimulationError(f"port out of range: {port}")
-
-    @property
-    def size(self) -> int:
-        return len(self.payload)
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size = len(payload)
 
 
 class Simulator:
@@ -83,6 +82,8 @@ class Simulator:
         self._seq = 0
         self._streams: dict[str, random.Random] = {}
         self._trace = trace
+        # Event sites build their trace `detail` text only when this is set.
+        self.tracing = trace is not None
 
     def stream(self, label: str) -> random.Random:
         """Named PRNG stream (Mersenne Twister seeded from sha256(seed/label))."""
@@ -117,13 +118,15 @@ class Simulator:
             raise SimulationError(f"run_until({t}) but clock already at {self.now}")
         count = 0
         heap = self._heap
+        heappop = heapq.heappop
+        trace = self._trace
         while heap and heap[0][0] <= t:
-            _, _, ev = heapq.heappop(heap)
+            _, _, ev = heappop(heap)
             if ev.cancelled:
                 continue
             self.now = ev.fire_at
-            if self._trace is not None:
-                self._trace(f"{ev.fire_at}\t{ev.node}\t{ev.kind}\t{ev.detail}")
+            if trace is not None:
+                trace(f"{ev.fire_at}\t{ev.node}\t{ev.kind}\t{ev.detail}")
             ev.action(ev.fire_at)
             count += 1
         self.now = t
@@ -157,7 +160,7 @@ class Link:
         self.mtu = mtu
         self._rng = sim.stream(f"link:{name}")
         self._busy_until = 0
-        self._queue: list[tuple[int, int]] = []  # (serialization finish, size)
+        self._queue: deque[tuple[int, int]] = deque()  # (serialization finish, size)
         self._queued_bytes = 0
         # Indices (0-based send ordinals) force-dropped for scripted scenarios.
         self.forced_drops: set[int] = set()
@@ -172,7 +175,7 @@ class Link:
     def _expire(self, now: int) -> None:
         q = self._queue
         while q and q[0][0] <= now:
-            self._queued_bytes -= q.pop(0)[1]
+            self._queued_bytes -= q.popleft()[1]
 
     def occupancy(self, now: int) -> int:
         self._expire(now)
@@ -207,10 +210,11 @@ class Link:
         self._queued_bytes += size
         arrival = finish + self.delay_us
         node = self.dst_node
-        self.sim.schedule(
-            arrival, node.node_id, KIND_DELIVERY,
-            lambda t, d=dgram: node.handle_datagram(d, t),
-            f"{dgram.src[0]}:{dgram.src[1]}->{dgram.dst[0]}:{dgram.dst[1]} {size}B")
+        sim = self.sim
+        sim.schedule(
+            arrival, node.node_id, KIND_DELIVERY, partial(node.handle_datagram, dgram),
+            f"{dgram.src[0]}:{dgram.src[1]}->{dgram.dst[0]}:{dgram.dst[1]} {size}B"
+            if sim.tracing else "")
         self.delivered += 1
         self.bytes_delivered += size
         if self.observer:

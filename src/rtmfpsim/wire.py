@@ -75,7 +75,7 @@ class EncodeError(Exception):
     """The packet violates its invariants (bundler bug, not a runtime condition)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DataChunk:
     flow_id: int
     seq: int
@@ -87,7 +87,7 @@ class DataChunk:
         return len(self.payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class AckChunk:
     flow_id: int
     cum_ack: int
@@ -98,7 +98,7 @@ class AckChunk:
         return _ACK_FIXED.size + _GAP.size * len(self.gaps)
 
 
-@dataclass
+@dataclass(slots=True)
 class HandshakeChunk:
     kind: int  # one of HANDSHAKE_TYPES
     epd: int = 0
@@ -109,7 +109,7 @@ class HandshakeChunk:
         return _HS_FIXED.size + len(self.cookie)
 
 
-@dataclass
+@dataclass(slots=True)
 class CloseChunk:
     def body_len(self) -> int:
         return 0
@@ -118,7 +118,7 @@ class CloseChunk:
 Chunk = DataChunk | AckChunk | HandshakeChunk | CloseChunk
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     session_id: int
     flags: int = 0

@@ -238,6 +238,7 @@ def test_minimal_config_parses():
     ("topology", "backgroundLoad", "0.999"), ("host.1", "ccCwndInit", "1478byte"),
     ("topology", "bottleneckBandwidth", "1bit"), ("scenario", "duration", "0us"),
     ("scenario", "probeTimes", "0us 1s"), ("app.1.0", "startTime", "0us"),
+    ("host.1", "ccMss", "739byte"), ("topology", "accessQueue", "1500byte"),
 ])
 def test_range_boundaries_are_accepted(section, key, value):
     text, _ = text_with(section, key, value)

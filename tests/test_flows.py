@@ -1,4 +1,5 @@
 import random
+import time
 
 from rtmfpsim import wire
 from rtmfpsim.flows import (ST_IN_FLIGHT, ST_RETRANSMIT, Message, RecvFlow,
@@ -142,6 +143,30 @@ def test_retransmit_chunks_go_before_new_ones():
     assert [c.seq for c in second[1:]] == [10, 11, 12]
 
 
+def test_miss_builds_nothing_but_rotates_each_group():
+    normal = [send_flow(flow_id=1), send_flow(flow_id=2)]
+    rt = send_flow(flow_id=3, tc=True)
+    for f in (*normal, rt):
+        for _ in range(2):
+            f.enqueue_message(Message(bytes([f.flow_id]) * 140))
+    s = FakeSession(*normal, rt)
+
+    def queues():
+        return [(tuple(c.seq for c in f._unsent), tuple(f.outstanding), tuple(f._retx))
+                for f in s.send_flows.values()]
+
+    before = queues()
+    for k in range(1, 4):
+        # 100 - 12 - 10 = 78 bytes of room: no 140-byte head chunk fits.
+        assert fill_packet(s, budget=100) is None
+        assert queues() == before
+        assert s.rr_cursor[False] == k % 2
+        assert s.rr_cursor[True] == 0
+    chunks = fill_packet(s, budget=1472)
+    # Time-critical first, then the normal group from the rotated flow on.
+    assert [c.flow_id for c in chunks] == [3, 3, 2, 1, 2, 1]
+
+
 # ----------------------------------------------------------------- acking
 
 
@@ -244,6 +269,31 @@ def test_stale_ack_for_unsent_range_is_ignored():
     assert res.acked_bytes == 560  # everything outstanding is below cum_ack
     res = f.on_ack(wire.AckChunk(19, 90, [(95, 99)], 65536), now=0)
     assert res.acked_bytes == 0
+
+
+def test_ack_with_widest_gap_costs_what_is_outstanding_not_the_range():
+    f = sent_flow(6)
+    t0 = time.perf_counter()
+    res = f.on_ack(wire.AckChunk(19, 1, [(3, 2**32 - 1)], 65536), now=0)
+    assert time.perf_counter() - t0 < 1.0
+    assert list(f.outstanding) == [2]
+    assert (res.acked_bytes, res.losses_detected, res.lost_bytes) == (5 * 140, 0, 0)
+    assert f.outstanding[2].loss_reports == 1
+
+
+def test_ack_retires_exactly_the_covered_seqs():
+    # Gaps in any order, overlapping each other or below cum_ack (what a
+    # faulty peer might send) still retire each covered chunk once.
+    rng = random.Random(7)
+    for _ in range(200):
+        f = sent_flow(40)
+        cum = rng.randrange(0, 20)
+        gaps = [tuple(sorted(rng.sample(range(1, 60), 2))) for _ in range(rng.randrange(0, 5))]
+        covered = {seq for seq in f.outstanding
+                   if seq <= cum or any(lo <= seq <= hi for lo, hi in gaps)}
+        res = f.on_ack(wire.AckChunk(19, cum, gaps, 65536), now=0)
+        assert set(f.outstanding) == set(range(1, 41)) - covered
+        assert res.acked_bytes == 140 * len(covered)
 
 
 def test_ack_updates_flow_control_gate():

@@ -222,6 +222,8 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
     ["topology.accessBandwidth=0bit"],
     ["host.1.migrateTo=4721", "host.1.migrateAt=-1s"],
     ["app.1.0.startTime=-1s"],
+    ["host.1.ccMss=0byte"],
+    ["topology.accessQueue=0byte"],
 ])
 def test_cli_bad_override_is_a_config_error(overrides, capsys):
     from rtmfpsim.cli import main

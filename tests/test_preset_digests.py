@@ -39,6 +39,15 @@ EXTRA_RESULTS_SHA256 = {
     "two-flows": "73e5413d76b9ebbd8f67a4c9e398d90c8b8191e121575c2f5677122918fdab5c",
 }
 
+# sha256 of the `--trace` text (one line per event, each ending in a newline)
+# for the plain bottleneck-basic point and the two-flows extra point.
+TRACE_SHA256 = {
+    "bottleneck-basic": "bb73b70fe50308a609e24ca748d2a8addceea02b1b88a4c2fdea577787aabb22",
+    "two-flows": "d300c7387b3746284996e37f0d198215cad93b6e7e58859c4e7d13c9a16dae01",
+}
+TRACE_POINTS = [("bottleneck-basic", "bottleneck-basic", {}),
+                next(p for p in EXTRA_POINTS if p[1] == "two-flows")]
+
 
 def preset_digests():
     """-> [(scenario id, sha256 hex)] over every point of every preset."""
@@ -69,6 +78,16 @@ def test_extra_point_results_match_pinned_digest(preset, name, overrides):
     res = harness.run_config(text, {**OVERRIDES, **overrides}, scenario_id)
     rendered = harness.results_csv([res])
     assert hashlib.sha256(rendered.encode()).hexdigest() == EXTRA_RESULTS_SHA256[name]
+
+
+@pytest.mark.parametrize("preset,name,overrides", TRACE_POINTS,
+                         ids=[name for _, name, _ in TRACE_POINTS])
+def test_trace_text_matches_pinned_digest(preset, name, overrides):
+    (scenario_id, text), = harness.preset_points(preset, seed=1)
+    h = hashlib.sha256()
+    harness.run_config(text, {**OVERRIDES, **overrides}, scenario_id,
+                       trace=lambda line: h.update((line + "\n").encode()))
+    assert h.hexdigest() == TRACE_SHA256[name]
 
 
 if __name__ == "__main__":
