@@ -40,13 +40,18 @@ EXTRA_RESULTS_SHA256 = {
 }
 
 # sha256 of the `--trace` text (one line per event, each ending in a newline)
-# for the plain bottleneck-basic point and the two-flows extra point.
+# for the plain bottleneck-basic point, the two-flows extra point, and a lossy
+# point with one message per 70 ms, whose trace is the only one of the three
+# with retransmission-timeout and delayed-ack events.
 TRACE_SHA256 = {
     "bottleneck-basic": "bb73b70fe50308a609e24ca748d2a8addceea02b1b88a4c2fdea577787aabb22",
     "two-flows": "d300c7387b3746284996e37f0d198215cad93b6e7e58859c4e7d13c9a16dae01",
+    "lossy-sparse": "cb74e79dea0f3c927b7e3930ef97b5930e3f8f35312561c44fea704f34e9f42a",
 }
 TRACE_POINTS = [("bottleneck-basic", "bottleneck-basic", {}),
-                next(p for p in EXTRA_POINTS if p[1] == "two-flows")]
+                next(p for p in EXTRA_POINTS if p[1] == "two-flows"),
+                ("bottleneck-basic", "lossy-sparse", {
+                    "topology.bottleneckLoss": "0.2", "app.1.0.flowSendInterval": "70ms"})]
 
 
 def preset_digests():
