@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import netsim
@@ -102,6 +103,22 @@ class FlowStats:
         return self.bytes * 8 * 1_000_000 / (self.last_us - self.first_us)
 
 
+class _SendSide:
+    """One outgoing flow: its spec, statistics, payload hash, the two random
+    streams its message sizes and intervals are drawn from, and the bound
+    tick callable scheduled for each of its messages."""
+
+    __slots__ = ("spec", "stats", "hasher", "size_rng", "ival_rng", "tick")
+
+    def __init__(self, spec: FlowSpec, stats: FlowStats, size_rng, ival_rng):
+        self.spec = spec
+        self.stats = stats
+        self.hasher = hashlib.sha256()
+        self.size_rng = size_rng
+        self.ival_rng = ival_rng
+        self.tick = None
+
+
 class _RecvSide:
     def __init__(self, stats: FlowStats):
         self.stats = stats
@@ -124,17 +141,14 @@ class RtmfpApp:
         self.session_open_us: Optional[int] = None
         self.session_failures = 0
         self._started_us: Optional[int] = None
-        self._sent_counts = [0] * len(config.flows)
-        self._send_stats = [FlowStats(self.host_id, config.local_epd, fs.flow_id, "send")
-                            for fs in config.flows]
-        self._send_hashers = [hashlib.sha256() for _ in config.flows]
+        rng_base = f"app:{self.host_id}:{config.local_epd}"
+        self._send = [_SendSide(fs, FlowStats(self.host_id, config.local_epd,
+                                              fs.flow_id, "send"),
+                                sim.stream(f"{rng_base}:flow:{fs.flow_id}:size"),
+                                sim.stream(f"{rng_base}:flow:{fs.flow_id}:interval"))
+                      for fs in config.flows]
         self._recv: dict[int, _RecvSide] = {}
         self.reads_performed = 0
-        rng_base = f"app:{self.host_id}:{config.local_epd}"
-        self._size_rngs = [sim.stream(f"{rng_base}:flow:{fs.flow_id}:size")
-                           for fs in config.flows]
-        self._ival_rngs = [sim.stream(f"{rng_base}:flow:{fs.flow_id}:interval")
-                           for fs in config.flows]
 
     # -------------------------------------------------------------- lifecycle
 
@@ -151,44 +165,43 @@ class RtmfpApp:
             return
         self.session = session
         self.session_open_us = now
-        for i, fs in enumerate(self.config.flows):
-            session.create_send_flow(fs.flow_id, fs.time_critical)
-            self._schedule_tick(i, now)
+        for side in self._send:
+            session.create_send_flow(side.spec.flow_id, side.spec.time_critical)
+            side.tick = partial(self.send_tick, side)
+            self._schedule_tick(side, now)
 
     def session_failed(self, session: Session, now: int) -> None:
         self.session_failures += 1
 
     # ---------------------------------------------------------------- sending
 
-    def _schedule_tick(self, i: int, at: int) -> None:
-        self.sim.schedule(at, self.host_id, netsim.KIND_APP_TICK,
-                          lambda t: self.send_tick(i, t),
-                          f"epd={self.config.local_epd} flow={self.config.flows[i].flow_id}"
+    def _schedule_tick(self, side: _SendSide, at: int) -> None:
+        self.sim.schedule(at, self.host_id, netsim.KIND_APP_TICK, side.tick,
+                          f"epd={self.config.local_epd} flow={side.spec.flow_id}"
                           if self.sim.tracing else "")
 
-    def send_tick(self, i: int, now: int) -> None:
-        fs = self.config.flows[i]
+    def send_tick(self, side: _SendSide, now: int) -> None:
+        fs = side.spec
+        st = side.stats
         if self.session is None or self.session.state != S_OPEN:
             return
-        if self._sent_counts[i] >= fs.num_packets:
+        if st.msgs >= fs.num_packets:
             return
         if self._started_us is not None and now - self._started_us >= self.config.max_runtime_us:
             return
-        st = self._send_stats[i]
-        size = int(round(fs.size_dist.sample(self._size_rngs[i])))
+        size = round(fs.size_dist.sample(side.size_rng))
         if size < SIZE_CLAMP_MIN or size > SIZE_CLAMP_MAX:
             size = min(max(size, SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
             st.clamped_draws += 1
-        payload = make_payload(fs.flow_id, self._sent_counts[i], size)
-        self._sent_counts[i] += 1
+        payload = make_payload(fs.flow_id, st.msgs, size)
         st.msgs += 1
         st.bytes += len(payload)
         st.touch(now)
-        self._send_hashers[i].update(payload)
+        side.hasher.update(payload)
         self.engine.send_message(self.session, fs.flow_id, payload, now)
-        if self._sent_counts[i] < fs.num_packets:
-            interval = max(0, int(round(fs.interval_dist.sample(self._ival_rngs[i]))))
-            self._schedule_tick(i, now + interval)
+        if st.msgs < fs.num_packets:
+            interval = max(0, round(fs.interval_dist.sample(side.ival_rng)))
+            self._schedule_tick(side, now + interval)
 
     # -------------------------------------------------------------- receiving
 
@@ -218,17 +231,23 @@ class RtmfpApp:
             return
         self.reads_performed += 1
         st = side.stats
+        st.msgs += len(msgs)
+        st.touch(now)
+        update = side.hasher.update
+        expected = side.expected_index
+        n_bytes = 0
         for m in msgs:
-            st.msgs += 1
-            st.bytes += len(m.payload)
-            st.touch(now)
-            side.hasher.update(m.payload)
-            parsed = parse_payload(m.payload)
+            payload = m.payload
+            n_bytes += len(payload)
+            update(payload)
+            parsed = parse_payload(payload)
             if parsed is not None:
                 fid, idx = parsed
-                if fid != flow_id or idx != side.expected_index:
+                if fid != flow_id or idx != expected:
                     st.order_violations += 1
-                side.expected_index = idx + 1
+                expected = idx + 1
+        st.bytes += n_bytes
+        side.expected_index = expected
 
     # -------------------------------------------------------------- reporting
 
@@ -239,8 +258,9 @@ class RtmfpApp:
     def finalize(self) -> list[FlowStats]:
         """Emit statistics for every configured send flow and touched recv flow."""
         rows = []
-        for i, st in enumerate(self._send_stats):
-            st.digest = self._send_hashers[i].hexdigest()
+        for side in self._send:
+            st = side.stats
+            st.digest = side.hasher.hexdigest()
             if self.session is not None:
                 f = self.session.send_flows.get(st.flow_id)
                 if f is not None:

@@ -216,7 +216,7 @@ class RtmfpEngine:
             # Garbage-collect a half-open responder session that never completes.
             total_wait = HANDSHAKE_TIMEOUT_US * ((1 << HANDSHAKE_ATTEMPTS) - 1)
             self.sim.after(total_wait, self.host.node_id, netsim.KIND_TIMER,
-                           lambda t: self._gc_half_open(s), f"hs-gc {s.label}")
+                           lambda t: self._gc_half_open(key, s), f"hs-gc {s.label}")
         s.last_peer_ts = peer_ts
         if s.state in (S_RHELLO_SENT,):
             self._send_handshake(s, wire.T_RHELLO, now, epd=chunk.epd)
@@ -226,9 +226,14 @@ class RtmfpEngine:
         chunk = wire.HandshakeChunk(kind, epd=epd, sid=s.local_sid)
         self._send_packet(s, [chunk], now, established=False)
 
-    def _gc_half_open(self, s: Session) -> None:
+    def _gc_half_open(self, key: tuple, s: Session) -> None:
+        """Drop a responder session that never completed, so that a fresh
+        IHello with the same key opens a new one. Completed sessions stay
+        keyed, so a late duplicate IHello opens no second session."""
         if s.state not in (S_OPEN, S_CLOSED):
             s.state = S_CLOSED
+            del self._half_open[key]
+            del self.sessions[s.local_sid]
 
     def _on_handshake_chunk(self, s: Session, chunk: wire.HandshakeChunk,
                             dgram: netsim.Datagram, now: int) -> None:
@@ -432,11 +437,19 @@ class RtmfpEngine:
 
     def send_message(self, s: Session, flow_id: int, payload: bytes, now: int) -> None:
         f = s.send_flows[flow_id]
+        waiting = bool(f.unsent)
         f.enqueue_message(flows_mod.Message(payload))
         # Queueing on another flow cannot change whether a time-critical flow
         # has data; every path that drains a flow runs the update itself.
         if f.time_critical:
             self._update_tc_active(s, now)
+        # Every transmit opportunity ends blocked, and whatever can unblock it
+        # (an ack, an RTO, the RIKeying) makes one itself. A chunk queued
+        # behind one that is already waiting changes no flow's next chunk, so
+        # in a one-flow session trying again would send nothing. With more
+        # flows a try that sends nothing still rotates `rr_cursor`, so it stays.
+        if waiting and len(s.send_flows) == 1:
+            return
         self.transmit_opportunity(s, now)
 
     def _update_tc_active(self, s: Session, now: int) -> None:

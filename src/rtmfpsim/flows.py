@@ -61,7 +61,8 @@ class SendFlow:
         self.next_seq = 1
         self.peer_adv_buffer = DEFAULT_ADV_BUFFER
         self.highest_sent_seq = 0
-        self._unsent: deque[OutboundChunk] = deque()
+        # Queued, never sent, ascending by seq.
+        self.unsent: deque[OutboundChunk] = deque()
         # Sent but not yet acknowledged, ascending by seq (insertion order).
         self.outstanding: dict[int, OutboundChunk] = {}
         self._retx: deque[int] = deque()
@@ -71,34 +72,28 @@ class SendFlow:
         self.retransmissions = 0
         self.loss_reports_received = 0
 
-    def enqueue_message(self, m: Message) -> list[OutboundChunk]:
-        """Fragment a message into sequenced chunks and queue them."""
+    def enqueue_message(self, m: Message) -> None:
+        """Queue a message as one whole chunk, or as fragments when it
+        exceeds the chunk capacity."""
         payload = m.payload
         cap = self.chunk_capacity
+        seq = self.next_seq
         if len(payload) <= cap:
-            pieces = [payload]
+            self.unsent.append(OutboundChunk(seq, wire.FRAG_WHOLE, payload))
+            self.next_seq = seq + 1
         else:
             pieces = [payload[i:i + cap] for i in range(0, len(payload), cap)]
-        last = len(pieces) - 1
-        chunks = []
-        for i, piece in enumerate(pieces):
-            if not last:
-                frag = wire.FRAG_WHOLE
-            elif i == 0:
-                frag = wire.FRAG_FIRST
-            elif i == last:
-                frag = wire.FRAG_LAST
-            else:
-                frag = wire.FRAG_MIDDLE
-            chunks.append(OutboundChunk(self.next_seq + i, frag, piece))
-        self.next_seq += len(chunks)
-        self._unsent.extend(chunks)
+            last = len(pieces) - 1
+            self.unsent.extend(
+                OutboundChunk(seq + i, wire.FRAG_FIRST if i == 0 else
+                              wire.FRAG_LAST if i == last else wire.FRAG_MIDDLE, piece)
+                for i, piece in enumerate(pieces))
+            self.next_seq = seq + len(pieces)
         self.messages_enqueued += 1
         self.bytes_enqueued += len(payload)
-        return chunks
 
     def has_pending(self) -> bool:
-        return bool(self._unsent or self.outstanding)
+        return bool(self.unsent or self.outstanding)
 
     def next_chunk(self) -> Optional[OutboundChunk]:
         """Next chunk this flow would put on the wire, or None.
@@ -112,8 +107,8 @@ class SendFlow:
                 self._retx.popleft()
                 continue
             return ch
-        if self._unsent:
-            head = self._unsent[0]
+        if self.unsent:
+            head = self.unsent[0]
             if self.outstanding_payload + len(head.payload) <= self.peer_adv_buffer:
                 return head
         return None
@@ -125,7 +120,7 @@ class SendFlow:
             ch.recover_seq = self.highest_sent_seq
             self.retransmissions += 1
         else:
-            popped = self._unsent.popleft()
+            popped = self.unsent.popleft()
             assert popped is ch, "send order must follow the queue"
             self.outstanding[ch.seq] = ch
             self.outstanding_payload += len(ch.payload)

@@ -188,7 +188,9 @@ class Link:
             raise SimulationError(f"link {self.name}: datagram {size}B exceeds MTU {self.mtu}")
         idx = self.sent
         self.sent += 1
-        self._expire(now)
+        q = self._queue
+        while q and q[0][0] <= now:  # as _expire(now)
+            self._queued_bytes -= q.popleft()[1]
         outcome = None
         if idx in self.forced_drops:
             self.dropped_forced += 1
@@ -204,9 +206,9 @@ class Link:
                 self.observer(now, dgram, outcome, None)
             return None
         start = max(now, self._busy_until)
-        finish = start + ceil_div(size * 8 * 1_000_000, self.bandwidth_bps)
+        finish = start - (-size * 8_000_000 // self.bandwidth_bps)  # ceil_div
         self._busy_until = finish
-        self._queue.append((finish, size))
+        q.append((finish, size))
         self._queued_bytes += size
         arrival = finish + self.delay_us
         node = self.dst_node

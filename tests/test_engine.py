@@ -1,8 +1,11 @@
 import pytest
 
 from conftest import PacketSniffer
+from rtmfpsim import flows as flows_mod
 from rtmfpsim import netsim, wire
-from rtmfpsim.engine import S_CLOSED, S_OPEN, ConfigurationError
+from rtmfpsim.config import HostSpec
+from rtmfpsim.engine import (HANDSHAKE_SID, S_CLOSED, S_OPEN, S_RHELLO_SENT,
+                             ConfigurationError, RtmfpEngine)
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import run_config
 
@@ -129,6 +132,67 @@ def test_two_candidate_addresses_first_responder_wins():
     assert len(ihellos) == 2
     assert res.summary["handshakes_completed"] == 2
     assert res.stats("host2", 2014, 19, "recv").msgs == 50
+
+
+class _Responder:
+    """A bare engine on host2:2013 with an app on EPD 2014; records what it
+    sends."""
+
+    node_id = "host2"
+
+    def __init__(self):
+        self.sent = []
+        self.opened = []
+        self.sim = netsim.Simulator(seed=1)
+        self.engine = RtmfpEngine(self.sim, self, HostSpec("host2", local_port=2013))
+        self.engine.register_app(2014, self)
+
+    def bind(self, port, handler):
+        pass
+
+    def send(self, dgram, now):
+        self.sent.append(wire.decode(dgram.payload))
+
+    def session_opened(self, session, now):
+        self.opened.append(session)
+
+    def receive(self, sid, chunk, at):
+        self.sim.run_until(at)
+        pkt = wire.Packet(sid, 0, 0, wire.TS_NONE, [chunk])
+        self.engine.handle_datagram(
+            netsim.Datagram(("host9", 5000), ("host2", 2013), wire.encode(pkt)), at)
+
+    def rhellos(self):
+        return [p for p in self.sent if p.chunks[0].kind == wire.T_RHELLO]
+
+
+IHELLO_777 = wire.HandshakeChunk(wire.T_IHELLO, epd=2014, sid=777)
+# The half-open session is dropped 1 + 2 + 4 + 8 + 16 s after its IHello.
+AFTER_GC_US = 31_001_000
+
+
+def test_half_open_session_is_dropped_so_a_fresh_ihello_is_answered():
+    r = _Responder()
+    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
+    assert len(r.rhellos()) == 1 and len(r.engine.sessions) == 1
+    r.sim.run_until(AFTER_GC_US)
+    assert r.engine.sessions == {}
+    r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
+    assert len(r.rhellos()) == 2
+    (s,) = r.engine.sessions.values()
+    assert s.state == S_RHELLO_SENT
+
+
+def test_completed_session_outlives_the_gc_and_ignores_a_late_ihello():
+    r = _Responder()
+    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
+    sid = r.rhellos()[0].chunks[0].sid
+    r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 100_000)
+    assert [s.state for s in r.opened] == [S_OPEN]
+    r.sim.run_until(AFTER_GC_US)
+    r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
+    assert len(r.rhellos()) == 1
+    assert list(r.engine.sessions.values()) == r.opened
 
 
 # -------------------------------------------------------------------- demux
@@ -279,7 +343,7 @@ def test_sender_stalls_when_receiver_never_reads():
     res, _ = run_sniffed(text)
     session1 = next(iter(res.bundle.engines["host1"].sessions.values()))
     flow = session1.send_flows[19]
-    assert flow._unsent and flow.next_chunk() is None  # gated, not drained
+    assert flow.unsent and flow.next_chunk() is None  # gated, not drained
     session2 = next(iter(res.bundle.engines["host2"].sessions.values()))
     rf = session2.recv_flows[19]
     assert 65536 - 2 * 1450 <= rf.occupied_bytes <= 65536
@@ -295,6 +359,72 @@ def test_window_update_ack_unblocks_a_stalled_sender():
                         "[app.2.0]\nlocalEpd = 2014\nreadDelay = 1s")
     res, _ = run_sniffed(text)
     assert res.stats("host2", 2014, 19, "recv").msgs == 2000
+
+
+def idle_sender(flows=1):
+    """A run whose app sent nothing: -> (sim, sender engine, its open session)."""
+    res, _ = run_sniffed(mini_config(num=0, duration_s=1, flows=flows))
+    engine1 = res.bundle.engines["host1"]
+    session = next(iter(engine1.sessions.values()))
+    assert session.state == S_OPEN and len(session.send_flows) == flows
+    return res.bundle.sim, engine1, session
+
+
+def fill_window(sim, engine, session, flow_id):
+    """Enqueue 140-B messages until one has to wait for the window; the
+    window keeps some room, too little for a chunk."""
+    flow = session.send_flows[flow_id]
+    while not flow.unsent:
+        engine.send_message(session, flow_id, b"x" * 140, sim.now)
+    assert session.cc.has_room() and flow.next_chunk() is flow.unsent[0]
+    return flow
+
+
+def count_fill_packet(monkeypatch):
+    calls = []
+    real = flows_mod.fill_packet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flows_mod, "fill_packet", counted)
+    return calls
+
+
+def test_enqueue_behind_a_waiting_chunk_makes_no_send_attempt(monkeypatch):
+    sim, engine1, session = idle_sender()
+    flow = fill_window(sim, engine1, session, 19)
+    waiting = len(flow.unsent)
+    calls = count_fill_packet(monkeypatch)
+    for _ in range(5):
+        engine1.send_message(session, 19, b"y" * 140, sim.now)
+    assert calls == []
+    assert len(flow.unsent) == waiting + 5
+    # The next ack opens the window and the queued chunks go out.
+    sim.run_until(sim.now + 1_000_000)
+    assert calls and not flow.unsent and not flow.outstanding
+    assert flow.highest_sent_seq == flow.next_seq - 1
+
+
+def test_enqueue_on_an_empty_queue_with_an_open_window_sends_at_once():
+    sim, engine1, session = idle_sender()
+    flow = session.send_flows[19]
+    engine1.send_message(session, 19, b"x" * 140, sim.now)
+    assert not flow.unsent and list(flow.outstanding) == [1]
+    assert session.data_packets_out == 1
+
+
+def test_every_enqueue_in_a_two_flow_session_reaches_the_bundler(monkeypatch):
+    sim, engine1, session = idle_sender(flows=2)
+    fill_window(sim, engine1, session, 19)
+    calls = count_fill_packet(monkeypatch)
+    for k in range(1, 6):
+        cursor = session.rr_cursor.get(False, 0)
+        engine1.send_message(session, 19, b"y" * 140, sim.now)
+        assert len(calls) == k
+        # The miss still rotates the round-robin cursor; skipping it would not.
+        assert session.rr_cursor[False] == (cursor + 1) % 2
 
 
 # ---------------------------------------------------------------- mobility

@@ -12,6 +12,13 @@ def send_flow(flow_id=19, tc=False):
     return SendFlow(flow_id, tc, CHUNK_CAP)
 
 
+def enqueue(f, payload):
+    """Queue one message on `f`; -> the chunks it became."""
+    before = len(f.unsent)
+    f.enqueue_message(Message(payload))
+    return list(f.unsent)[before:]
+
+
 class FakeSession:
     """Just enough session surface for the bundler."""
 
@@ -35,19 +42,19 @@ def drain(session, budget=1472, payload_budget=None, now=0):
 
 def test_140_byte_message_is_one_whole_chunk():
     f = send_flow()
-    chunks = f.enqueue_message(Message(b"x" * 140))
+    chunks = enqueue(f, b"x" * 140)
     assert [(c.seq, c.frag, len(c.payload)) for c in chunks] == [(1, wire.FRAG_WHOLE, 140)]
 
 
 def test_exact_capacity_message_is_one_whole_chunk():
     f = send_flow()
-    chunks = f.enqueue_message(Message(b"x" * 1450))
+    chunks = enqueue(f, b"x" * 1450)
     assert [(c.seq, c.frag, len(c.payload)) for c in chunks] == [(1, wire.FRAG_WHOLE, 1450)]
 
 
 def test_3000_byte_message_fragments_into_three_consecutive_chunks():
     f = send_flow()
-    chunks = f.enqueue_message(Message(b"x" * 3000))
+    chunks = enqueue(f, b"x" * 3000)
     assert [(c.seq, c.frag, len(c.payload)) for c in chunks] == [
         (1, wire.FRAG_FIRST, 1450),
         (2, wire.FRAG_MIDDLE, 1450),
@@ -62,7 +69,7 @@ def test_fragment_reassemble_inverse_for_random_sizes():
         payload = rng.randbytes(size)
         sf = send_flow()
         rf = RecvFlow(19, rcv_buffer_size=1 << 22)
-        for ch in sf.enqueue_message(Message(payload)):
+        for ch in enqueue(sf, payload):
             rf.on_data_chunk(wire.DataChunk(19, ch.seq, ch.frag, False, ch.payload), 0)
         msgs = rf.app_read()
         assert len(msgs) == 1
@@ -152,7 +159,7 @@ def test_miss_builds_nothing_but_rotates_each_group():
     s = FakeSession(*normal, rt)
 
     def queues():
-        return [(tuple(c.seq for c in f._unsent), tuple(f.outstanding), tuple(f._retx))
+        return [(tuple(c.seq for c in f.unsent), tuple(f.outstanding), tuple(f._retx))
                 for f in s.send_flows.values()]
 
     before = queues()

@@ -21,7 +21,8 @@ OVERRIDES = {"scenario.duration": "1s"}
 
 # Cases no preset point covers, as (preset, name, overrides on top of
 # OVERRIDES): a time-critical flow that drains so the modes revert, a port
-# migration, and a session with two outgoing flows. Only their results CSV is
+# migration, a session with two outgoing flows, and 4,000-byte messages, each
+# sent as a first, a middle and a last fragment. Only their results CSV is
 # pinned (sha256 below); their cwnd rows are not.
 EXTRA_POINTS = [
     ("fairness-simultaneous", "time-critical-drains", {
@@ -32,24 +33,28 @@ EXTRA_POINTS = [
         "app.1.0.flowsOutgoing": "2", "app.1.0.flowPacketSize": "140byte 140byte",
         "app.1.0.flowSendInterval": "1000us 1000us",
         "app.1.0.flowNumPackets": "5000 5000", "app.1.0.flowId": "19 20"}),
+    ("bottleneck-basic", "fragmenting", {"app.1.0.flowPacketSize": "4000byte"}),
 ]
 EXTRA_RESULTS_SHA256 = {
     "time-critical-drains": "c2a6d22a4d31c3220ec1a15a0617bd0853fc55c712a2c88cc7fbe342fc30ce42",
     "migration": "b2848155bf07e815b8227cd6a854f43dbbbeab19795aa1be0a0ea0ddf7d62214",
     "two-flows": "73e5413d76b9ebbd8f67a4c9e398d90c8b8191e121575c2f5677122918fdab5c",
+    "fragmenting": "e47d99f6d8934c98b062d30efd25a85512e55e256ee019bc5f559ae58f301cd0",
 }
 
 # sha256 of the `--trace` text (one line per event, each ending in a newline)
-# for the plain bottleneck-basic point, the two-flows extra point, and a lossy
-# point with one message per 70 ms, whose trace is the only one of the three
-# with retransmission-timeout and delayed-ack events.
+# for the plain bottleneck-basic point, the two-flows and fragmenting extra
+# points, and a lossy point with one message per 70 ms, whose trace is the only
+# one with retransmission-timeout and delayed-ack events.
 TRACE_SHA256 = {
     "bottleneck-basic": "bb73b70fe50308a609e24ca748d2a8addceea02b1b88a4c2fdea577787aabb22",
     "two-flows": "d300c7387b3746284996e37f0d198215cad93b6e7e58859c4e7d13c9a16dae01",
     "lossy-sparse": "cb74e79dea0f3c927b7e3930ef97b5930e3f8f35312561c44fea704f34e9f42a",
+    "fragmenting": "a7bcacc09774cf25c87812999805ccc940254eeca70d5eb2c3c9ecdfd6f556d1",
 }
 TRACE_POINTS = [("bottleneck-basic", "bottleneck-basic", {}),
                 next(p for p in EXTRA_POINTS if p[1] == "two-flows"),
+                next(p for p in EXTRA_POINTS if p[1] == "fragmenting"),
                 ("bottleneck-basic", "lossy-sparse", {
                     "topology.bottleneckLoss": "0.2", "app.1.0.flowSendInterval": "70ms"})]
 
