@@ -194,6 +194,15 @@ def _load(value: str, where: str) -> float:
     return load
 
 
+def _background_size(value: str, where: str) -> Dist:
+    # The background send interval is derived from the mean size.
+    dist = parse_dist(value, parse_bytes, where)
+    if dist.mean() <= 0:
+        raise ConfigError(f"{where}: backgroundPacketSize = {value} has a mean "
+                          f"of {dist.mean()}, outside > 0")
+    return dist
+
+
 def _times(value: str, where: str) -> list[int]:
     times = [parse_time_us(tok, where) for tok in value.split()]
     for t in times:
@@ -235,7 +244,7 @@ TOPOLOGY_KEYS = (
     Key("accessQueue", "access_queue_bytes", parse_bytes, MTU_DEFAULT),
     Key("background", "background", _flag),
     Key("backgroundLoad", "background_load", _load),
-    Key("backgroundPacketSize", "background_size", _dist_of(parse_bytes)),
+    Key("backgroundPacketSize", "background_size", _background_size),
 )
 HOST_KEYS = (
     Key("localPort", "local_port", _int, 1, 65535),
@@ -302,6 +311,12 @@ def _where(sec: dict, section: str) -> str:
 
 def build_config(sections: dict[str, dict[str, tuple[str, str]]]) -> ScenarioConfig:
     sections = {name: dict(body) for name, body in sections.items()}
+    given = {(name, key): where for name, body in sections.items()
+             for key, (_, where) in body.items()}
+
+    def located(section: str, key: str) -> str:
+        return given.get((section, key), f"[{section}]")
+
     scenario = _read(sections.pop("scenario", {}), "scenario", SCENARIO_KEYS)
     topology = TopologySpec(**_read(sections.pop("topology", {}), "topology", TOPOLOGY_KEYS))
     cfg = ScenarioConfig(**scenario, topology=topology)
@@ -352,18 +367,31 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]]) -> ScenarioCon
     epds = [app.local_epd for _, app in cfg.apps]
     if len(set(epds)) != len(epds):
         raise ConfigError(f"localEpd values must be unique, got {epds}")
-    for host_name, app in cfg.apps:
+    for name, (host_name, app) in zip(app_names, cfg.apps):
         if app.remote_address is None:
             continue
         remote = cfg.hosts.get(app.remote_address)
-        if remote is None:
+        if remote is None or remote.name == host_name:
             raise ConfigError(
-                f"app {app.local_epd}: remoteAddress {app.remote_address!r} "
-                f"is not a configured host")
+                f"{located(name, 'remoteAddress')}: remoteAddress {app.remote_address!r} "
+                f"is not a configured host other than {host_name}")
         if app.remote_port != remote.local_port:
             raise ConfigError(
-                f"app {app.local_epd}: remotePort {app.remote_port} does not match "
-                f"{remote.name} localPort {remote.local_port}")
+                f"{located(name, 'remotePort')}: remotePort {app.remote_port} does not "
+                f"match {remote.name} localPort {remote.local_port}")
+        if app.remote_epd not in (a.local_epd for h, a in cfg.apps if h == remote.name):
+            raise ConfigError(
+                f"{located(name, 'remoteEpd')}: remoteEpd {app.remote_epd} is not the "
+                f"localEpd of an app on {remote.name}")
+        # A chunk larger than the receiver's whole buffer never fits in it.
+        chunk_capacity = (cfg.hosts[host_name].max_segment_size
+                          - wire.PACKET_HEADER - wire.CHUNK_HEADER)
+        if app.flows and remote.rcv_buffer_size < chunk_capacity:
+            host_section = "host." + remote.name[len("host"):]
+            raise ConfigError(
+                f"{located(host_section, 'rcvBufferSize')}: rcvBufferSize = "
+                f"{remote.rcv_buffer_size} is below the {chunk_capacity}-byte chunks "
+                f"that {host_name} sends to it")
     for host in cfg.hosts.values():
         if (host.migrate_at_us is None) != (host.migrate_to_port is None):
             raise ConfigError(f"{host.name}: migrateAt and migrateTo go together")

@@ -59,7 +59,6 @@ class Session:
         self.cc = cc_mod.CongestionController(engine.spec.cc_cwnd_init, engine.spec.cc_mss)
         self.send_flows: dict[int, flows_mod.SendFlow] = {}
         self.recv_flows: dict[int, flows_mod.RecvFlow] = {}
-        self.rr_cursor: dict[bool, int] = {}
         self.last_fill_was_full = False
         self.tc_active = False
         self.peer_signaled_tc = False
@@ -72,12 +71,9 @@ class Session:
         self.rto_timer: Optional[netsim.Event] = None
         self.last_peer_ts: int = wire.TS_NONE
         # Counters exported to the harness.
-        self.packets_in = 0
         self.packets_out = 0
-        self.handshake_retries = 0
         self.mobility_events = 0
         self.rto_fires = 0
-        self.stale_handshake = 0
         self.data_packets_out = 0
         self.full_packets_out = 0
         self.full_packet_chunks = 0
@@ -189,7 +185,6 @@ class RtmfpEngine:
             if s.app is not None:
                 s.app.session_failed(s, now)
             return
-        s.handshake_retries += 1
         if s.state == S_IHELLO_SENT:
             self._send_ihello(s, now)
         elif s.state == S_KEYING_SENT:
@@ -216,7 +211,7 @@ class RtmfpEngine:
             # Garbage-collect a half-open responder session that never completes.
             total_wait = HANDSHAKE_TIMEOUT_US * ((1 << HANDSHAKE_ATTEMPTS) - 1)
             self.sim.after(total_wait, self.host.node_id, netsim.KIND_TIMER,
-                           lambda t: self._gc_half_open(key, s), f"hs-gc {s.label}")
+                           lambda t: self._drop_half_open(s), f"hs-gc {s.label}")
         s.last_peer_ts = peer_ts
         if s.state in (S_RHELLO_SENT,):
             self._send_handshake(s, wire.T_RHELLO, now, epd=chunk.epd)
@@ -226,20 +221,20 @@ class RtmfpEngine:
         chunk = wire.HandshakeChunk(kind, epd=epd, sid=s.local_sid)
         self._send_packet(s, [chunk], now, established=False)
 
-    def _gc_half_open(self, key: tuple, s: Session) -> None:
+    def _drop_half_open(self, s: Session) -> None:
         """Drop a responder session that never completed, so that a fresh
         IHello with the same key opens a new one. Completed sessions stay
         keyed, so a late duplicate IHello opens no second session."""
-        if s.state not in (S_OPEN, S_CLOSED):
+        if s.state == S_RHELLO_SENT:
             s.state = S_CLOSED
-            del self._half_open[key]
+            # The key _on_ihello filed it under; none of these change before Open.
+            del self._half_open[(s.peer_address, s.peer_sid, s.local_epd)]
             del self.sessions[s.local_sid]
 
     def _on_handshake_chunk(self, s: Session, chunk: wire.HandshakeChunk,
                             dgram: netsim.Datagram, now: int) -> None:
         if chunk.kind == wire.T_RHELLO:
             if s.state != S_IHELLO_SENT:
-                s.stale_handshake += 1
                 return
             s.peer_sid = chunk.sid
             s.peer_address = dgram.src
@@ -261,11 +256,8 @@ class RtmfpEngine:
             elif s.state == S_OPEN:
                 # Our RIKeying was lost; repeat it.
                 self._send_handshake(s, wire.T_RIKEYING, now)
-            else:
-                s.stale_handshake += 1
         elif chunk.kind == wire.T_RIKEYING:
             if s.state != S_KEYING_SENT:
-                s.stale_handshake += 1
                 return
             s.state = S_OPEN
             self.handshakes_completed += 1
@@ -276,8 +268,6 @@ class RtmfpEngine:
             if s.app is not None:
                 s.app.session_opened(s, now)
             self.transmit_opportunity(s, now)
-        else:
-            s.stale_handshake += 1
 
     # ----------------------------------------------------------------- demux
 
@@ -303,7 +293,6 @@ class RtmfpEngine:
             self.unknown_session += 1
             return
         self.delivered_packets += 1
-        s.packets_in += 1
         s.last_peer_ts = pkt.timestamp
         if pkt.ts_echo != wire.TS_NONE:
             rtt_ms = (now // 1000 - pkt.ts_echo) & 0xFFFF
@@ -446,11 +435,10 @@ class RtmfpEngine:
         # Every transmit opportunity ends blocked, and whatever can unblock it
         # (an ack, an RTO, the RIKeying) makes one itself. A chunk queued
         # behind one that is already waiting changes no flow's next chunk, so
-        # in a one-flow session trying again would send nothing. With more
-        # flows a try that sends nothing still rotates `rr_cursor`, so it stays.
-        if waiting and len(s.send_flows) == 1:
-            return
-        self.transmit_opportunity(s, now)
+        # trying again would find nothing to send, and a try that finds
+        # nothing changes nothing.
+        if not waiting:
+            self.transmit_opportunity(s, now)
 
     def _update_tc_active(self, s: Session, now: int) -> None:
         active = any(f.time_critical and f.has_pending()
@@ -521,7 +509,9 @@ class RtmfpEngine:
         return msgs
 
     def _close_session(self, s: Session, now: int) -> None:
-        """The peer sent a Close chunk."""
+        """The peer sent a Close chunk. A responder session that never
+        completed is dropped, as the half-open GC would drop it."""
+        self._drop_half_open(s)
         if s.state == S_CLOSED:
             return
         s.state = S_CLOSED

@@ -199,7 +199,6 @@ class RecvFlow:
         self.messages_delivered = 0
         self.bytes_delivered = 0
         self.acks_sent = 0
-        self.loss_reports_issued = 0
         self.data_packets_received = 0
         self.duplicates = 0
         self.discarded_full = 0
@@ -267,8 +266,6 @@ class RecvFlow:
         self.last_advertised = adv
         self.data_since_last_ack = 0
         self.acks_sent += 1
-        if gaps:
-            self.loss_reports_issued += 1
         return wire.AckChunk(self.flow_id, self.cum_ack, gaps, adv)
 
     def ack_pending(self) -> bool:
@@ -305,9 +302,11 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
     """Greedy bundler: pick sendable chunks for one packet of at most `budget`
     wire bytes (and optionally at most `payload_budget` payload bytes).
 
-    Time-critical flows have absolute priority; flows of equal priority are
-    served round-robin, lowest unsent sequence first, retransmissions before
-    new chunks. Returns None when nothing is eligible.
+    Send order: time-critical flows before normal ones; within a flow,
+    retransmissions before new chunks; within a priority, round-robin by
+    service. The order of `session.send_flows` is the round-robin order: the
+    flow that leads its priority's part of a packet moves to the back. Returns
+    None, and changes nothing, when nothing is eligible.
     """
     send_flows = session.send_flows
     # Most calls find nothing the window or the receiver's buffer admits, so
@@ -320,32 +319,19 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
         if ch is not None and len(ch.payload) <= room:
             break
     else:
-        # A pass that picks nothing still moves each priority group's
-        # round-robin cursor on by one flow, as the full pass below does.
-        # With a single flow that move is a no-op.
-        if len(send_flows) > 1:
-            cursor = session.rr_cursor
-            n_tc = sum(1 for f in send_flows.values() if f.time_critical)
-            for cursor_key, n in ((True, n_tc), (False, len(send_flows) - n_tc)):
-                if n:
-                    cursor[cursor_key] = (cursor.get(cursor_key, 0) + 1) % n
         return None
     # Some chunk fits, so the pass below picks at least one.
     flows = list(send_flows.values())
-    tc = [f for f in flows if f.time_critical]
-    normal = [f for f in flows if not f.time_critical]
     picked: list[tuple[SendFlow, OutboundChunk]] = []
     wire_len = wire.PACKET_HEADER
     pay_len = 0
-    for group, cursor_key in ((tc, True), (normal, False)):
-        if not group:
-            continue
-        start = session.rr_cursor.get(cursor_key, 0) % len(group)
-        order = group[start:] + group[:start]
+    for group in ([f for f in flows if f.time_critical],
+                  [f for f in flows if not f.time_critical]):
+        first = len(picked)
         progress = True
         while progress:
             progress = False
-            for f in order:
+            for f in group:
                 ch = f.next_chunk()
                 if ch is None:
                     continue
@@ -359,7 +345,9 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
                 wire_len += wire.CHUNK_HEADER + size
                 pay_len += size
                 progress = True
-        session.rr_cursor[cursor_key] = (start + 1) % len(group)
+        if len(picked) > first:
+            leader = picked[first][0]
+            send_flows[leader.flow_id] = send_flows.pop(leader.flow_id)
     # Whether the packet is MTU-full (the next eligible chunk did not fit):
     # consumed by bundling statistics.
     full = False

@@ -172,15 +172,6 @@ class Link:
         self.dropped_forced = 0
         self.bytes_delivered = 0
 
-    def _expire(self, now: int) -> None:
-        q = self._queue
-        while q and q[0][0] <= now:
-            self._queued_bytes -= q.popleft()[1]
-
-    def occupancy(self, now: int) -> int:
-        self._expire(now)
-        return self._queued_bytes
-
     def send(self, dgram: Datagram, now: int) -> Optional[int]:
         """Enqueue a datagram; returns delivery time, or None when dropped."""
         size = dgram.size
@@ -189,7 +180,8 @@ class Link:
         idx = self.sent
         self.sent += 1
         q = self._queue
-        while q and q[0][0] <= now:  # as _expire(now)
+        # Datagrams whose serialization has finished leave the queue.
+        while q and q[0][0] <= now:
             self._queued_bytes -= q.popleft()[1]
         outcome = None
         if idx in self.forced_drops:

@@ -26,7 +26,6 @@ class Host:
         self.node_id = node_id
         self.uplink: Optional[netsim.Link] = None
         self._ports: dict[int, Callable[[netsim.Datagram, int], None]] = {}
-        self.unknown_port_drops = 0
 
     def bind(self, port: int, handler) -> None:
         if port in self._ports:
@@ -42,10 +41,8 @@ class Host:
 
     def handle_datagram(self, dgram: netsim.Datagram, now: int) -> None:
         handler = self._ports.get(dgram.dst[1])
-        if handler is None:
-            self.unknown_port_drops += 1
-            return
-        handler(dgram, now)
+        if handler is not None:
+            handler(dgram, now)
 
 
 class Router:
@@ -54,14 +51,11 @@ class Router:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.routes: dict[str, netsim.Link] = {}
-        self.no_route_drops = 0
 
     def handle_datagram(self, dgram: netsim.Datagram, now: int) -> None:
         link = self.routes.get(dgram.dst[0])
-        if link is None:
-            self.no_route_drops += 1
-            return
-        link.send(dgram, now)
+        if link is not None:
+            link.send(dgram, now)
 
 
 class BackgroundSender:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -34,6 +35,20 @@ class PacketSniffer:
 @pytest.fixture
 def sniffer():
     return PacketSniffer()
+
+
+class FakeSession:
+    """The session surface the bundler, flows.fill_packet, reads and writes."""
+
+    def __init__(self, *flows):
+        self.send_flows = {f.flow_id: f for f in flows}
+        self.last_fill_was_full = False
+
+
+def snapshot(session):
+    """Every session field, the flow order and every flow's state, copied."""
+    return copy.deepcopy(({**vars(session), "send_flows": list(session.send_flows)},
+                          [vars(f) for f in session.send_flows.values()]))
 
 
 def random_packet(rng: random.Random) -> wire.Packet:

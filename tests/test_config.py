@@ -213,6 +213,9 @@ def out_of_range_cases():
         yield pytest.param("topology", "backgroundLoad", value, id=f"backgroundLoad={value}")
     # A list value: each entry is checked by the parser.
     yield pytest.param("scenario", "probeTimes", "1s -1us", id="probeTimes=1s -1us")
+    # A distribution: its mean is checked by the parser.
+    yield pytest.param("topology", "backgroundPacketSize", "0byte",
+                       id="backgroundPacketSize=0byte")
 
 
 @pytest.mark.parametrize("section,key,value", list(out_of_range_cases()))
@@ -239,10 +242,22 @@ def test_minimal_config_parses():
     ("topology", "bottleneckBandwidth", "1bit"), ("scenario", "duration", "0us"),
     ("scenario", "probeTimes", "0us 1s"), ("app.1.0", "startTime", "0us"),
     ("host.1", "ccMss", "739byte"), ("topology", "accessQueue", "1500byte"),
+    # host1 sends host2 chunks of 1472 - 12 - 10 bytes.
+    ("host.2", "rcvBufferSize", "1450byte"),
 ])
 def test_range_boundaries_are_accepted(section, key, value):
     text, _ = text_with(section, key, value)
     parse_config(text)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("host.2", "rcvBufferSize", "1449byte"), ("app.1.0", "remoteEpd", "4712"),
+])
+def test_value_at_odds_with_another_section_names_its_line(section, key, value):
+    text, line = text_with(section, key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).startswith(f"line {line}: {key} ")
 
 
 def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():

@@ -183,6 +183,18 @@ def test_half_open_session_is_dropped_so_a_fresh_ihello_is_answered():
     assert s.state == S_RHELLO_SENT
 
 
+def test_half_open_session_closed_by_its_peer_is_dropped():
+    r = _Responder()
+    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
+    sid = r.rhellos()[0].chunks[0].sid
+    r.receive(sid, wire.CloseChunk(), 1_000)
+    assert r.engine.sessions == {}
+    r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
+    assert len(r.rhellos()) == 2
+    (s,) = r.engine.sessions.values()
+    assert s.state == S_RHELLO_SENT
+
+
 def test_completed_session_outlives_the_gc_and_ignores_a_late_ihello():
     r = _Responder()
     r.receive(HANDSHAKE_SID, IHELLO_777, 0)
@@ -415,16 +427,21 @@ def test_enqueue_on_an_empty_queue_with_an_open_window_sends_at_once():
     assert session.data_packets_out == 1
 
 
-def test_every_enqueue_in_a_two_flow_session_reaches_the_bundler(monkeypatch):
+def test_two_flow_session_tries_to_send_only_for_an_enqueue_on_an_empty_queue(
+        monkeypatch):
     sim, engine1, session = idle_sender(flows=2)
     fill_window(sim, engine1, session, 19)
     calls = count_fill_packet(monkeypatch)
-    for k in range(1, 6):
-        cursor = session.rr_cursor.get(False, 0)
+    for _ in range(5):
         engine1.send_message(session, 19, b"y" * 140, sim.now)
-        assert len(calls) == k
-        # The miss still rotates the round-robin cursor; skipping it would not.
-        assert session.rr_cursor[False] == (cursor + 1) % 2
+    assert calls == []
+    # Flow 88's queue was empty: one try, and its chunk waits behind the window.
+    engine1.send_message(session, 88, b"z" * 140, sim.now)
+    engine1.send_message(session, 88, b"z" * 140, sim.now)
+    assert len(calls) == 1 and len(session.send_flows[88].unsent) == 2
+    sim.run_until(sim.now + 1_000_000)
+    for f in session.send_flows.values():
+        assert not f.unsent and not f.outstanding
 
 
 # ---------------------------------------------------------------- mobility

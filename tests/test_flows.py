@@ -1,6 +1,9 @@
 import random
 import time
 
+import pytest
+
+from conftest import FakeSession, snapshot
 from rtmfpsim import wire
 from rtmfpsim.flows import (ST_IN_FLIGHT, ST_RETRANSMIT, Message, RecvFlow,
                             SendFlow, fill_packet)
@@ -17,15 +20,6 @@ def enqueue(f, payload):
     before = len(f.unsent)
     f.enqueue_message(Message(payload))
     return list(f.unsent)[before:]
-
-
-class FakeSession:
-    """Just enough session surface for the bundler."""
-
-    def __init__(self, *flows):
-        self.send_flows = {f.flow_id: f for f in flows}
-        self.rr_cursor = {}
-        self.last_fill_was_full = False
 
 
 def drain(session, budget=1472, payload_budget=None, now=0):
@@ -150,28 +144,62 @@ def test_retransmit_chunks_go_before_new_ones():
     assert [c.seq for c in second[1:]] == [10, 11, 12]
 
 
-def test_miss_builds_nothing_but_rotates_each_group():
+def backlogged(*flow_ids, idle=()):
+    """A session of normal flows, each but the `idle` ones with 60 messages."""
+    flows = [send_flow(flow_id=i) for i in flow_ids]
+    for f in flows:
+        if f.flow_id not in idle:
+            for _ in range(60):
+                f.enqueue_message(Message(bytes([f.flow_id]) * 140))
+    return FakeSession(*flows)
+
+
+def leaders(s, packets, miss_between=False):
+    """The flow of the first chunk of each of `packets` packets."""
+    out = []
+    for _ in range(packets):
+        if miss_between:
+            # 100 - 12 - 10 = 78 bytes of room: no 140-byte head chunk fits.
+            assert fill_packet(s, budget=100) is None
+        out.append(fill_packet(s, budget=1472)[0].flow_id)
+    return out
+
+
+def test_miss_leaves_the_session_unchanged():
     normal = [send_flow(flow_id=1), send_flow(flow_id=2)]
     rt = send_flow(flow_id=3, tc=True)
     for f in (*normal, rt):
         for _ in range(2):
             f.enqueue_message(Message(bytes([f.flow_id]) * 140))
     s = FakeSession(*normal, rt)
-
-    def queues():
-        return [(tuple(c.seq for c in f.unsent), tuple(f.outstanding), tuple(f._retx))
-                for f in s.send_flows.values()]
-
-    before = queues()
-    for k in range(1, 4):
-        # 100 - 12 - 10 = 78 bytes of room: no 140-byte head chunk fits.
+    before = snapshot(s)
+    for _ in range(3):
         assert fill_packet(s, budget=100) is None
-        assert queues() == before
-        assert s.rr_cursor[False] == k % 2
-        assert s.rr_cursor[True] == 0
+        assert snapshot(s) == before
     chunks = fill_packet(s, budget=1472)
-    # Time-critical first, then the normal group from the rotated flow on.
-    assert [c.flow_id for c in chunks] == [3, 3, 2, 1, 2, 1]
+    # Time-critical first, then the normal group in its unchanged order.
+    assert [c.flow_id for c in chunks] == [3, 3, 1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("miss_between", [False, True])
+def test_two_backlogged_flows_alternate_as_packet_leader(miss_between):
+    s = backlogged(1, 2)
+    assert leaders(s, 8, miss_between) == [1, 2] * 4
+
+
+def test_idle_flow_ahead_of_two_busy_ones_lets_neither_lead_twice():
+    s = backlogged(1, 2, 3, idle=(1,))
+    assert leaders(s, 8) == [2, 3] * 4
+
+
+def test_only_the_leader_of_each_priority_moves_to_the_back():
+    rt = send_flow(flow_id=3, tc=True)
+    rt.enqueue_message(Message(b"r" * 140))
+    s = backlogged(1, 2)
+    s.send_flows = {3: rt, **s.send_flows}
+    chunks = fill_packet(s, budget=1472)
+    assert [c.flow_id for c in chunks[:3]] == [3, 1, 2]
+    assert list(s.send_flows) == [2, 3, 1]
 
 
 # ----------------------------------------------------------------- acking

@@ -224,6 +224,11 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
     ["app.1.0.startTime=-1s"],
     ["host.1.ccMss=0byte"],
     ["topology.accessQueue=0byte"],
+    ["topology.backgroundPacketSize=0byte"],
+    ["app.1.0.remoteEpd=4712"],
+    ["app.1.0.remotePort=4711", "app.1.0.remoteAddress=host1"],
+    ["host.2.rcvBufferSize=1byte"],
+    ["app.1.0.flowPacketSize=1450byte", "host.2.rcvBufferSize=1400byte"],
 ])
 def test_cli_bad_override_is_a_config_error(overrides, capsys):
     from rtmfpsim.cli import main

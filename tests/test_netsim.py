@@ -167,18 +167,26 @@ def test_queue_capacity_tail_drop_and_conservation():
     assert link.delivered + link.dropped == link.sent == 5
 
 
-def test_queue_occupancy_never_exceeds_capacity():
+def test_bytes_awaiting_serialization_never_exceed_capacity():
     sim = Simulator(seed=9)
     sink = Recorder()
     cap = 8000
     link = Link(sim, "l", sink, bandwidth_bps=2_000_000, delay_us=10,
                 queue_capacity=cap)
     rng = sim.stream("drive")
+    admitted = []  # (serialization finish, size)
     t = 0
     for _ in range(500):
-        link.send(dgram(rng.randrange(100, 1500)), t)
-        assert link.occupancy(t) <= cap
+        size = rng.randrange(100, 1500)
+        backlog = sum(n for finish, n in admitted if finish > t)
+        arrival = link.send(dgram(size), t)
+        if arrival is None:
+            assert backlog + size > cap  # dropped only when it does not fit
+        else:
+            admitted.append((arrival - link.delay_us, size))
+            assert backlog + size <= cap
         t += rng.randrange(0, 3000)
+    assert link.dropped_queue > 0
     sim.run_until(t + 100_000)
     assert link.delivered + link.dropped == link.sent
 

@@ -48,7 +48,7 @@ EXTRA_RESULTS_SHA256 = {
 # one with retransmission-timeout and delayed-ack events.
 TRACE_SHA256 = {
     "bottleneck-basic": "bb73b70fe50308a609e24ca748d2a8addceea02b1b88a4c2fdea577787aabb22",
-    "two-flows": "d300c7387b3746284996e37f0d198215cad93b6e7e58859c4e7d13c9a16dae01",
+    "two-flows": "389eddc1c5aa0f72e76feb3073088aaf889ae2e2ec76aaf95a6f9f658692caf7",
     "lossy-sparse": "cb74e79dea0f3c927b7e3930ef97b5930e3f8f35312561c44fea704f34e9f42a",
     "fragmenting": "a7bcacc09774cf25c87812999805ccc940254eeca70d5eb2c3c9ecdfd6f556d1",
 }

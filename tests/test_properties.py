@@ -1,5 +1,6 @@
-"""Property tests: the wire codec and the send/receive flow pair, over inputs
-generated by hypothesis. Skipped where hypothesis is not installed."""
+"""Property tests: the wire codec, and send/receive flows sharing a session,
+over inputs generated by hypothesis. Skipped where hypothesis is not
+installed."""
 
 import random
 
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import FakeSession, snapshot  # noqa: E402
 from rtmfpsim import wire  # noqa: E402
 from rtmfpsim.flows import Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
 
@@ -68,29 +70,24 @@ def test_decode_inverts_encode_and_size_is_header_plus_chunks(pkt):
     assert wire.decode(buf) == pkt
 
 
-class _Session:
-    """The session surface fill_packet reads and writes."""
+def transfer(flows, drop, dup, rng, max_steps=20_000):
+    """Send flow i's payloads, for each (time_critical, payloads) of `flows`,
+    through a channel that drops, duplicates and reorders packets both ways;
+    -> the messages the receiver read, per flow.
 
-    def __init__(self, flow):
-        self.send_flows = {flow.flow_id: flow}
-        self.rr_cursor = {}
-        self.last_fill_was_full = False
-
-
-def transfer(payloads, drop, dup, rng, max_steps=20_000):
-    """Send `payloads` over one flow through a channel that drops, duplicates
-    and reorders packets both ways; -> the messages the receiver read.
-
-    Every data packet and ack goes through the wire codec. When nothing is in
-    the channel, the receiver sends its pending ack or, failing that, the
-    sender retransmits everything in flight, as the engine's delayed-ack and
-    retransmission timers do.
+    Every data packet and ack goes through the wire codec, and each packet is
+    filled under a payload budget drawn at random, so some fills find nothing
+    that fits. Every fill that returns None must leave the session as it was.
+    When nothing is in the channel, the receiver sends its pending acks or,
+    failing that, the sender retransmits everything in flight, as the engine's
+    delayed-ack and retransmission timers do.
     """
-    sf = SendFlow(19, False, CHUNK_CAP)
-    rf = RecvFlow(19, rcv_buffer_size=1 << 20)
-    session = _Session(sf)
-    for p in payloads:
-        sf.enqueue_message(Message(p))
+    senders = [SendFlow(i, tc, CHUNK_CAP) for i, (tc, _) in enumerate(flows)]
+    receivers = [RecvFlow(i, rcv_buffer_size=1 << 20) for i in range(len(flows))]
+    session = FakeSession(*senders)
+    for sf, (_, payloads) in zip(senders, flows):
+        for p in payloads:
+            sf.enqueue_message(Message(p))
     channel: list[tuple[str, bytes]] = []
 
     def put(direction, chunks):
@@ -101,31 +98,48 @@ def transfer(payloads, drop, dup, rng, max_steps=20_000):
         if rng.random() < dup:
             channel.append(item)
 
-    got: list[bytes] = []
+    got: list[list[bytes]] = [[] for _ in flows]
     for _ in range(max_steps):
-        while (chunks := fill_packet(session, MTU_PAYLOAD)) is not None:
+        while True:
+            before = snapshot(session)
+            chunks = fill_packet(session, MTU_PAYLOAD, rng.choice((None, rng.randrange(2000))))
+            if chunks is None:
+                assert snapshot(session) == before
+                break
             put("data", chunks)
         if not channel:
-            if rf.ack_pending():
+            pending = [rf for rf in receivers if rf.ack_pending()]
+            for rf in pending:
                 put("ack", [rf.make_ack(0)])
-            elif sf.has_pending():
-                sf.force_retransmit_all()
-            else:
+            if pending:
+                continue
+            if not any(sf.has_pending() for sf in senders):
                 return got
+            for sf in senders:
+                sf.force_retransmit_all()
             continue
         direction, buf = channel.pop(rng.randrange(len(channel)))
         pkt = wire.decode(buf)
         if direction == "ack":
             for ack in pkt.chunks:
-                sf.on_ack(ack, 0)
+                senders[ack.flow_id].on_ack(ack, 0)
             continue
+        touched = []
         for c in pkt.chunks:
-            rf.on_data_chunk(c, 0)
-        ack = rf.end_of_packet(0)
-        if ack is not None:
-            put("ack", [ack])
-        got.extend(m.payload for m in rf.app_read())
+            receivers[c.flow_id].on_data_chunk(c, 0)
+            if receivers[c.flow_id] not in touched:
+                touched.append(receivers[c.flow_id])
+        for rf in touched:
+            ack = rf.end_of_packet(0)
+            if ack is not None:
+                put("ack", [ack])
+            got[rf.flow_id].extend(m.payload for m in rf.app_read())
     raise AssertionError(f"no completion in {max_steps} steps")
+
+
+def payloads_of(sizes):
+    return [i.to_bytes(4, "big") + bytes([i % 251]) * (n - 4) if n >= 4
+            else bytes([i % 251]) * n for i, n in enumerate(sizes)]
 
 
 @settings(SETTINGS, max_examples=100)
@@ -133,7 +147,17 @@ def transfer(payloads, drop, dup, rng, max_steps=20_000):
        drop=st.floats(0.0, 0.3), dup=st.floats(0.0, 0.3),
        seed=st.integers(0, 2**32 - 1))
 def test_flow_pair_delivers_every_message_once_in_order(sizes, drop, dup, seed):
-    rng = random.Random(seed)
-    payloads = [i.to_bytes(4, "big") + bytes([i % 251]) * (n - 4) if n >= 4
-                else bytes([i % 251]) * n for i, n in enumerate(sizes)]
-    assert transfer(payloads, drop, dup, rng) == payloads
+    payloads = payloads_of(sizes)
+    assert transfer([(False, payloads)], drop, dup, random.Random(seed)) == [payloads]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(flows=st.lists(st.tuples(st.booleans(),
+                                st.lists(st.integers(1, 3 * CHUNK_CAP + 17), max_size=15)),
+                      min_size=2, max_size=3),
+       drop=st.floats(0.0, 0.3), dup=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**32 - 1))
+def test_flows_sharing_a_session_each_deliver_once_in_order(flows, drop, dup, seed):
+    sent = [(tc, payloads_of(sizes)) for tc, sizes in flows]
+    got = transfer(sent, drop, dup, random.Random(seed))
+    assert got == [payloads for _, payloads in sent]
