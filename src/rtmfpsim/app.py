@@ -65,16 +65,6 @@ class AppConfig:
     read_delay_us: int = 0
     start_time_us: int = 0
 
-    def validate(self) -> None:
-        if self.flows and self.remote_address is None:
-            raise ValueError(f"app {self.local_epd}: outgoing flows need a remote")
-        if self.remote_address is not None and (
-                self.remote_port is None or self.remote_epd is None):
-            raise ValueError(f"app {self.local_epd}: incomplete remote endpoint")
-        ids = [f.flow_id for f in self.flows]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"app {self.local_epd}: duplicate flow ids {ids}")
-
 
 @dataclass
 class FlowStats:
@@ -131,7 +121,6 @@ class RtmfpApp:
     """Traffic source/sink bound to one EPD on one engine."""
 
     def __init__(self, sim: netsim.Simulator, engine: RtmfpEngine, config: AppConfig):
-        config.validate()
         self.sim = sim
         self.engine = engine
         self.config = config

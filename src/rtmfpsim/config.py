@@ -9,6 +9,13 @@ bit/kbit/Mbit/Gbit). FLOW_KEYS values are space-separated lists, one entry per
 outgoing flow. Sizes and intervals may be distributions:
 constant(v) | uniform(a,b) | exponential(mean); a bare value means constant.
 configs/two-peer-bottleneck.conf is a complete example.
+
+build_config also checks the rules that join keys: localEpd unique across
+apps; remoteAddress needs remotePort and remoteEpd; flowsOutgoing > 0 needs
+remoteAddress; flowId unique within an app; migrateAt and migrateTo together.
+Every rule about a valid scenario is checked here, once, at parse time, and
+its error names the line or override at fault; the layers below trust the
+config they are given.
 """
 
 from __future__ import annotations
@@ -83,9 +90,12 @@ class ScenarioConfig:
     apps: list[tuple[str, AppConfig]] = field(default_factory=list)  # (host, app)
 
 
-def parse_sections(text: str) -> dict[str, dict[str, tuple[str, str]]]:
-    """Raw pass: section -> {key: (value string, where)}, where is `line N`."""
+def parse_sections(text: str) -> tuple[dict[str, dict[str, tuple[str, str]]],
+                                       dict[str, str]]:
+    """Raw pass: (section -> {key: (value string, where)}, section -> where its
+    first header is); where is `line N`."""
     sections: dict[str, dict[str, tuple[str, str]]] = {}
+    headers: dict[str, str] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -94,6 +104,7 @@ def parse_sections(text: str) -> dict[str, dict[str, tuple[str, str]]]:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             sections.setdefault(current, {})
+            headers.setdefault(current, f"line {lineno}")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value': {line!r}")
@@ -107,7 +118,7 @@ def parse_sections(text: str) -> dict[str, dict[str, tuple[str, str]]]:
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
         sections[current][key] = (value, f"line {lineno}")
-    return sections
+    return sections, headers
 
 
 def apply_overrides(sections: dict, overrides: dict[str, str]) -> None:
@@ -115,7 +126,7 @@ def apply_overrides(sections: dict, overrides: dict[str, str]) -> None:
     for dotted, value in overrides.items():
         section, _, key = dotted.rpartition(".")
         if not section or not key:
-            raise ConfigError(f"override {dotted!r}: expected section.key=value")
+            raise ConfigError(f"override {dotted}: expected section.key=value")
         sections.setdefault(section, {})[key] = (value, f"override {dotted}")
 
 
@@ -277,9 +288,10 @@ FLOW_KEYS = (
 )
 
 
-def _read(sec: dict, section: str, rows: tuple[Key, ...]) -> dict:
+def _read(sec: dict, section: str, rows: tuple[Key, ...], missing_at: str) -> dict:
     """Parse and range-check each row's key of a raw section and reject any
-    other key; -> {field: value}."""
+    other key; -> {field: value}. A missing required key is reported at
+    `missing_at`."""
     out = {}
     for row in rows:
         spellings = [k for k in (row.key, *row.aliases) if k in sec]
@@ -288,7 +300,7 @@ def _read(sec: dict, section: str, rows: tuple[Key, ...]) -> dict:
                               f"(also given as {spellings[0]!r}) in [{section}]")
         if not spellings:
             if row.required:
-                raise ConfigError(f"[{section}]: {row.key} is required")
+                raise ConfigError(f"{missing_at}: [{section}] needs {row.key}")
             continue
         value, where = sec.pop(spellings[0])
         out[row.field] = value = row.parse(value, where)
@@ -304,22 +316,20 @@ def _reject_unknown(sec: dict, section: str) -> None:
         raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
 
 
-def _where(sec: dict, section: str) -> str:
-    """Location of a section's first key, for errors about the section."""
-    return next(iter(sec.values()))[1] if sec else f"[{section}]"
-
-
-def build_config(sections: dict[str, dict[str, tuple[str, str]]]) -> ScenarioConfig:
+def build_config(sections: dict[str, dict[str, tuple[str, str]]],
+                 headers: dict[str, str]) -> ScenarioConfig:
     sections = {name: dict(body) for name, body in sections.items()}
     given = {(name, key): where for name, body in sections.items()
              for key, (_, where) in body.items()}
+    # Where each section is: its header line, or the first override naming it.
+    placed = {name: headers.get(name) or next(iter(body.values()))[1]
+              for name, body in sections.items()}
 
-    def located(section: str, key: str) -> str:
-        return given.get((section, key), f"[{section}]")
+    def read(name: str, rows: tuple[Key, ...]) -> dict:
+        return _read(sections.pop(name, {}), name, rows, placed.get(name, ""))
 
-    scenario = _read(sections.pop("scenario", {}), "scenario", SCENARIO_KEYS)
-    topology = TopologySpec(**_read(sections.pop("topology", {}), "topology", TOPOLOGY_KEYS))
-    cfg = ScenarioConfig(**scenario, topology=topology)
+    scenario = read("scenario", SCENARIO_KEYS)
+    cfg = ScenarioConfig(**scenario, topology=TopologySpec(**read("topology", TOPOLOGY_KEYS)))
 
     def _sort_key(name: str):
         return tuple((0, int(p)) if p.isdigit() else (1, p)
@@ -327,79 +337,85 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]]) -> ScenarioCon
 
     host_names = sorted((n for n in sections if n.startswith("host.")), key=_sort_key)
     for name in host_names:
-        host = HostSpec(name="host" + name.split(".", 1)[1],
-                        **_read(sections.pop(name), name, HOST_KEYS))
+        host = HostSpec(name="host" + name.split(".", 1)[1], **read(name, HOST_KEYS))
+        if (host.migrate_at_us is None) != (host.migrate_to_port is None):
+            key, other = (("migrateAt", "migrateTo") if host.migrate_to_port is None
+                          else ("migrateTo", "migrateAt"))
+            raise ConfigError(f"{given[name, key]}: {key} needs {other}")
         cfg.hosts[host.name] = host
 
     app_names = sorted((n for n in sections if n.startswith("app.")), key=_sort_key)
     for name in app_names:
-        sec = sections.pop(name)
         parts = name.split(".")
         if len(parts) != 3:
-            raise ConfigError(f"{_where(sec, name)}: app sections are [app.<host>.<index>]")
+            raise ConfigError(f"{placed[name]}: app sections are [app.<host>.<index>]")
         host_name = "host" + parts[1]
         if host_name not in cfg.hosts:
             raise ConfigError(
-                f"{_where(sec, name)}: [{name}] references missing [host.{parts[1]}]")
+                f"{placed[name]}: [{name}] references missing [host.{parts[1]}]")
+        sec = sections[name]
         columns = {row.key: sec.pop(row.key) for row in FLOW_KEYS if row.key in sec}
-        values = _read(sec, name, APP_KEYS)
+        values = read(name, APP_KEYS)
         n_flows = values.pop("flows_outgoing", 0)
         app = AppConfig(**values)
+        if any(a.local_epd == app.local_epd for _, a in cfg.apps):
+            raise ConfigError(f"{given[name, 'localEpd']}: localEpd = {app.local_epd} "
+                              f"is already used by another app")
+        if n_flows and app.remote_address is None:
+            raise ConfigError(f"{given[name, 'flowsOutgoing']}: flowsOutgoing = "
+                              f"{n_flows} needs a remoteAddress")
+        if app.remote_address is not None and None in (app.remote_port, app.remote_epd):
+            raise ConfigError(f"{given[name, 'remoteAddress']}: remoteAddress needs "
+                              f"remotePort and remoteEpd")
         for key, (value, where) in columns.items():
             if len(value.split()) != n_flows:
                 raise ConfigError(f"{where}: {key} has {len(value.split())} entries, "
                                   f"flowsOutgoing = {n_flows}")
         for i in range(n_flows):
             entries = {key: (value.split()[i], where) for key, (value, where) in columns.items()}
-            spec = _read(entries, name, FLOW_KEYS)
+            spec = _read(entries, name, FLOW_KEYS, given[name, "flowsOutgoing"])
             spec.setdefault("flow_id", i + 1)
+            if any(f.flow_id == spec["flow_id"] for f in app.flows):
+                raise ConfigError(f"{given[name, 'flowId']}: flowId {spec['flow_id']} "
+                                  f"is given twice")
             app.flows.append(FlowSpec(**spec))
-        try:
-            app.validate()
-        except ValueError as e:
-            raise ConfigError(f"[{name}]: {e}")
         cfg.apps.append((host_name, app))
 
     for name in sections:
-        raise ConfigError(f"{_where(sections[name], name)}: unknown section [{name}]")
+        raise ConfigError(f"{placed[name]}: unknown section [{name}]")
 
     # Checks across sections.
-    epds = [app.local_epd for _, app in cfg.apps]
-    if len(set(epds)) != len(epds):
-        raise ConfigError(f"localEpd values must be unique, got {epds}")
     for name, (host_name, app) in zip(app_names, cfg.apps):
         if app.remote_address is None:
             continue
         remote = cfg.hosts.get(app.remote_address)
         if remote is None or remote.name == host_name:
             raise ConfigError(
-                f"{located(name, 'remoteAddress')}: remoteAddress {app.remote_address!r} "
+                f"{given[name, 'remoteAddress']}: remoteAddress {app.remote_address!r} "
                 f"is not a configured host other than {host_name}")
         if app.remote_port != remote.local_port:
             raise ConfigError(
-                f"{located(name, 'remotePort')}: remotePort {app.remote_port} does not "
+                f"{given[name, 'remotePort']}: remotePort {app.remote_port} does not "
                 f"match {remote.name} localPort {remote.local_port}")
         if app.remote_epd not in (a.local_epd for h, a in cfg.apps if h == remote.name):
             raise ConfigError(
-                f"{located(name, 'remoteEpd')}: remoteEpd {app.remote_epd} is not the "
+                f"{given[name, 'remoteEpd']}: remoteEpd {app.remote_epd} is not the "
                 f"localEpd of an app on {remote.name}")
-        # A chunk larger than the receiver's whole buffer never fits in it.
+        # A chunk larger than the receiver's whole buffer never fits in it. The
+        # default buffer holds any chunk, so this fires only on a given one.
         chunk_capacity = (cfg.hosts[host_name].max_segment_size
                           - wire.PACKET_HEADER - wire.CHUNK_HEADER)
         if app.flows and remote.rcv_buffer_size < chunk_capacity:
             host_section = "host." + remote.name[len("host"):]
             raise ConfigError(
-                f"{located(host_section, 'rcvBufferSize')}: rcvBufferSize = "
+                f"{given[host_section, 'rcvBufferSize']}: rcvBufferSize = "
                 f"{remote.rcv_buffer_size} is below the {chunk_capacity}-byte chunks "
                 f"that {host_name} sends to it")
-    for host in cfg.hosts.values():
-        if (host.migrate_at_us is None) != (host.migrate_to_port is None):
-            raise ConfigError(f"{host.name}: migrateAt and migrateTo go together")
     return cfg
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ScenarioConfig:
-    sections = parse_sections(text)
+    sections, headers = parse_sections(text)
     if overrides:
         apply_overrides(sections, overrides)
-    return build_config(sections)
+    return build_config(sections, headers)

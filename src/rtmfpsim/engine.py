@@ -30,7 +30,6 @@ RTO_MIN_US = 200_000
 RTO_INITIAL_US = 1_000_000
 DELAYED_ACK_US = 50_000
 
-S_IDLE = "Idle"
 S_IHELLO_SENT = "IHelloSent"
 S_RHELLO_SENT = "RHelloSent"
 S_KEYING_SENT = "KeyingSent"
@@ -38,15 +37,11 @@ S_OPEN = "Open"
 S_CLOSED = "Closed"
 
 
-class ConfigurationError(Exception):
-    """Invalid engine/app wiring detected before or at startup."""
-
-
 class Session:
     """Bidirectional peer relationship with handshake state and flow tables."""
 
     def __init__(self, engine: "RtmfpEngine", role: str, local_epd: int,
-                 remote_epd: int, local_sid: int):
+                 remote_epd: int, local_sid: int, state: str):
         self.engine = engine
         self.role = role  # "initiator" | "responder"
         self.local_epd = local_epd
@@ -54,7 +49,7 @@ class Session:
         self.local_sid = local_sid          # the peer addresses us with this id
         self.peer_sid: Optional[int] = None
         self.peer_address: Optional[tuple[str, int]] = None
-        self.state = S_IDLE
+        self.state = state
         self.app = None
         self.cc = cc_mod.CongestionController(engine.spec.cc_cwnd_init, engine.spec.cc_mss)
         self.send_flows: dict[int, flows_mod.SendFlow] = {}
@@ -103,10 +98,6 @@ class Session:
         return any(f.outstanding for f in self.send_flows.values())
 
     def create_send_flow(self, flow_id: int, time_critical: bool) -> flows_mod.SendFlow:
-        if self.state != S_OPEN:
-            raise ConfigurationError("flows can only be created on an Open session")
-        if flow_id in self.send_flows:
-            raise ConfigurationError(f"duplicate send flow id {flow_id}")
         f = flows_mod.SendFlow(flow_id, time_critical, self.engine.chunk_capacity)
         self.send_flows[flow_id] = f
         return f
@@ -131,7 +122,6 @@ class RtmfpEngine:
         self.unknown_session = 0
         self.unknown_epd = 0
         self.delivered_packets = 0
-        self.stale_acks = 0
         self.handshakes_completed = 0
         self.sessions_failed = 0
         self.cwnd_log: list[tuple[int, str, str, int, int, str]] = []
@@ -139,18 +129,14 @@ class RtmfpEngine:
     # ------------------------------------------------------------------ setup
 
     def register_app(self, epd: int, app) -> None:
-        if epd in self.apps:
-            raise ConfigurationError(f"EPD {epd} already registered")
         self.apps[epd] = app
 
     def open_session(self, local_epd: int, remote_epd: int,
                      candidates: list[tuple[str, int]], now: int) -> Session:
-        if not candidates:
-            raise ConfigurationError("open_session needs at least one candidate address")
-        s = Session(self, "initiator", local_epd, remote_epd, self._fresh_sid())
+        s = Session(self, "initiator", local_epd, remote_epd, self._fresh_sid(),
+                    S_IHELLO_SENT)
         s.app = self.apps.get(local_epd)
         s.candidates = list(candidates)
-        s.state = S_IHELLO_SENT
         self.sessions[s.local_sid] = s
         self._send_ihello(s, now)
         self._arm_handshake_timer(s, now)
@@ -201,11 +187,10 @@ class RtmfpEngine:
         key = (dgram.src, chunk.sid, chunk.epd)
         s = self._half_open.get(key)
         if s is None:
-            s = Session(self, "responder", chunk.epd, 0, self._fresh_sid())
+            s = Session(self, "responder", chunk.epd, 0, self._fresh_sid(), S_RHELLO_SENT)
             s.app = app
             s.peer_sid = chunk.sid
             s.peer_address = dgram.src
-            s.state = S_RHELLO_SENT
             self.sessions[s.local_sid] = s
             self._half_open[key] = s
             # Garbage-collect a half-open responder session that never completes.
@@ -246,28 +231,27 @@ class RtmfpEngine:
             self._arm_handshake_timer(s, now)
         elif chunk.kind == wire.T_IIKEYING:
             if s.state == S_RHELLO_SENT:
-                s.state = S_OPEN
-                self.handshakes_completed += 1
-                self.registry.add(s)
-                self._update_modes(now)
+                self._opened(s, now)
                 self._send_handshake(s, wire.T_RIKEYING, now)
-                if s.app is not None:
-                    s.app.session_opened(s, now)
             elif s.state == S_OPEN:
                 # Our RIKeying was lost; repeat it.
                 self._send_handshake(s, wire.T_RIKEYING, now)
         elif chunk.kind == wire.T_RIKEYING:
             if s.state != S_KEYING_SENT:
                 return
-            s.state = S_OPEN
-            self.handshakes_completed += 1
             if s.hs_timer:
                 s.hs_timer.cancel()
-            self.registry.add(s)
-            self._update_modes(now)
-            if s.app is not None:
-                s.app.session_opened(s, now)
+            self._opened(s, now)
             self.transmit_opportunity(s, now)
+
+    def _opened(self, s: Session, now: int) -> None:
+        """The handshake completed, on either side: the session carries data."""
+        s.state = S_OPEN
+        self.handshakes_completed += 1
+        self.registry.add(s)
+        self._update_modes(now)
+        if s.app is not None:
+            s.app.session_opened(s, now)
 
     # ----------------------------------------------------------------- demux
 
@@ -323,8 +307,7 @@ class RtmfpEngine:
                     continue
                 rf = s.recv_flows.get(chunk.flow_id)
                 if rf is None:
-                    rf = flows_mod.RecvFlow(chunk.flow_id, self.spec.rcv_buffer_size,
-                                            chunk.time_critical)
+                    rf = flows_mod.RecvFlow(chunk.flow_id, self.spec.rcv_buffer_size)
                     s.recv_flows[chunk.flow_id] = rf
                 rf.on_data_chunk(chunk, now)
                 if rf not in touched:
@@ -332,7 +315,6 @@ class RtmfpEngine:
             elif isinstance(chunk, wire.AckChunk):
                 sf = s.send_flows.get(chunk.flow_id)
                 if sf is None:
-                    self.stale_acks += 1
                     continue
                 saw_ack = True
                 res = sf.on_ack(chunk, now)
@@ -498,12 +480,11 @@ class RtmfpEngine:
 
     # ----------------------------------------------------------- app surface
 
-    def read_flow(self, s: Session, flow_id: int,
-                  max_bytes: Optional[int] = None) -> list[flows_mod.Message]:
+    def read_flow(self, s: Session, flow_id: int) -> list[flows_mod.Message]:
         rf = s.recv_flows.get(flow_id)
         if rf is None:
             return []
-        msgs = rf.app_read(max_bytes)
+        msgs = rf.app_read()
         if msgs and rf.window_update_due(self.chunk_capacity) and s.state == S_OPEN:
             self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs

@@ -67,8 +67,6 @@ class SendFlow:
         self.outstanding: dict[int, OutboundChunk] = {}
         self._retx: deque[int] = deque()
         self.outstanding_payload = 0
-        self.messages_enqueued = 0
-        self.bytes_enqueued = 0
         self.retransmissions = 0
         self.loss_reports_received = 0
 
@@ -89,8 +87,6 @@ class SendFlow:
                               wire.FRAG_LAST if i == last else wire.FRAG_MIDDLE, piece)
                 for i, piece in enumerate(pieces))
             self.next_seq = seq + len(pieces)
-        self.messages_enqueued += 1
-        self.bytes_enqueued += len(payload)
 
     def has_pending(self) -> bool:
         return bool(self.unsent or self.outstanding)
@@ -184,10 +180,9 @@ class SendFlow:
 
 
 class RecvFlow:
-    def __init__(self, flow_id: int, rcv_buffer_size: int, time_critical: bool = False):
+    def __init__(self, flow_id: int, rcv_buffer_size: int):
         self.flow_id = flow_id
         self.rcv_buffer_size = rcv_buffer_size
-        self.time_critical = time_critical
         self.cum_ack = 0
         self._buffer: dict[int, tuple[int, bytes]] = {}  # seq > cum_ack -> (frag, payload)
         self._partial: list[bytes] = []
@@ -197,7 +192,6 @@ class RecvFlow:
         self.data_since_last_ack = 0
         self.last_advertised = rcv_buffer_size
         self.messages_delivered = 0
-        self.bytes_delivered = 0
         self.acks_sent = 0
         self.data_packets_received = 0
         self.duplicates = 0
@@ -274,19 +268,12 @@ class RecvFlow:
     def has_ready(self) -> bool:
         return bool(self._ready)
 
-    def app_read(self, max_bytes: Optional[int] = None) -> list[Message]:
-        """Pop reassembled messages in order, freeing their buffer space."""
-        out: list[Message] = []
-        taken = 0
-        while self._ready:
-            if max_bytes is not None and out and taken + len(self._ready[0].payload) > max_bytes:
-                break
-            m = self._ready.popleft()
-            taken += len(m.payload)
-            out.append(m)
-        self.occupied_bytes -= taken
+    def app_read(self) -> list[Message]:
+        """Pop every reassembled message in order, freeing their buffer space."""
+        out = list(self._ready)
+        self._ready.clear()
+        self.occupied_bytes -= sum(len(m.payload) for m in out)
         self.messages_delivered += len(out)
-        self.bytes_delivered += taken
         return out
 
     def window_update_due(self, threshold: int) -> bool:

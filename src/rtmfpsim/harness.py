@@ -257,16 +257,8 @@ def preset_points(name: str, seed: int = 1) -> list[tuple[str, str]]:
 def run_preset(name: str, seed: int = 1,
                overrides: Optional[dict[str, str]] = None,
                trace: Optional[Callable[[str], None]] = None) -> list[RunResult]:
-    results = []
-    for scenario_id, text in preset_points(name, seed):
-        results.append(run_config(text, overrides, scenario_id, trace=trace))
-    if name == "bdp-sweep":
-        for res in results:
-            topo = res.cfg.topology
-            rwnd = res.cfg.hosts["host2"].rcv_buffer_size
-            res.summary["bdp_theory_bps"] = bdp_bound_bps(
-                topo.bottleneck_bandwidth_bps, topo.bottleneck_delay_us, rwnd)
-    return results
+    return [run_config(text, overrides, scenario_id, trace=trace)
+            for scenario_id, text in preset_points(name, seed)]
 
 
 # ----------------------------------------------------------------------- CSV

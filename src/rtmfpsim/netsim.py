@@ -57,9 +57,6 @@ class Datagram:
     __slots__ = ("src", "dst", "payload", "size")
 
     def __init__(self, src: tuple[str, int], dst: tuple[str, int], payload: bytes):
-        for _, port in (src, dst):
-            if not 1 <= port <= 65535:
-                raise SimulationError(f"port out of range: {port}")
         self.src = src
         self.dst = dst
         self.payload = payload
@@ -146,10 +143,6 @@ class Link:
     def __init__(self, sim: Simulator, name: str, dst_node, bandwidth_bps: int,
                  delay_us: int = 0, queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  loss_rate: float = 0.0, mtu: int = MTU_DEFAULT):
-        if bandwidth_bps <= 0:
-            raise SimulationError(f"link {name}: bandwidth must be > 0")
-        if not 0.0 <= loss_rate <= 1.0:
-            raise SimulationError(f"link {name}: loss_rate out of [0,1]")
         self.sim = sim
         self.name = name
         self.dst_node = dst_node

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from . import netsim
 from .app import RtmfpApp
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .engine import RtmfpEngine
 
 BG_PORT = 9
@@ -28,13 +28,10 @@ class Host:
         self._ports: dict[int, Callable[[netsim.Datagram, int], None]] = {}
 
     def bind(self, port: int, handler) -> None:
-        if port in self._ports:
-            raise ConfigError(f"{self.node_id}: port {port} already bound")
         self._ports[port] = handler
 
     def rebind(self, old_port: int, new_port: int) -> None:
-        handler = self._ports.pop(old_port)
-        self.bind(new_port, handler)
+        self._ports[new_port] = self._ports.pop(old_port)
 
     def send(self, dgram: netsim.Datagram, now: int) -> None:
         self.uplink.send(dgram, now)
@@ -70,9 +67,7 @@ class BackgroundSender:
         self.interval_dist = netsim.Dist.exponential(mean_interval_us)
         self._size_rng = sim.stream(f"bg:{host.node_id}:size")
         self._ival_rng = sim.stream(f"bg:{host.node_id}:interval")
-        self.packets_sent = 0
         self.bytes_sent = 0
-        host.bind(BG_PORT, lambda d, t: None)
         sim.schedule(0, host.node_id, netsim.KIND_APP_TICK,
                      self._tick, "background start")
 
@@ -82,22 +77,10 @@ class BackgroundSender:
         payload = b"\x00" * size
         self.host.send(netsim.Datagram((self.host.node_id, BG_PORT),
                                        self.dst, payload), now)
-        self.packets_sent += 1
         self.bytes_sent += size
         delay = max(1, int(round(self.interval_dist.sample(self._ival_rng))))
         self.sim.after(delay, self.host.node_id, netsim.KIND_APP_TICK,
                        self._tick, "background send")
-
-
-class BackgroundSink:
-    def __init__(self, host: Host):
-        self.packets = 0
-        self.bytes = 0
-        host.bind(BG_PORT, self._on_datagram)
-
-    def _on_datagram(self, dgram: netsim.Datagram, now: int) -> None:
-        self.packets += 1
-        self.bytes += dgram.size
 
 
 @dataclass
@@ -112,7 +95,6 @@ class SimBundle:
     engines: dict[str, RtmfpEngine] = field(default_factory=dict)
     apps: list[RtmfpApp] = field(default_factory=list)
     background: Optional[BackgroundSender] = None
-    background_sink: Optional[BackgroundSink] = None
 
     @property
     def bottleneck(self) -> netsim.Link:
@@ -167,7 +149,8 @@ def build_bottleneck(cfg: ScenarioConfig,
         sides["bg.send"] = "left"
         sides["bg.sink"] = "right"
         bg_send = attach_host("bg.send")
-        bg_sink = attach_host("bg.sink")
+        # Nothing binds the sink's port: its datagrams end at the host.
+        attach_host("bg.sink")
 
     # Anything not local to a router goes across the bottleneck.
     for name, side in sides.items():
@@ -196,6 +179,5 @@ def build_bottleneck(cfg: ScenarioConfig,
         mean_interval_us = mean_size * 8 * 1_000_000 / mean_rate_bps
         bundle.background = BackgroundSender(
             sim, bg_send, ("bg.sink", BG_PORT), topo.background_size, mean_interval_us)
-        bundle.background_sink = BackgroundSink(bg_sink)
 
     return bundle

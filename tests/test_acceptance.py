@@ -326,7 +326,10 @@ def test_07_flow_control_tracks_bandwidth_delay_product(bdp_sweep):
     for res, delay_ms in zip(bdp_sweep, harness.BDP_DELAYS_MS):
         if delay_ms == 0:
             continue  # the link is the binding constraint there, not the window
-        bound = res.summary["bdp_theory_bps"]
+        topo = res.cfg.topology
+        bound = harness.bdp_bound_bps(topo.bottleneck_bandwidth_bps,
+                                      topo.bottleneck_delay_us,
+                                      res.cfg.hosts["host2"].rcv_buffer_size)
         measured = res.window_rate_bps("host2", 2014, 19, 2_400_000)
         conditions.append(
             (f"delay {delay_ms} ms: {measured/1e6:.2f} Mbit within 10% of "

@@ -3,9 +3,8 @@ import io
 
 import pytest
 
-from rtmfpsim.app import AppConfig, FlowSpec, make_payload, parse_payload
+from rtmfpsim.app import make_payload, parse_payload
 from rtmfpsim.harness import results_csv, run_config
-from rtmfpsim.netsim import Dist
 
 
 def app_config(size="140byte", interval="1000us", num=1000, read_delay="0ms",
@@ -54,17 +53,6 @@ def test_payload_embeds_flow_and_index_and_is_deterministic():
     assert p1 == p2 and len(p1) == 140
     assert parse_payload(p1) == (19, 7)
     assert parse_payload(make_payload(1, 0, 4)) is None  # too small to embed
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AppConfig(local_epd=1, flows=[FlowSpec(1, Dist.constant(100),
-                                               Dist.constant(1000), 10)]).validate()
-    cfg = AppConfig(local_epd=1, remote_address="h", remote_port=1, remote_epd=2,
-                    flows=[FlowSpec(1, Dist.constant(100), Dist.constant(1000), 10),
-                           FlowSpec(1, Dist.constant(100), Dist.constant(1000), 10)])
-    with pytest.raises(ValueError):
-        cfg.validate()
 
 
 # ----------------------------------------------------------------- schedule

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -252,6 +254,8 @@ def test_range_boundaries_are_accepted(section, key, value):
 
 @pytest.mark.parametrize("section,key,value", [
     ("host.2", "rcvBufferSize", "1449byte"), ("app.1.0", "remoteEpd", "4712"),
+    ("app.2.0", "localEpd", "4712"), ("host.1", "migrateAt", "1s"),
+    ("app.2.0", "remoteAddress", "host1"), ("app.2.0", "flowsOutgoing", "1"),
 ])
 def test_value_at_odds_with_another_section_names_its_line(section, key, value):
     text, line = text_with(section, key, value)
@@ -278,3 +282,77 @@ def test_override_errors_name_the_override(key, value, message):
     with pytest.raises(ConfigError) as err:
         parse_config(FIG_STYLE, overrides={key: value})
     assert str(err.value).startswith(message)
+
+
+NO_FLOW_PACKET_SIZE = """[host.1]
+[host.2]
+[app.1.0]
+localEpd = 1
+remoteAddress = host2
+remotePort = 4711
+remoteEpd = 2
+flowsOutgoing = 1
+flowSendInterval = 1ms
+flowNumPackets = 1
+[app.2.0]
+localEpd = 2
+"""
+
+
+@pytest.mark.parametrize("text,overrides,message", [
+    pytest.param("[scenario]\nduration = 1s\n[app.1.0]\n", {},
+                 "line 3: [app.1.0] references missing [host.1]", id="missing-host"),
+    pytest.param("[host.1]\n[app.1.0]\nreadDelay = 0ms\n", {},
+                 "line 2: [app.1.0] needs localEpd", id="missing-localEpd"),
+    pytest.param("[scenario]\n[bogus]\n", {}, "line 2: unknown section [bogus]",
+                 id="empty-unknown-section"),
+    pytest.param("[host.1]\n[app.1]\n", {}, "line 2: app sections are", id="app-name"),
+    pytest.param(NO_FLOW_PACKET_SIZE, {}, "line 8: [app.1.0] needs flowPacketSize",
+                 id="missing-flow-key"),
+    pytest.param(FIG_STYLE, {"app.3.0.readDelay": "1ms"},
+                 "override app.3.0.readDelay: [app.3.0] references missing [host.3]",
+                 id="override-missing-host"),
+    pytest.param(FIG_STYLE, {"host.3.localPort": "5", "app.3.0.readDelay": "1ms"},
+                 "override app.3.0.readDelay: [app.3.0] needs localEpd",
+                 id="override-missing-localEpd"),
+    pytest.param(FIG_STYLE, {"nodot": "1"}, "override nodot: expected section.key=value",
+                 id="override-without-section"),
+])
+def test_section_errors_name_a_line_or_override(text, overrides, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, overrides)
+    assert str(err.value).startswith(message)
+
+
+def _raised_name(exc):
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def test_config_error_is_raised_only_where_outside_input_arrives():
+    """Every rule about a valid scenario is checked once, in config.py; the
+    other modules raise ConfigError only on input that is not config text
+    (a preset name, a malformed --override) and define no error class of
+    their own for it."""
+    allowed = {"harness.py": {"preset_points"}, "cli.py": {"_parse_overrides"}}
+    raisers = set()
+    for path in sorted(pathlib.Path(config.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text())
+        # ast.walk goes outer before inner, so each node ends up owned by the
+        # innermost function around it.
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((child, node.name) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and _raised_name(node.exc) == "ConfigError":
+                raisers.add((path.name, owner.get(node, "<module>")))
+            if isinstance(node, ast.ClassDef):
+                bases = {_raised_name(b) for b in node.bases}
+                assert "ConfigError" not in bases, (path.name, node.name)
+                assert not ("Config" in node.name and node.name.endswith("Error")), (
+                    path.name, node.name)
+    assert raisers == {(name, func) for name, funcs in allowed.items() for func in funcs}

@@ -1,11 +1,8 @@
-import pytest
-
 from conftest import PacketSniffer
 from rtmfpsim import flows as flows_mod
 from rtmfpsim import netsim, wire
 from rtmfpsim.config import HostSpec
-from rtmfpsim.engine import (HANDSHAKE_SID, S_CLOSED, S_OPEN, S_RHELLO_SENT,
-                             ConfigurationError, RtmfpEngine)
+from rtmfpsim.engine import HANDSHAKE_SID, S_CLOSED, S_OPEN, S_RHELLO_SENT, RtmfpEngine
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import run_config
 
@@ -259,14 +256,6 @@ def test_ihello_for_unregistered_epd_is_ignored():
     assert res.bundle.engines["host2"].unknown_epd == 5  # every IHello attempt
     assert res.bundle.apps[0].session_failures == 1
     assert not sniffer.data_packets()
-
-
-def test_duplicate_epd_registration_is_an_error():
-    def clash(bundle):
-        with pytest.raises(ConfigurationError):
-            bundle.engines["host1"].register_app(4712, object())
-
-    run_sniffed(mini_config(num=50), prepare=clash)
 
 
 def test_recv_flow_auto_created_on_first_data_chunk():

@@ -381,13 +381,3 @@ def test_read_frees_buffer_and_flags_window_update():
     assert not rf.window_update_due(1450)
     rf.app_read()
     assert rf.window_update_due(1450)
-
-
-def test_app_read_respects_max_bytes():
-    rf = RecvFlow(19, 65536)
-    for i in range(1, 5):
-        recv_chunk(rf, i, payload=b"x" * 100)
-    first = rf.app_read(max_bytes=250)
-    assert len(first) == 2
-    rest = rf.app_read()
-    assert len(rest) == 2

@@ -229,6 +229,16 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
     ["app.1.0.remotePort=4711", "app.1.0.remoteAddress=host1"],
     ["host.2.rcvBufferSize=1byte"],
     ["app.1.0.flowPacketSize=1450byte", "host.2.rcvBufferSize=1400byte"],
+    # Rules that join keys: the key the error names comes last in each case.
+    ["app.2.0.localEpd=4712"],
+    ["host.1.migrateAt=1s"],
+    ["host.1.migrateTo=4800"],
+    ["app.2.0.flowPacketSize=140byte", "app.2.0.flowSendInterval=1ms",
+     "app.2.0.flowNumPackets=10", "app.2.0.flowsOutgoing=1"],
+    ["app.1.0.flowsOutgoing=2", "app.1.0.flowPacketSize=140byte 140byte",
+     "app.1.0.flowSendInterval=1ms 1ms", "app.1.0.flowNumPackets=10 10",
+     "app.1.0.flowId=19 19"],
+    ["app.2.0.remoteAddress=host1"],
 ])
 def test_cli_bad_override_is_a_config_error(overrides, capsys):
     from rtmfpsim.cli import main

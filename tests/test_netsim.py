@@ -209,13 +209,6 @@ def test_oversize_datagram_rejected():
         link.send(dgram(1501), 0)
 
 
-def test_datagram_port_range_validated():
-    with pytest.raises(SimulationError):
-        Datagram(("a", 0), ("b", 1), b"x")
-    with pytest.raises(SimulationError):
-        Datagram(("a", 1), ("b", 65536), b"x")
-
-
 # ------------------------------------------------------------ distributions
 
 
