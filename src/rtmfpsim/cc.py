@@ -1,10 +1,11 @@
 """Loss-based, TCP-friendly congestion control with two operating modes.
 
-Each session owns one controller. Window arithmetic is byte-counted over the
-chunk payload bytes in flight. A session carrying time-critical traffic grows
-its window faster and shrinks it less on loss; other sessions on the same
-host switch to a deferring mode (slower growth) while any local session is
-time-critical.
+Each session owns one controller, which holds the window and nothing else.
+Window arithmetic is byte-counted over chunk payload bytes; the bytes in
+flight are the session's to sum from its send flows, which hold them. A
+session carrying time-critical traffic grows its window faster and shrinks it
+less on loss; other sessions on the same host switch to a deferring mode
+(slower growth) while any local session is time-critical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ DECREASE = {MODE_NORMAL: 0.5, MODE_TIME_CRITICAL: 0.875, MODE_DEFERRING: 0.5}
 
 
 class CongestionController:
-    """Per-session window state: cwnd, ssthresh, flight size and mode."""
+    """Per-session window state: cwnd, ssthresh and mode."""
 
     def __init__(self, cwnd_init: int, mss: int):
         self.cwnd_init = cwnd_init
@@ -30,20 +31,8 @@ class CongestionController:
         self.floor = 2 * mss
         self.cwnd: float = float(cwnd_init)
         self.ssthresh: float = float(1 << 30)
-        self.flight_size: int = 0
         self.mode: str = MODE_NORMAL
-        # Loss events within one SRTT of the last collapse are coalesced.
-        self.loss_coalesce_us: int = 0
         self._last_collapse_us: int | None = None
-
-    def has_room(self) -> bool:
-        return self.flight_size < self.cwnd
-
-    def add_to_flight(self, n: int) -> None:
-        self.flight_size += n
-
-    def remove_from_flight(self, n: int) -> None:
-        self.flight_size = max(0, self.flight_size - n)
 
     def on_ack_progress(self, bytes_acked: int, now: int) -> None:
         if bytes_acked <= 0:
@@ -54,12 +43,12 @@ class CongestionController:
             self.cwnd += min(bytes_acked, mss) * g
         else:
             self.cwnd += g * mss * bytes_acked / self.cwnd
-        self.remove_from_flight(bytes_acked)
 
-    def on_loss_event(self, now: int) -> bool:
-        """Multiplicative decrease; returns False when coalesced away."""
+    def on_loss_event(self, now: int, srtt_us: int) -> bool:
+        """Multiplicative decrease; returns False when coalesced away, that
+        is within one SRTT of the last collapse."""
         if (self._last_collapse_us is not None
-                and now - self._last_collapse_us < self.loss_coalesce_us):
+                and now - self._last_collapse_us < srtt_us):
             return False
         self._last_collapse_us = now
         self.cwnd = max(float(self.floor), self.cwnd * DECREASE[self.mode])
@@ -69,9 +58,6 @@ class CongestionController:
     def on_timeout(self) -> None:
         self.ssthresh = max(float(self.floor), self.cwnd / 2.0)
         self.cwnd = float(self.cwnd_init)
-
-    def reset_flight(self) -> None:
-        self.flight_size = 0
 
 
 class CcRegistry:

@@ -11,8 +11,9 @@ constant(v) | uniform(a,b) | exponential(mean); a bare value means constant.
 configs/two-peer-bottleneck.conf is a complete example.
 
 build_config also checks the rules that join keys: localEpd unique across
-apps; remoteAddress needs remotePort and remoteEpd; flowsOutgoing > 0 needs
-remoteAddress; flowId unique within an app; migrateAt and migrateTo together.
+apps; remoteAddress needs remotePort and remoteEpd, and each of those needs
+remoteAddress; flowsOutgoing > 0 needs remoteAddress; flowId unique within an
+app; migrateAt and migrateTo together.
 Every rule about a valid scenario is checked here, once, at parse time, and
 its error names the line or override at fault; the layers below trust the
 config they are given.
@@ -367,6 +368,9 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
         if app.remote_address is not None and None in (app.remote_port, app.remote_epd):
             raise ConfigError(f"{given[name, 'remoteAddress']}: remoteAddress needs "
                               f"remotePort and remoteEpd")
+        for key in ("remotePort", "remoteEpd"):
+            if app.remote_address is None and (name, key) in given:
+                raise ConfigError(f"{given[name, key]}: {key} needs remoteAddress")
         for key, (value, where) in columns.items():
             if len(value.split()) != n_flows:
                 raise ConfigError(f"{where}: {key} has {len(value.split())} entries, "

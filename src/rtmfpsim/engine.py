@@ -66,7 +66,6 @@ class Session:
         self.rto_timer: Optional[netsim.Event] = None
         self.last_peer_ts: int = wire.TS_NONE
         # Counters exported to the harness.
-        self.packets_out = 0
         self.mobility_events = 0
         self.rto_fires = 0
         self.data_packets_out = 0
@@ -92,7 +91,15 @@ class Session:
         else:
             self.rttvar_us = (3 * self.rttvar_us + abs(self.srtt_us - sample_us)) // 4
             self.srtt_us = (7 * self.srtt_us + sample_us) // 8
-        self.cc.loss_coalesce_us = self.srtt_us
+
+    def flight(self) -> int:
+        """Payload bytes in flight: the congestion window's share in use."""
+        # A plain loop: sum() over a generator costs three times as much on
+        # the one or two flows a session has, and this runs per packet.
+        n = 0
+        for f in self.send_flows.values():
+            n += f.flight_bytes
+        return n
 
     def in_flight(self) -> bool:
         return any(f.outstanding for f in self.send_flows.values())
@@ -296,7 +303,6 @@ class RtmfpEngine:
                         dgram: netsim.Datagram, now: int) -> None:
         touched: list[flows_mod.RecvFlow] = []
         acked = 0
-        lost = 0
         losses = 0
         saw_ack = False
         for chunk in pkt.chunks:
@@ -319,7 +325,6 @@ class RtmfpEngine:
                 saw_ack = True
                 res = sf.on_ack(chunk, now)
                 acked += res.acked_bytes
-                lost += res.lost_bytes
                 losses += res.losses_detected
             elif isinstance(chunk, wire.CloseChunk):
                 self._close_session(s, now)
@@ -352,13 +357,12 @@ class RtmfpEngine:
         if saw_ack:
             # Even a pure window update (nothing newly acked) may unblock the
             # flow-control gate, so always retry transmission after an ack.
-            s.cc.remove_from_flight(lost)
             if acked:
                 s.cc.on_ack_progress(acked, now)
                 s.rto_backoff = 1
             if losses:
-                s.cc.on_loss_event(now)
-            if acked or lost:
+                s.cc.on_loss_event(now, s.srtt_us or 0)
+            if acked or losses:
                 self._rearm_rto(s, now)
                 self._log_cc(s, now)
             self._update_tc_active(s, now)
@@ -398,7 +402,6 @@ class RtmfpEngine:
         for f in s.send_flows.values():
             f.force_retransmit_all()
         s.cc.on_timeout()
-        s.cc.reset_flight()
         s.rto_backoff *= 2
         self._rearm_rto(s, now)
         self._log_cc(s, now)
@@ -439,17 +442,12 @@ class RtmfpEngine:
         if s.state != S_OPEN:
             return 0
         sent = 0
-        while s.cc.has_room():
-            payload_budget = int(s.cc.cwnd) - s.cc.flight_size
-            if payload_budget <= 0:
-                break
+        while (payload_budget := int(s.cc.cwnd) - s.flight()) > 0:
             chunks = flows_mod.fill_packet(s, self.spec.max_segment_size,
                                            payload_budget, now)
             if not chunks:
                 break
-            payload_bytes = sum(len(c.payload) for c in chunks)
-            assert s.cc.flight_size <= s.cc.cwnd, "window gate violated at send time"
-            s.cc.add_to_flight(payload_bytes)
+            assert s.flight() <= s.cc.cwnd, "window gate violated at send time"
             self._send_packet(s, chunks, now)
             s.data_packets_out += 1
             if s.last_fill_was_full:
@@ -474,7 +472,6 @@ class RtmfpEngine:
                           ts_echo=s.last_peer_ts,
                           chunks=chunks)
         buf = wire.encode(pkt, max_size=self.spec.max_segment_size)
-        s.packets_out += 1
         dst = dst or s.peer_address
         self.host.send(netsim.Datagram((self.host.node_id, self.local_port), dst, buf), now)
 
@@ -509,4 +506,4 @@ class RtmfpEngine:
 
     def _log_cc(self, s: Session, now: int) -> None:
         self.cwnd_log.append((now, self.host.node_id, s.label,
-                              int(s.cc.cwnd), s.cc.flight_size, s.cc.mode))
+                              int(s.cc.cwnd), s.flight(), s.cc.mode))

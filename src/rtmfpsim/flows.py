@@ -47,10 +47,9 @@ class OutboundChunk:
 
 @dataclass(slots=True)
 class AckResult:
-    """Byte counts handed to the congestion controller after an ack."""
+    """What one ack tells the congestion controller."""
     acked_bytes: int = 0
     losses_detected: int = 0
-    lost_bytes: int = 0
 
 
 class SendFlow:
@@ -67,6 +66,9 @@ class SendFlow:
         self.outstanding: dict[int, OutboundChunk] = {}
         self._retx: deque[int] = deque()
         self.outstanding_payload = 0
+        # Payload of the outstanding chunks in ST_IN_FLIGHT: sent and not yet
+        # acked, reported lost or reset by an RTO.
+        self.flight_bytes = 0
         self.retransmissions = 0
         self.loss_reports_received = 0
 
@@ -122,6 +124,7 @@ class SendFlow:
             self.outstanding_payload += len(ch.payload)
             self.highest_sent_seq = max(self.highest_sent_seq, ch.seq)
         ch.state = ST_IN_FLIGHT
+        self.flight_bytes += len(ch.payload)
 
     def on_ack(self, ack: wire.AckChunk, now: int) -> AckResult:
         """Retire covered chunks, refresh the flow-control gate, count losses."""
@@ -150,6 +153,7 @@ class SendFlow:
             self.outstanding_payload -= len(ch.payload)
             if ch.state == ST_IN_FLIGHT:
                 res.acked_bytes += len(ch.payload)
+        self.flight_bytes -= res.acked_bytes
         max_acked = ack.cum_ack
         if ack.gaps:
             max_acked = max(max_acked, ack.gaps[-1][1])
@@ -164,19 +168,17 @@ class SendFlow:
                 ch.state = ST_RETRANSMIT
                 self._retx.append(seq)
                 res.losses_detected += 1
-                res.lost_bytes += len(ch.payload)
+                self.flight_bytes -= len(ch.payload)
         return res
 
-    def force_retransmit_all(self) -> int:
-        """RTO: mark everything in flight for retransmission; -> payload bytes moved."""
-        moved = 0
+    def force_retransmit_all(self) -> None:
+        """RTO: mark everything in flight for retransmission."""
         for seq, ch in self.outstanding.items():
             if ch.state == ST_IN_FLIGHT:
                 ch.state = ST_RETRANSMIT
                 ch.loss_reports = 0
                 self._retx.append(seq)
-                moved += len(ch.payload)
-        return moved
+        self.flight_bytes = 0
 
 
 class RecvFlow:
@@ -191,7 +193,6 @@ class RecvFlow:
         self.occupied_bytes = 0
         self.data_since_last_ack = 0
         self.last_advertised = rcv_buffer_size
-        self.messages_delivered = 0
         self.acks_sent = 0
         self.data_packets_received = 0
         self.duplicates = 0
@@ -273,7 +274,6 @@ class RecvFlow:
         out = list(self._ready)
         self._ready.clear()
         self.occupied_bytes -= sum(len(m.payload) for m in out)
-        self.messages_delivered += len(out)
         return out
 
     def window_update_due(self, threshold: int) -> bool:

@@ -139,10 +139,10 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         "scenario": scenario_id,
         "seed": cfg.seed,
         "duration_us": cfg.duration_us,
-        "bottleneck_utilization": (bn.bytes_delivered * 8 * 1_000_000
+        "bottleneck_utilization": (bn.bytes_admitted * 8 * 1_000_000
                                    / cfg.duration_us / bn.bandwidth_bps),
         "bottleneck_sent": bn.sent,
-        "bottleneck_delivered": bn.delivered,
+        "bottleneck_admitted": bn.admitted,
         "bottleneck_dropped": bn.dropped,
         "full_packets": full_packets,
         "mean_full_packet_chunks": (full_chunks / full_packets) if full_packets else 0.0,

@@ -159,11 +159,13 @@ class Link:
         self.forced_drops: set[int] = set()
         self.observer: Optional[Callable[[int, Datagram, str, Optional[int]], None]] = None
         self.sent = 0
-        self.delivered = 0
+        # Admitted to the queue: counted at send time, so a datagram still
+        # queued or on the wire when the run ends counts too.
+        self.admitted = 0
         self.dropped_loss = 0
         self.dropped_queue = 0
         self.dropped_forced = 0
-        self.bytes_delivered = 0
+        self.bytes_admitted = 0
 
     def send(self, dgram: Datagram, now: int) -> Optional[int]:
         """Enqueue a datagram; returns delivery time, or None when dropped."""
@@ -202,8 +204,8 @@ class Link:
             arrival, node.node_id, KIND_DELIVERY, partial(node.handle_datagram, dgram),
             f"{dgram.src[0]}:{dgram.src[1]}->{dgram.dst[0]}:{dgram.dst[1]} {size}B"
             if sim.tracing else "")
-        self.delivered += 1
-        self.bytes_delivered += size
+        self.admitted += 1
+        self.bytes_admitted += size
         if self.observer:
             self.observer(now, dgram, "sent", arrival)
         return arrival

@@ -67,7 +67,6 @@ class BackgroundSender:
         self.interval_dist = netsim.Dist.exponential(mean_interval_us)
         self._size_rng = sim.stream(f"bg:{host.node_id}:size")
         self._ival_rng = sim.stream(f"bg:{host.node_id}:interval")
-        self.bytes_sent = 0
         sim.schedule(0, host.node_id, netsim.KIND_APP_TICK,
                      self._tick, "background start")
 
@@ -77,7 +76,6 @@ class BackgroundSender:
         payload = b"\x00" * size
         self.host.send(netsim.Datagram((self.host.node_id, BG_PORT),
                                        self.dst, payload), now)
-        self.bytes_sent += size
         delay = max(1, int(round(self.interval_dist.sample(self._ival_rng))))
         self.sim.after(delay, self.host.node_id, netsim.KIND_APP_TICK,
                        self._tick, "background send")

@@ -256,6 +256,7 @@ def test_range_boundaries_are_accepted(section, key, value):
     ("host.2", "rcvBufferSize", "1449byte"), ("app.1.0", "remoteEpd", "4712"),
     ("app.2.0", "localEpd", "4712"), ("host.1", "migrateAt", "1s"),
     ("app.2.0", "remoteAddress", "host1"), ("app.2.0", "flowsOutgoing", "1"),
+    ("app.2.0", "remotePort", "4711"), ("app.2.0", "remoteEpd", "4712"),
 ])
 def test_value_at_odds_with_another_section_names_its_line(section, key, value):
     text, line = text_with(section, key, value)
@@ -317,6 +318,9 @@ localEpd = 2
                  id="override-missing-localEpd"),
     pytest.param(FIG_STYLE, {"nodot": "1"}, "override nodot: expected section.key=value",
                  id="override-without-section"),
+    pytest.param(FIG_STYLE, {"app.2.0.remoteEpd": "4712"},
+                 "override app.2.0.remoteEpd: remoteEpd needs remoteAddress",
+                 id="override-remote-without-address"),
 ])
 def test_section_errors_name_a_line_or_override(text, overrides, message):
     with pytest.raises(ConfigError) as err:

@@ -241,7 +241,7 @@ def test_demux_totality_every_datagram_hits_exactly_one_counter():
     for engine in res.bundle.engines.values():
         handled = (engine.delivered_packets + engine.unknown_session
                    + engine.decode_errors)
-        inbound = sum(link.delivered for link in res.bundle.links.values()
+        inbound = sum(link.admitted for link in res.bundle.links.values()
                       if link.dst_node is engine.host)
         assert handled == inbound
 
@@ -318,7 +318,7 @@ def test_window_gates_initial_burst_to_three_packets():
     engine1.transmit_opportunity(session, res.bundle.sim.now)
     burst = uplink.data_packets()[before:]
     assert [len(pkt.chunks) for _, pkt, _ in burst] == [9, 9, 2]
-    assert session.cc.flight_size == 20 * 140
+    assert session.flight() == flow.flight_bytes == 20 * 140
 
 
 def test_flight_equal_to_cwnd_sends_nothing():
@@ -328,8 +328,13 @@ def test_flight_equal_to_cwnd_sends_nothing():
     engine1 = res.bundle.engines["host1"]
     session = next(iter(engine1.sessions.values()))
     flow = session.send_flows[19]
-    flow.enqueue_message(Message(b"x" * 140))
-    session.cc.flight_size = int(session.cc.cwnd)
+    # 30 146-byte chunks fill the initial 4380-byte window exactly.
+    assert session.cc.cwnd == 4380
+    for _ in range(30):
+        flow.enqueue_message(Message(b"x" * 146))
+    assert engine1.transmit_opportunity(session, res.bundle.sim.now) == 4
+    assert session.flight() == int(session.cc.cwnd) and not flow.unsent
+    flow.enqueue_message(Message(b"x" * 1))
     before = len(sniffer.data_packets())
     assert engine1.transmit_opportunity(session, res.bundle.sim.now) == 0
     assert len(sniffer.data_packets()) == before
@@ -348,7 +353,7 @@ def test_sender_stalls_when_receiver_never_reads():
     session2 = next(iter(res.bundle.engines["host2"].sessions.values()))
     rf = session2.recv_flows[19]
     assert 65536 - 2 * 1450 <= rf.occupied_bytes <= 65536
-    assert rf.messages_delivered == 0  # the app never read
+    assert res.stats("host2", 2014, 19, "recv").msgs == 0  # the app never read
     assert res.stats("host1", 4712, 19, "send").msgs == 4000  # app kept queueing
 
 
@@ -377,7 +382,7 @@ def fill_window(sim, engine, session, flow_id):
     flow = session.send_flows[flow_id]
     while not flow.unsent:
         engine.send_message(session, flow_id, b"x" * 140, sim.now)
-    assert session.cc.has_room() and flow.next_chunk() is flow.unsent[0]
+    assert session.flight() < session.cc.cwnd and flow.next_chunk() is flow.unsent[0]
     return flow
 
 

@@ -282,12 +282,15 @@ def test_third_omission_marks_chunk_lost_exactly_once():
     assert (r1.losses_detected, f.outstanding[5].loss_reports) == (0, 1)
     r2 = f.on_ack(wire.AckChunk(19, 4, [(6, 8)], 65536), now=0)
     assert (r2.losses_detected, f.outstanding[5].loss_reports) == (0, 2)
+    assert f.flight_bytes == 2 * 140  # seqs 5 and 9
     r3 = f.on_ack(wire.AckChunk(19, 4, [(6, 9)], 65536), now=0)
     assert r3.losses_detected == 1
-    assert r3.lost_bytes == 140
     assert f.outstanding[5].state == ST_RETRANSMIT
+    # The lost chunk leaves flight but stays outstanding at the receiver.
+    assert (f.flight_bytes, f.outstanding_payload) == (0, 140)
     r4 = f.on_ack(wire.AckChunk(19, 4, [(6, 9)], 65536), now=0)
     assert r4.losses_detected == 0  # never reported lost twice
+    assert f.flight_bytes == 0
 
 
 def test_identical_ack_is_idempotent():
@@ -312,7 +315,7 @@ def test_ack_with_widest_gap_costs_what_is_outstanding_not_the_range():
     res = f.on_ack(wire.AckChunk(19, 1, [(3, 2**32 - 1)], 65536), now=0)
     assert time.perf_counter() - t0 < 1.0
     assert list(f.outstanding) == [2]
-    assert (res.acked_bytes, res.losses_detected, res.lost_bytes) == (5 * 140, 0, 0)
+    assert (res.acked_bytes, res.losses_detected, f.flight_bytes) == (5 * 140, 0, 140)
     assert f.outstanding[2].loss_reports == 1
 
 
@@ -351,10 +354,15 @@ def test_retransmission_resets_loss_reports_and_keeps_seq():
 
 def test_force_retransmit_all_moves_in_flight_bytes():
     f = sent_flow(9)
-    moved = f.force_retransmit_all()
-    assert moved == 9 * 140
+    assert f.flight_bytes == 9 * 140
+    f.force_retransmit_all()
+    assert f.flight_bytes == 0 and f.outstanding_payload == 9 * 140
     assert all(c.state == ST_RETRANSMIT for c in f.outstanding.values())
-    assert f.force_retransmit_all() == 0
+    f.force_retransmit_all()
+    assert f.flight_bytes == 0
+    # Retransmitting puts the chunks back in flight.
+    assert len(fill_packet(FakeSession(f), budget=1472)) == 9
+    assert f.flight_bytes == 9 * 140
 
 
 # ---------------------------------------------------------------- app_read

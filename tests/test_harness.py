@@ -55,7 +55,9 @@ def test_background_offered_load_is_five_percent():
     cfg = parse_config(point_text("fairness-simultaneous", seed=3))
     bundle = build_bottleneck(cfg)
     bundle.sim.run_until(cfg.duration_us)
-    rate = bundle.background.bytes_sent * 8 * 1_000_000 / cfg.duration_us
+    uplink = bundle.links["access:bg.send:up"]
+    assert uplink.dropped == 0  # every byte the source sent was admitted
+    rate = uplink.bytes_admitted * 8 * 1_000_000 / cfg.duration_us
     assert rate == pytest.approx(0.05 * cfg.topology.bottleneck_bandwidth_bps,
                                  rel=0.06)
 
@@ -65,9 +67,9 @@ def test_background_disabled_leaves_only_protocol_traffic():
                      overrides={"topology.background": "0"})[0]
     assert res.bundle.background is None
     lr = res.bundle.links["bottleneck:lr"]
-    protocol_bytes = sum(s.packets_out for e in res.bundle.engines.values()
-                         for s in e.sessions.values())
-    assert lr.sent <= protocol_bytes  # nothing else ever crossed left-to-right
+    protocol_packets = sum(res.bundle.links[f"access:{host}:up"].sent
+                           for host in res.bundle.hosts)
+    assert lr.sent <= protocol_packets  # nothing else ever crossed left-to-right
 
 
 def test_side_override_controls_placement():

@@ -140,7 +140,7 @@ def test_loss_rate_one_always_drops():
     link = Link(sim, "l", sink, bandwidth_bps=10_000_000, loss_rate=1.0)
     for _ in range(50):
         assert link.send(dgram(), sim.now) is None
-    assert link.dropped_loss == 50 and link.delivered == 0
+    assert link.dropped_loss == 50 and link.admitted == 0
 
 
 def test_fifo_serialization_accumulates():
@@ -164,7 +164,8 @@ def test_queue_capacity_tail_drop_and_conservation():
     assert outcomes[:3] == [12_000, 24_000, 36_000]
     assert outcomes[3:] == [None, None]
     assert link.dropped_queue == 2
-    assert link.delivered + link.dropped == link.sent == 5
+    assert link.admitted + link.dropped == link.sent == 5
+    assert link.bytes_admitted == 3 * 1500
 
 
 def test_bytes_awaiting_serialization_never_exceed_capacity():
@@ -188,7 +189,7 @@ def test_bytes_awaiting_serialization_never_exceed_capacity():
         t += rng.randrange(0, 3000)
     assert link.dropped_queue > 0
     sim.run_until(t + 100_000)
-    assert link.delivered + link.dropped == link.sent
+    assert link.admitted + link.dropped == link.sent
 
 
 def test_forced_drop_by_send_ordinal():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import FakeSession, snapshot  # noqa: E402
 from rtmfpsim import wire  # noqa: E402
-from rtmfpsim.flows import Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
+from rtmfpsim.flows import ST_IN_FLIGHT, Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
 # replays; no example database is written.
@@ -80,7 +80,8 @@ def transfer(flows, drop, dup, rng, max_steps=20_000):
     that fits. Every fill that returns None must leave the session as it was.
     When nothing is in the channel, the receiver sends its pending acks or,
     failing that, the sender retransmits everything in flight, as the engine's
-    delayed-ack and retransmission timers do.
+    delayed-ack and retransmission timers do. After every step each sender's
+    flight is the payload of its chunks in flight, within what is outstanding.
     """
     senders = [SendFlow(i, tc, CHUNK_CAP) for i, (tc, _) in enumerate(flows)]
     receivers = [RecvFlow(i, rcv_buffer_size=1 << 20) for i in range(len(flows))]
@@ -98,8 +99,15 @@ def transfer(flows, drop, dup, rng, max_steps=20_000):
         if rng.random() < dup:
             channel.append(item)
 
+    def check_flight():
+        for sf in senders:
+            assert sf.flight_bytes == sum(len(c.payload) for c in sf.outstanding.values()
+                                          if c.state == ST_IN_FLIGHT)
+            assert 0 <= sf.flight_bytes <= sf.outstanding_payload
+
     got: list[list[bytes]] = [[] for _ in flows]
     for _ in range(max_steps):
+        check_flight()
         while True:
             before = snapshot(session)
             chunks = fill_packet(session, MTU_PAYLOAD, rng.choice((None, rng.randrange(2000))))
@@ -107,6 +115,7 @@ def transfer(flows, drop, dup, rng, max_steps=20_000):
                 assert snapshot(session) == before
                 break
             put("data", chunks)
+        check_flight()
         if not channel:
             pending = [rf for rf in receivers if rf.ack_pending()]
             for rf in pending:
