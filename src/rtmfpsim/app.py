@@ -78,7 +78,6 @@ class FlowStats:
     last_us: Optional[int] = None
     retransmissions: int = 0
     digest: str = ""
-    clamped_draws: int = 0
     order_violations: int = 0
 
     def touch(self, now: int) -> None:
@@ -127,9 +126,6 @@ class RtmfpApp:
         self.host_id = engine.host.node_id
         engine.register_app(config.local_epd, self)
         self.session: Optional[Session] = None
-        self.session_open_us: Optional[int] = None
-        self.session_failures = 0
-        self._started_us: Optional[int] = None
         rng_base = f"app:{self.host_id}:{config.local_epd}"
         self._send = [_SendSide(fs, FlowStats(self.host_id, config.local_epd,
                                               fs.flow_id, "send"),
@@ -137,13 +133,11 @@ class RtmfpApp:
                                 sim.stream(f"{rng_base}:flow:{fs.flow_id}:interval"))
                       for fs in config.flows]
         self._recv: dict[int, _RecvSide] = {}
-        self.reads_performed = 0
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self, now: int) -> None:
         """Kick off the session open (registration happened at construction)."""
-        self._started_us = now
         if self.config.remote_address is not None:
             self.engine.open_session(
                 self.config.local_epd, self.config.remote_epd,
@@ -153,14 +147,10 @@ class RtmfpApp:
         if session.role != "initiator":
             return
         self.session = session
-        self.session_open_us = now
         for side in self._send:
             session.create_send_flow(side.spec.flow_id, side.spec.time_critical)
             side.tick = partial(self.send_tick, side)
             self._schedule_tick(side, now)
-
-    def session_failed(self, session: Session, now: int) -> None:
-        self.session_failures += 1
 
     # ---------------------------------------------------------------- sending
 
@@ -176,12 +166,13 @@ class RtmfpApp:
             return
         if st.msgs >= fs.num_packets:
             return
-        if self._started_us is not None and now - self._started_us >= self.config.max_runtime_us:
+        # start() is scheduled at start_time_us: this is the time since start.
+        if now - self.config.start_time_us >= self.config.max_runtime_us:
             return
         size = round(fs.size_dist.sample(side.size_rng))
-        if size < SIZE_CLAMP_MIN or size > SIZE_CLAMP_MAX:
+        # The guard keeps the min/max calls off the per-message path.
+        if not SIZE_CLAMP_MIN <= size <= SIZE_CLAMP_MAX:
             size = min(max(size, SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
-            st.clamped_draws += 1
         payload = make_payload(fs.flow_id, st.msgs, size)
         st.msgs += 1
         st.bytes += len(payload)
@@ -218,7 +209,6 @@ class RtmfpApp:
         msgs = self.engine.read_flow(session, flow_id)
         if not msgs:
             return
-        self.reads_performed += 1
         st = side.stats
         st.msgs += len(msgs)
         st.touch(now)

@@ -142,11 +142,10 @@ class RtmfpEngine:
                      candidates: list[tuple[str, int]], now: int) -> Session:
         s = Session(self, "initiator", local_epd, remote_epd, self._fresh_sid(),
                     S_IHELLO_SENT)
-        s.app = self.apps.get(local_epd)
+        s.app = self.apps[local_epd]
         s.candidates = list(candidates)
         self.sessions[s.local_sid] = s
-        self._send_ihello(s, now)
-        self._arm_handshake_timer(s, now)
+        self._handshake_step(s, now)
         return s
 
     def _fresh_sid(self) -> int:
@@ -157,33 +156,30 @@ class RtmfpEngine:
 
     # ------------------------------------------------------------- handshake
 
-    def _send_ihello(self, s: Session, now: int) -> None:
+    def _handshake_step(self, s: Session, now: int) -> None:
+        """The initiator's one send rule: the chunk its state calls for (an
+        IHello to every candidate, or an IIKeying to the responder), then
+        the retry, which waits twice as long as the one before."""
         s.hs_sends += 1
-        chunk = wire.HandshakeChunk(wire.T_IHELLO, epd=s.remote_epd, sid=s.local_sid)
-        for addr in s.candidates:
-            self._send_packet(s, [chunk], now, addr, established=False)
-
-    def _arm_handshake_timer(self, s: Session, now: int) -> None:
-        delay = HANDSHAKE_TIMEOUT_US * (1 << (s.hs_sends - 1))
+        if s.state == S_IHELLO_SENT:
+            chunk = wire.HandshakeChunk(wire.T_IHELLO, epd=s.remote_epd, sid=s.local_sid)
+            for addr in s.candidates:
+                self._send_packet(s, [chunk], now, addr, established=False)
+        else:
+            self._send_handshake(s, wire.T_IIKEYING, now)
         s.hs_timer = self.sim.after(
-            delay, self.host.node_id, netsim.KIND_TIMER,
+            HANDSHAKE_TIMEOUT_US << (s.hs_sends - 1), self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
 
     def _on_handshake_timer(self, s: Session, now: int) -> None:
-        if s.state in (S_OPEN, S_CLOSED):
+        # Opening cancels the timer; a Close chunk does not.
+        if s.state == S_CLOSED:
             return
-        if s.hs_sends >= HANDSHAKE_ATTEMPTS:
-            s.state = S_CLOSED
+        if s.hs_sends < HANDSHAKE_ATTEMPTS:
+            self._handshake_step(s, now)
+        else:
             self.sessions_failed += 1
-            if s.app is not None:
-                s.app.session_failed(s, now)
-            return
-        if s.state == S_IHELLO_SENT:
-            self._send_ihello(s, now)
-        elif s.state == S_KEYING_SENT:
-            s.hs_sends += 1
-            self._send_handshake(s, wire.T_IIKEYING, now)
-        self._arm_handshake_timer(s, now)
+            self._close(s, now)
 
     def _on_ihello(self, dgram: netsim.Datagram, chunk: wire.HandshakeChunk,
                    peer_ts: int, now: int) -> None:
@@ -203,25 +199,16 @@ class RtmfpEngine:
             # Garbage-collect a half-open responder session that never completes.
             total_wait = HANDSHAKE_TIMEOUT_US * ((1 << HANDSHAKE_ATTEMPTS) - 1)
             self.sim.after(total_wait, self.host.node_id, netsim.KIND_TIMER,
-                           lambda t: self._drop_half_open(s), f"hs-gc {s.label}")
+                           lambda t: s.state == S_RHELLO_SENT and self._close(s, t),
+                           f"hs-gc {s.label}")
         s.last_peer_ts = peer_ts
-        if s.state in (S_RHELLO_SENT,):
+        if s.state == S_RHELLO_SENT:
             self._send_handshake(s, wire.T_RHELLO, now, epd=chunk.epd)
 
     def _send_handshake(self, s: Session, kind: int, now: int, epd: int = 0) -> None:
         """RHello, IIKeying or RIKeying: carries our session id to the known peer."""
         chunk = wire.HandshakeChunk(kind, epd=epd, sid=s.local_sid)
         self._send_packet(s, [chunk], now, established=False)
-
-    def _drop_half_open(self, s: Session) -> None:
-        """Drop a responder session that never completed, so that a fresh
-        IHello with the same key opens a new one. Completed sessions stay
-        keyed, so a late duplicate IHello opens no second session."""
-        if s.state == S_RHELLO_SENT:
-            s.state = S_CLOSED
-            # The key _on_ihello filed it under; none of these change before Open.
-            del self._half_open[(s.peer_address, s.peer_sid, s.local_epd)]
-            del self.sessions[s.local_sid]
 
     def _on_handshake_chunk(self, s: Session, chunk: wire.HandshakeChunk,
                             dgram: netsim.Datagram, now: int) -> None:
@@ -231,11 +218,8 @@ class RtmfpEngine:
             s.peer_sid = chunk.sid
             s.peer_address = dgram.src
             s.state = S_KEYING_SENT
-            if s.hs_timer:
-                s.hs_timer.cancel()
-            s.hs_sends += 1
-            self._send_handshake(s, wire.T_IIKEYING, now)
-            self._arm_handshake_timer(s, now)
+            s.hs_timer.cancel()
+            self._handshake_step(s, now)
         elif chunk.kind == wire.T_IIKEYING:
             if s.state == S_RHELLO_SENT:
                 self._opened(s, now)
@@ -246,8 +230,7 @@ class RtmfpEngine:
         elif chunk.kind == wire.T_RIKEYING:
             if s.state != S_KEYING_SENT:
                 return
-            if s.hs_timer:
-                s.hs_timer.cancel()
+            s.hs_timer.cancel()
             self._opened(s, now)
             self.transmit_opportunity(s, now)
 
@@ -257,8 +240,7 @@ class RtmfpEngine:
         self.handshakes_completed += 1
         self.registry.add(s)
         self._update_modes(now)
-        if s.app is not None:
-            s.app.session_opened(s, now)
+        s.app.session_opened(s, now)
 
     # ----------------------------------------------------------------- demux
 
@@ -327,7 +309,7 @@ class RtmfpEngine:
                 acked += res.acked_bytes
                 losses += res.losses_detected
             elif isinstance(chunk, wire.CloseChunk):
-                self._close_session(s, now)
+                self._close(s, now)
                 return
         ack_chunks = []
         for rf in touched:
@@ -352,7 +334,7 @@ class RtmfpEngine:
         for batch in packets:
             self._send_packet(s, batch, now)
         for rf in touched:
-            if rf.has_ready() and s.app is not None:
+            if rf.has_ready():
                 s.app.data_notification(s, rf.flow_id, now)
         if saw_ack:
             # Even a pure window update (nothing newly acked) may unblock the
@@ -486,15 +468,20 @@ class RtmfpEngine:
             self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs
 
-    def _close_session(self, s: Session, now: int) -> None:
-        """The peer sent a Close chunk. A responder session that never
-        completed is dropped, as the half-open GC would drop it."""
-        self._drop_half_open(s)
-        if s.state == S_CLOSED:
-            return
+    def _close(self, s: Session, now: int) -> None:
+        """Close a session: on a Close chunk, when the initiator runs out of
+        attempts, or when the half-open GC fires. An open session leaves the
+        mode registry. A responder session that never opened is forgotten,
+        so that a fresh IHello with its key opens a new one; one that opened
+        stays keyed, so a late duplicate IHello opens no second session."""
+        if s.state == S_OPEN:
+            self.registry.remove(s)
+            self._update_modes(now)
+        elif s.state == S_RHELLO_SENT:
+            # The key _on_ihello filed it under; none of these change before Open.
+            del self._half_open[(s.peer_address, s.peer_sid, s.local_epd)]
+            del self.sessions[s.local_sid]
         s.state = S_CLOSED
-        self.registry.remove(s)
-        self._update_modes(now)
 
     def migrate(self, new_port: int, now: int) -> None:
         """Rebind to a different local port; the peer learns the new address

@@ -194,7 +194,6 @@ class RecvFlow:
         self.data_since_last_ack = 0
         self.last_advertised = rcv_buffer_size
         self.acks_sent = 0
-        self.data_packets_received = 0
         self.duplicates = 0
         self.discarded_full = 0
 
@@ -235,7 +234,6 @@ class RecvFlow:
 
     def end_of_packet(self, now: int) -> Optional[wire.AckChunk]:
         """Count one received data packet; ack on cadence or on a gap."""
-        self.data_packets_received += 1
         self.data_since_last_ack += 1
         if self.has_gaps() or self.data_since_last_ack >= ACK_EVERY_N_PACKETS:
             return self.make_ack(now)

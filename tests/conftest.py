@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from rtmfpsim import wire
+from rtmfpsim import netsim, wire
+from rtmfpsim.config import HostSpec
+from rtmfpsim.engine import RtmfpEngine
 
 
 class PacketSniffer:
@@ -49,6 +51,42 @@ def snapshot(session):
     """Every session field, the flow order and every flow's state, copied."""
     return copy.deepcopy(({**vars(session), "send_flows": list(session.send_flows)},
                           [vars(f) for f in session.send_flows.values()]))
+
+
+class Responder:
+    """A bare engine on host2:2013 with an app on EPD 2014; records what it
+    sends."""
+
+    node_id = "host2"
+
+    def __init__(self):
+        self.sent = []
+        self.opened = []
+        self.sim = netsim.Simulator(seed=1)
+        self.engine = RtmfpEngine(self.sim, self, HostSpec("host2", local_port=2013))
+        self.engine.register_app(2014, self)
+
+    def bind(self, port, handler):
+        pass
+
+    def send(self, dgram, now):
+        self.sent.append(wire.decode(dgram.payload))
+
+    def session_opened(self, session, now):
+        self.opened.append(session)
+
+    def receive(self, sid, chunk, at):
+        self.sim.run_until(at)
+        pkt = wire.Packet(sid, 0, 0, wire.TS_NONE, [chunk])
+        self.engine.handle_datagram(
+            netsim.Datagram(("host9", 5000), ("host2", 2013), wire.encode(pkt)), at)
+
+    def rhellos(self):
+        return [p for p in self.sent if p.chunks[0].kind == wire.T_RHELLO]
+
+
+# A half-open responder session is dropped 1 + 2 + 4 + 8 + 16 s after its IHello.
+AFTER_GC_US = 31_001_000
 
 
 def random_packet(rng: random.Random) -> wire.Packet:

@@ -1,10 +1,9 @@
-from conftest import PacketSniffer
+from conftest import AFTER_GC_US, PacketSniffer, Responder
 from rtmfpsim import flows as flows_mod
 from rtmfpsim import netsim, wire
-from rtmfpsim.config import HostSpec
-from rtmfpsim.engine import HANDSHAKE_SID, S_CLOSED, S_OPEN, S_RHELLO_SENT, RtmfpEngine
+from rtmfpsim.engine import HANDSHAKE_SID, S_CLOSED, S_OPEN, S_RHELLO_SENT
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
-from rtmfpsim.harness import run_config
+from rtmfpsim.harness import preset_points, run_config
 
 
 def mini_config(num=2000, size=140, interval_us=1000, seed=3, duration_s=15,
@@ -84,6 +83,42 @@ def test_lost_ihello_retransmits_after_one_second_and_opens():
     assert receiver.msgs == sender.msgs == 50
 
 
+def run_keying_drops(ordinals, duration):
+    """bottleneck-basic with the given packets of host1's uplink dropped;
+    -> (result, [(send time, handshake kind)] of host1's handshake sends)."""
+    [(_, text)] = preset_points("bottleneck-basic", seed=1)
+    sniffer = PacketSniffer()
+
+    def prepare(bundle):
+        uplink = bundle.links["access:host1:up"]
+        uplink.forced_drops = set(ordinals)
+        uplink.observer = sniffer
+
+    res = run_config(text, {"scenario.duration": duration}, "keying-drops",
+                     prepare=prepare)
+    return res, [(now, pkt.chunks[0].kind) for now, pkt, _ in sniffer.handshake_packets()]
+
+
+def test_lost_iikeying_is_resent_on_the_doubled_timeout_and_opens():
+    # Packet 0 is the IHello, packet 1 the first IIKeying. The retry doubles on
+    # from the IHello step: the IIKeying is the second send, so it waits 2 s.
+    res, sends = run_keying_drops({1}, "15s")
+    assert sends[:3] == [(0, wire.T_IHELLO), (40_156, wire.T_IIKEYING),
+                         (2_040_156, wire.T_IIKEYING)]
+    assert res.summary["handshakes_completed"] == 2
+    assert res.summary["sessions_failed"] == 0
+    assert res.stats("host2", 2014, 19, "recv").msgs > 0
+
+
+def test_iikeying_attempts_share_the_five_attempt_budget():
+    res, sends = run_keying_drops({1, 2, 3, 4}, "31s")
+    assert sends == [(0, wire.T_IHELLO), (40_156, wire.T_IIKEYING),
+                     (2_040_156, wire.T_IIKEYING), (6_040_156, wire.T_IIKEYING),
+                     (14_040_156, wire.T_IIKEYING)]
+    assert res.summary["sessions_failed"] == 1
+    assert res.summary["handshakes_completed"] == 0
+
+
 def test_all_packets_dropped_closes_after_five_attempts():
     res, sniffer = run_sniffed(mini_config(num=50, loss=1.0, duration_s=40))
     attempts = [now for now, pkt, _ in sniffer.handshake_packets()
@@ -92,8 +127,6 @@ def test_all_packets_dropped_closes_after_five_attempts():
     # Initial send plus 1, 2, 4, 8 s backoff gaps; failure comes 16 s later.
     assert [b - a for a, b in zip(attempts, attempts[1:])] == [
         1_000_000, 2_000_000, 4_000_000, 8_000_000]
-    app1 = res.bundle.apps[0]
-    assert app1.session_failures == 1
     engine1 = res.bundle.engines["host1"]
     assert all(s.state == S_CLOSED for s in engine1.sessions.values())
     assert res.summary["sessions_failed"] == 1
@@ -104,9 +137,10 @@ def test_all_packets_dropped_closes_after_five_attempts():
 
 def test_handshake_timing_reflects_path_rtt():
     res, _ = run_sniffed(mini_config(num=50, delay_ms=20))
-    app1 = res.bundle.apps[0]
-    assert 80_000 <= app1.session_open_us <= 84_000  # two RTTs of 2*20 ms
-    session = app1.session
+    # The first message goes out when the session opens.
+    opened_at = res.stats("host1", 4712, 19, "send").first_us
+    assert 80_000 <= opened_at <= 84_000  # two RTTs of 2*20 ms
+    session = res.bundle.apps[0].session
     assert 40_000 <= session.srtt_us <= 42_000
 
 
@@ -131,45 +165,11 @@ def test_two_candidate_addresses_first_responder_wins():
     assert res.stats("host2", 2014, 19, "recv").msgs == 50
 
 
-class _Responder:
-    """A bare engine on host2:2013 with an app on EPD 2014; records what it
-    sends."""
-
-    node_id = "host2"
-
-    def __init__(self):
-        self.sent = []
-        self.opened = []
-        self.sim = netsim.Simulator(seed=1)
-        self.engine = RtmfpEngine(self.sim, self, HostSpec("host2", local_port=2013))
-        self.engine.register_app(2014, self)
-
-    def bind(self, port, handler):
-        pass
-
-    def send(self, dgram, now):
-        self.sent.append(wire.decode(dgram.payload))
-
-    def session_opened(self, session, now):
-        self.opened.append(session)
-
-    def receive(self, sid, chunk, at):
-        self.sim.run_until(at)
-        pkt = wire.Packet(sid, 0, 0, wire.TS_NONE, [chunk])
-        self.engine.handle_datagram(
-            netsim.Datagram(("host9", 5000), ("host2", 2013), wire.encode(pkt)), at)
-
-    def rhellos(self):
-        return [p for p in self.sent if p.chunks[0].kind == wire.T_RHELLO]
-
-
 IHELLO_777 = wire.HandshakeChunk(wire.T_IHELLO, epd=2014, sid=777)
-# The half-open session is dropped 1 + 2 + 4 + 8 + 16 s after its IHello.
-AFTER_GC_US = 31_001_000
 
 
 def test_half_open_session_is_dropped_so_a_fresh_ihello_is_answered():
-    r = _Responder()
+    r = Responder()
     r.receive(HANDSHAKE_SID, IHELLO_777, 0)
     assert len(r.rhellos()) == 1 and len(r.engine.sessions) == 1
     r.sim.run_until(AFTER_GC_US)
@@ -181,7 +181,7 @@ def test_half_open_session_is_dropped_so_a_fresh_ihello_is_answered():
 
 
 def test_half_open_session_closed_by_its_peer_is_dropped():
-    r = _Responder()
+    r = Responder()
     r.receive(HANDSHAKE_SID, IHELLO_777, 0)
     sid = r.rhellos()[0].chunks[0].sid
     r.receive(sid, wire.CloseChunk(), 1_000)
@@ -193,15 +193,30 @@ def test_half_open_session_closed_by_its_peer_is_dropped():
 
 
 def test_completed_session_outlives_the_gc_and_ignores_a_late_ihello():
-    r = _Responder()
+    r = Responder()
     r.receive(HANDSHAKE_SID, IHELLO_777, 0)
     sid = r.rhellos()[0].chunks[0].sid
     r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 100_000)
     assert [s.state for s in r.opened] == [S_OPEN]
     r.sim.run_until(AFTER_GC_US)
+    assert r.opened[0].state == S_OPEN
     r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
     assert len(r.rhellos()) == 1
     assert list(r.engine.sessions.values()) == r.opened
+
+
+def test_close_chunk_takes_an_open_session_out_of_the_registry():
+    r = Responder()
+    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
+    sid = r.rhellos()[0].chunks[0].sid
+    r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 100_000)
+    (s,) = r.opened
+    assert r.engine.registry.sessions == [s]
+    r.receive(sid, wire.CloseChunk(), 200_000)
+    assert s.state == S_CLOSED and r.engine.registry.sessions == []
+    r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 300_000)
+    assert r.engine.unknown_session == 1
+    assert len(r.sent) == 2  # the RHello and the RIKeying; nothing after the Close
 
 
 # -------------------------------------------------------------------- demux
@@ -238,12 +253,11 @@ def test_undecodable_datagram_counted():
 
 def test_demux_totality_every_datagram_hits_exactly_one_counter():
     res, _ = run_sniffed(mini_config(num=500))
-    for engine in res.bundle.engines.values():
-        handled = (engine.delivered_packets + engine.unknown_session
-                   + engine.decode_errors)
-        inbound = sum(link.admitted for link in res.bundle.links.values()
-                      if link.dst_node is engine.host)
-        assert handled == inbound
+    hosts = [engine.host for engine in res.bundle.engines.values()]
+    inbound = sum(link.admitted for link in res.bundle.links.values()
+                  if any(link.dst_node is host for host in hosts))
+    s = res.summary
+    assert s["delivered_packets"] + s["unknown_session"] + s["decode_errors"] == inbound
 
 
 def test_ihello_for_unregistered_epd_is_ignored():
@@ -253,8 +267,8 @@ def test_ihello_for_unregistered_epd_is_ignored():
 
     res, sniffer = run_sniffed(mini_config(num=50, duration_s=40),
                                prepare=misdirect)
-    assert res.bundle.engines["host2"].unknown_epd == 5  # every IHello attempt
-    assert res.bundle.apps[0].session_failures == 1
+    assert res.summary["unknown_epd"] == 5  # every IHello attempt
+    assert res.summary["sessions_failed"] == 1
     assert not sniffer.data_packets()
 
 

@@ -1,8 +1,9 @@
-"""Property tests: the wire codec, and send/receive flows sharing a session,
-over inputs generated by hypothesis. Skipped where hypothesis is not
+"""Property tests: the wire codec, send/receive flows sharing a session, and
+a responder's session lifecycle, over inputs generated by hypothesis. Skipped where hypothesis is not
 installed."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import FakeSession, snapshot  # noqa: E402
+from conftest import AFTER_GC_US, FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import wire  # noqa: E402
+from rtmfpsim.engine import HANDSHAKE_SID, S_CLOSED, S_RHELLO_SENT  # noqa: E402
 from rtmfpsim.flows import ST_IN_FLIGHT, Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
@@ -170,3 +172,54 @@ def test_flows_sharing_a_session_each_deliver_once_in_order(flows, drop, dup, se
     sent = [(tc, payloads_of(sizes)) for tc, sizes in flows]
     got = transfer(sent, drop, dup, random.Random(seed))
     assert got == [payloads for _, payloads in sent]
+
+
+# One step of a peer at host9:5000: an IHello under one of two session ids, an
+# IIKeying or a Close to the n-th session the responder ever made, or a jump
+# of the clock past the half-open GC.
+lifecycle_steps = st.lists(st.one_of(
+    st.tuples(st.just("ihello"), st.sampled_from((777, 778))),
+    st.tuples(st.sampled_from(("iikeying", "close")), st.integers(0, 3)),
+    st.tuples(st.just("gc"), st.just(0))), max_size=15)
+
+
+def key(s):
+    """The (address, session id, EPD) an IHello files a responder session under."""
+    return (s.peer_address, s.peer_sid, s.local_epd)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(lifecycle_steps)
+def test_responder_lifecycle_keeps_one_session_per_key_and_reclaims_the_rest(steps):
+    r = Responder()
+    engine = r.engine
+    seen = []  # every session the responder made, in order
+    closed = []  # the sessions a Close chunk was sent to
+    now = 0
+    for op, arg in steps:
+        now += AFTER_GC_US if op == "gc" else 1_000
+        if op == "ihello":
+            r.receive(HANDSHAKE_SID, wire.HandshakeChunk(wire.T_IHELLO, epd=2014, sid=arg), now)
+        elif op == "gc":
+            r.sim.run_until(now)
+        elif seen:
+            s = seen[arg % len(seen)]
+            if op == "iikeying":
+                chunk = wire.HandshakeChunk(wire.T_IIKEYING, sid=s.peer_sid)
+            else:
+                chunk = wire.CloseChunk()
+                closed.append(s)
+            r.receive(s.local_sid, chunk, now)
+        seen += [s for s in engine.sessions.values() if s not in seen]
+        live = Counter(key(s) for s in engine.sessions.values() if s.state != S_CLOSED)
+        assert all(n == 1 for n in live.values())
+        for s in seen:
+            if s.state == S_RHELLO_SENT:
+                assert engine.sessions[s.local_sid] is s
+                assert engine._half_open[key(s)] is s
+            elif s.state == S_CLOSED and s not in r.opened:
+                assert engine.sessions.get(s.local_sid) is not s
+                assert engine._half_open.get(key(s)) is not s
+        # Only its peer closes a session that opened; the GC leaves it be.
+        for s in r.opened:
+            assert (s.state == S_CLOSED) == (s in closed)
