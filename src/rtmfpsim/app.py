@@ -215,8 +215,7 @@ class RtmfpApp:
         update = side.hasher.update
         expected = side.expected_index
         n_bytes = 0
-        for m in msgs:
-            payload = m.payload
+        for payload in msgs:
             n_bytes += len(payload)
             update(payload)
             parsed = parse_payload(payload)

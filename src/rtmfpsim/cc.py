@@ -34,7 +34,7 @@ class CongestionController:
         self.mode: str = MODE_NORMAL
         self._last_collapse_us: int | None = None
 
-    def on_ack_progress(self, bytes_acked: int, now: int) -> None:
+    def on_ack_progress(self, bytes_acked: int) -> None:
         if bytes_acked <= 0:
             return
         g = GAIN[self.mode]

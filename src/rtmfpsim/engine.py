@@ -10,6 +10,7 @@ single event loop.
 
 from __future__ import annotations
 
+import hashlib
 from typing import TYPE_CHECKING, Optional
 
 from . import cc as cc_mod
@@ -31,7 +32,6 @@ RTO_INITIAL_US = 1_000_000
 DELAYED_ACK_US = 50_000
 
 S_IHELLO_SENT = "IHelloSent"
-S_RHELLO_SENT = "RHelloSent"
 S_KEYING_SENT = "KeyingSent"
 S_OPEN = "Open"
 S_CLOSED = "Closed"
@@ -58,6 +58,7 @@ class Session:
         self.tc_active = False
         self.peer_signaled_tc = False
         self.candidates: list[tuple[str, int]] = []
+        self.cookie = wire.NO_COOKIE  # the responder's, from its RHello
         self.hs_sends = 0
         self.hs_timer: Optional[netsim.Event] = None
         self.srtt_us: Optional[int] = None
@@ -84,7 +85,14 @@ class Session:
             base = max(RTO_MIN_US, self.srtt_us + 4 * self.rttvar_us)
         return base * self.rto_backoff
 
-    def observe_rtt(self, sample_us: int) -> None:
+    def heard(self, pkt: wire.Packet, now: int) -> None:
+        """Note a packet's timestamp for our echo; its echo, if any, is an
+        RTT sample for the smoothed estimate."""
+        self.last_peer_ts = pkt.timestamp
+        rtt_ms = (now // 1000 - pkt.ts_echo) & 0xFFFF
+        if pkt.ts_echo == wire.TS_NONE or rtt_ms >= 30_000:
+            return
+        sample_us = rtt_ms * 1000
         if self.srtt_us is None:
             self.srtt_us = sample_us
             self.rttvar_us = sample_us // 2
@@ -122,9 +130,11 @@ class RtmfpEngine:
         host.bind(self.local_port, self.handle_datagram)
         self.apps: dict[int, object] = {}
         self.sessions: dict[int, Session] = {}
-        self._half_open: dict[tuple, Session] = {}
+        # Responder sessions by the (address, initiator sid, EPD) that opened them.
+        self._responders: dict[tuple, Session] = {}
         self.registry = cc_mod.CcRegistry()
         self._rng = sim.stream(f"engine:{host.node_id}:{self.local_port}")
+        self._cookie_key = sim.stream(f"cookie:{host.node_id}:{self.local_port}").randbytes(32)
         self.decode_errors = 0
         self.unknown_session = 0
         self.unknown_epd = 0
@@ -158,15 +168,15 @@ class RtmfpEngine:
 
     def _handshake_step(self, s: Session, now: int) -> None:
         """The initiator's one send rule: the chunk its state calls for (an
-        IHello to every candidate, or an IIKeying to the responder), then
-        the retry, which waits twice as long as the one before."""
+        IHello to every candidate, or an IIKeying echoing the cookie to the
+        responder), then the retry, which waits twice as long as the one
+        before."""
         s.hs_sends += 1
-        if s.state == S_IHELLO_SENT:
-            chunk = wire.HandshakeChunk(wire.T_IHELLO, epd=s.remote_epd, sid=s.local_sid)
-            for addr in s.candidates:
-                self._send_packet(s, [chunk], now, addr, established=False)
-        else:
-            self._send_handshake(s, wire.T_IIKEYING, now)
+        kind, dsts = ((wire.T_IHELLO, s.candidates) if s.state == S_IHELLO_SENT
+                      else (wire.T_IIKEYING, [s.peer_address]))
+        chunk = wire.HandshakeChunk(kind, s.remote_epd, s.local_sid, s.cookie)
+        for addr in dsts:
+            self._send_packet(s, [chunk], now, addr, established=False)
         s.hs_timer = self.sim.after(
             HANDSHAKE_TIMEOUT_US << (s.hs_sends - 1), self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
@@ -181,55 +191,54 @@ class RtmfpEngine:
             self.sessions_failed += 1
             self._close(s, now)
 
-    def _on_ihello(self, dgram: netsim.Datagram, chunk: wire.HandshakeChunk,
-                   peer_ts: int, now: int) -> None:
-        app = self.apps.get(chunk.epd)
-        if app is None:
-            self.unknown_epd += 1
-            return
+    def _respond(self, dgram: netsim.Datagram, chunk: wire.HandshakeChunk,
+                 pkt: wire.Packet, now: int) -> bool:
+        """The responder, stateless before the IIKeying (RFC 7016, 3.5.1). An
+        IHello gets an RHello whose cookie is a keyed hash of its (address,
+        initiator sid, EPD), unless a session for that key opened. An IIKeying
+        echoing the cookie opens the session, or repeats the RIKeying of one
+        open; False, opening nothing, for a wrong cookie or a closed one."""
         key = (dgram.src, chunk.sid, chunk.epd)
-        s = self._half_open.get(key)
+        cookie = hashlib.blake2b(repr(key).encode(), key=self._cookie_key,
+                                 digest_size=wire.COOKIE_LEN).digest()
+        s = self._responders.get(key)
+        if chunk.kind == wire.T_IHELLO:
+            if chunk.epd not in self.apps:
+                self.unknown_epd += 1
+            elif s is None:
+                rhello = wire.HandshakeChunk(wire.T_RHELLO, chunk.epd, 0, cookie)
+                self._send(chunk.sid, 0, pkt.timestamp, [rhello], dgram.src, now)
+            return True
+        if chunk.cookie != cookie or (s is not None and s.state != S_OPEN):
+            return False
         if s is None:
-            s = Session(self, "responder", chunk.epd, 0, self._fresh_sid(), S_RHELLO_SENT)
-            s.app = app
+            s = Session(self, "responder", chunk.epd, 0, self._fresh_sid(), S_OPEN)
+            s.app = self.apps[chunk.epd]
             s.peer_sid = chunk.sid
             s.peer_address = dgram.src
-            self.sessions[s.local_sid] = s
-            self._half_open[key] = s
-            # Garbage-collect a half-open responder session that never completes.
-            total_wait = HANDSHAKE_TIMEOUT_US * ((1 << HANDSHAKE_ATTEMPTS) - 1)
-            self.sim.after(total_wait, self.host.node_id, netsim.KIND_TIMER,
-                           lambda t: s.state == S_RHELLO_SENT and self._close(s, t),
-                           f"hs-gc {s.label}")
-        s.last_peer_ts = peer_ts
-        if s.state == S_RHELLO_SENT:
-            self._send_handshake(s, wire.T_RHELLO, now, epd=chunk.epd)
-
-    def _send_handshake(self, s: Session, kind: int, now: int, epd: int = 0) -> None:
-        """RHello, IIKeying or RIKeying: carries our session id to the known peer."""
-        chunk = wire.HandshakeChunk(kind, epd=epd, sid=s.local_sid)
-        self._send_packet(s, [chunk], now, established=False)
+            self.sessions[s.local_sid] = self._responders[key] = s
+            self._opened(s, now)
+        s.heard(pkt, now)
+        self._send_packet(s, [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)], now,
+                          established=False)
+        return True
 
     def _on_handshake_chunk(self, s: Session, chunk: wire.HandshakeChunk,
                             dgram: netsim.Datagram, now: int) -> None:
+        """The initiator's side: an RHello brings the cookie, an RIKeying the
+        responder's session id."""
         if chunk.kind == wire.T_RHELLO:
             if s.state != S_IHELLO_SENT:
                 return
-            s.peer_sid = chunk.sid
+            s.cookie = chunk.cookie
             s.peer_address = dgram.src
             s.state = S_KEYING_SENT
             s.hs_timer.cancel()
             self._handshake_step(s, now)
-        elif chunk.kind == wire.T_IIKEYING:
-            if s.state == S_RHELLO_SENT:
-                self._opened(s, now)
-                self._send_handshake(s, wire.T_RIKEYING, now)
-            elif s.state == S_OPEN:
-                # Our RIKeying was lost; repeat it.
-                self._send_handshake(s, wire.T_RIKEYING, now)
         elif chunk.kind == wire.T_RIKEYING:
             if s.state != S_KEYING_SENT:
                 return
+            s.peer_sid = chunk.sid
             s.hs_timer.cancel()
             self._opened(s, now)
             self.transmit_opportunity(s, now)
@@ -253,9 +262,9 @@ class RtmfpEngine:
         if pkt.session_id == HANDSHAKE_SID:
             handled = False
             for chunk in pkt.chunks:
-                if isinstance(chunk, wire.HandshakeChunk) and chunk.kind == wire.T_IHELLO:
-                    self._on_ihello(dgram, chunk, pkt.timestamp, now)
-                    handled = True
+                if isinstance(chunk, wire.HandshakeChunk) and chunk.kind in (
+                        wire.T_IHELLO, wire.T_IIKEYING):
+                    handled = self._respond(dgram, chunk, pkt, now) or handled
             if handled:
                 self.delivered_packets += 1
             else:
@@ -266,11 +275,7 @@ class RtmfpEngine:
             self.unknown_session += 1
             return
         self.delivered_packets += 1
-        s.last_peer_ts = pkt.timestamp
-        if pkt.ts_echo != wire.TS_NONE:
-            rtt_ms = (now // 1000 - pkt.ts_echo) & 0xFFFF
-            if rtt_ms < 30_000:
-                s.observe_rtt(rtt_ms * 1000)
+        s.heard(pkt, now)
         if s.state == S_OPEN:
             if dgram.src != s.peer_address:
                 s.peer_address = dgram.src
@@ -340,7 +345,7 @@ class RtmfpEngine:
             # Even a pure window update (nothing newly acked) may unblock the
             # flow-control gate, so always retry transmission after an ack.
             if acked:
-                s.cc.on_ack_progress(acked, now)
+                s.cc.on_ack_progress(acked)
                 s.rto_backoff = 1
             if losses:
                 s.cc.on_loss_event(now, s.srtt_us or 0)
@@ -394,7 +399,7 @@ class RtmfpEngine:
     def send_message(self, s: Session, flow_id: int, payload: bytes, now: int) -> None:
         f = s.send_flows[flow_id]
         waiting = bool(f.unsent)
-        f.enqueue_message(flows_mod.Message(payload))
+        f.enqueue_message(payload)
         # Queueing on another flow cannot change whether a time-critical flow
         # has data; every path that drains a flow runs the update itself.
         if f.time_critical:
@@ -444,17 +449,19 @@ class RtmfpEngine:
 
     def _send_packet(self, s: Session, chunks: list, now: int,
                      dst: Optional[tuple[str, int]] = None, established: bool = True) -> None:
-        """To the peer, or to `dst` (an IHello candidate). Until the RHello
+        """To the peer, or to `dst` (an IHello candidate). Until the RIKeying
         names the peer's session id, packets go to HANDSHAKE_SID."""
         flags = wire.FLAG_ESTABLISHED if established else 0
         if s.tc_active:
             flags |= wire.FLAG_TIME_CRITICAL
-        pkt = wire.Packet(s.peer_sid if s.peer_sid is not None else HANDSHAKE_SID, flags,
-                          timestamp=(now // 1000) & 0xFFFF,
-                          ts_echo=s.last_peer_ts,
-                          chunks=chunks)
+        self._send(s.peer_sid if s.peer_sid is not None else HANDSHAKE_SID, flags,
+                   s.last_peer_ts, chunks, dst or s.peer_address, now)
+
+    def _send(self, sid: int, flags: int, ts_echo: int, chunks: list,
+              dst: tuple[str, int], now: int) -> None:
+        """Build, encode and send one packet; every packet sent passes here."""
+        pkt = wire.Packet(sid, flags, (now // 1000) & 0xFFFF, ts_echo, chunks)
         buf = wire.encode(pkt, max_size=self.spec.max_segment_size)
-        dst = dst or s.peer_address
         self.host.send(netsim.Datagram((self.host.node_id, self.local_port), dst, buf), now)
 
     # ----------------------------------------------------------- app surface
@@ -469,21 +476,16 @@ class RtmfpEngine:
         return msgs
 
     def _close(self, s: Session, now: int) -> None:
-        """Close a session: on a Close chunk, when the initiator runs out of
-        attempts, or when the half-open GC fires. An open session leaves the
-        mode registry. A responder session that never opened is forgotten,
-        so that a fresh IHello with its key opens a new one; one that opened
-        stays keyed, so a late duplicate IHello opens no second session."""
+        """Close a session: on a Close chunk, or when the initiator runs out
+        of attempts. An open session leaves the mode registry. A responder
+        session stays keyed, so a late IHello or IIKeying opens no second
+        session."""
         if s.state == S_OPEN:
             self.registry.remove(s)
             self._update_modes(now)
-        elif s.state == S_RHELLO_SENT:
-            # The key _on_ihello filed it under; none of these change before Open.
-            del self._half_open[(s.peer_address, s.peer_sid, s.local_epd)]
-            del self.sessions[s.local_sid]
         s.state = S_CLOSED
 
-    def migrate(self, new_port: int, now: int) -> None:
+    def migrate(self, new_port: int) -> None:
         """Rebind to a different local port; the peer learns the new address
         from the source of the next packets it receives (address mobility)."""
         self.host.rebind(self.local_port, new_port)

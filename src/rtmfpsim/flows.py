@@ -27,9 +27,8 @@ MAX_ACK_GAPS = 128
 DEFAULT_ADV_BUFFER = 65536
 
 
-@dataclass(slots=True)
-class Message:
-    payload: bytes
+# An application message is its payload.
+Message = bytes
 
 
 @dataclass(slots=True)
@@ -72,10 +71,9 @@ class SendFlow:
         self.retransmissions = 0
         self.loss_reports_received = 0
 
-    def enqueue_message(self, m: Message) -> None:
+    def enqueue_message(self, payload: Message) -> None:
         """Queue a message as one whole chunk, or as fragments when it
         exceeds the chunk capacity."""
-        payload = m.payload
         cap = self.chunk_capacity
         seq = self.next_seq
         if len(payload) <= cap:
@@ -154,9 +152,9 @@ class SendFlow:
             if ch.state == ST_IN_FLIGHT:
                 res.acked_bytes += len(ch.payload)
         self.flight_bytes -= res.acked_bytes
-        max_acked = ack.cum_ack
-        if ack.gaps:
-            max_acked = max(max_acked, ack.gaps[-1][1])
+        max_acked = cum_ack
+        if gaps:
+            max_acked = max(max_acked, max(hi for _, hi in gaps))
         for seq, ch in self.outstanding.items():
             if seq >= max_acked:
                 break
@@ -219,7 +217,7 @@ class RecvFlow:
             frag, payload = self._buffer.pop(self.cum_ack)
             if frag == wire.FRAG_WHOLE:
                 assert not self._partial, "whole chunk inside a fragment run"
-                self._ready.append(Message(payload))
+                self._ready.append(payload)
             elif frag == wire.FRAG_FIRST:
                 assert not self._partial, "nested first fragment"
                 self._partial = [payload]
@@ -229,7 +227,7 @@ class RecvFlow:
             else:  # FRAG_LAST
                 assert self._partial, "last fragment without first"
                 self._partial.append(payload)
-                self._ready.append(Message(b"".join(self._partial)))
+                self._ready.append(b"".join(self._partial))
                 self._partial = []
 
     def end_of_packet(self, now: int) -> Optional[wire.AckChunk]:
@@ -271,7 +269,7 @@ class RecvFlow:
         """Pop every reassembled message in order, freeing their buffer space."""
         out = list(self._ready)
         self._ready.clear()
-        self.occupied_bytes -= sum(len(m.payload) for m in out)
+        self.occupied_bytes -= sum(map(len, out))
         return out
 
     def window_update_due(self, threshold: int) -> bool:

@@ -142,7 +142,7 @@ class Link:
 
     def __init__(self, sim: Simulator, name: str, dst_node, bandwidth_bps: int,
                  delay_us: int = 0, queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 loss_rate: float = 0.0, mtu: int = MTU_DEFAULT):
+                 loss_rate: float = 0.0):
         self.sim = sim
         self.name = name
         self.dst_node = dst_node
@@ -150,7 +150,6 @@ class Link:
         self.delay_us = delay_us
         self.queue_capacity = queue_capacity
         self.loss_rate = loss_rate
-        self.mtu = mtu
         self._rng = sim.stream(f"link:{name}")
         self._busy_until = 0
         self._queue: deque[tuple[int, int]] = deque()  # (serialization finish, size)
@@ -170,8 +169,8 @@ class Link:
     def send(self, dgram: Datagram, now: int) -> Optional[int]:
         """Enqueue a datagram; returns delivery time, or None when dropped."""
         size = dgram.size
-        if size > self.mtu:
-            raise SimulationError(f"link {self.name}: datagram {size}B exceeds MTU {self.mtu}")
+        if size > MTU_DEFAULT:
+            raise SimulationError(f"link {self.name}: datagram {size}B exceeds MTU {MTU_DEFAULT}")
         idx = self.sent
         self.sent += 1
         q = self._queue

@@ -162,7 +162,7 @@ def build_bottleneck(cfg: ScenarioConfig,
         bundle.engines[name] = engine
         if spec.migrate_at_us is not None:
             sim.schedule(spec.migrate_at_us, name, netsim.KIND_APP_TICK,
-                         lambda t, e=engine, p=spec.migrate_to_port: e.migrate(p, t),
+                         lambda t, e=engine, p=spec.migrate_to_port: e.migrate(p),
                          f"migrate {name} -> port {spec.migrate_to_port}")
 
     for host_name, app_cfg in cfg.apps:

@@ -3,8 +3,8 @@
 Fixed layout, big-endian throughout:
 
   packet header (12 bytes):
-      session_id  u32   id chosen by the packet's *receiver*; 0 during the
-                        initial handshake step
+      session_id  u32   id chosen by the packet's *receiver*; 0 on the
+                        IHello and IIKeying, before the responder has one
       flags       u8    bit0 established, bit1 time-critical transfer active
       reserved    3B    zero
       timestamp   u16   sender clock, 1 ms ticks mod 2^16 (0xFFFF = none)
@@ -20,7 +20,7 @@ Fixed layout, big-endian throughout:
   chunk bodies:
       data        the payload itself (>= 1 byte)
       ack         adv_buffer u32, gap_count u16, then gap_count * (from u32, to u32)
-      handshake   epd u32, sid u32, cookie (64 opaque bytes)
+      handshake   epd u32, sid u32, cookie (64 bytes; zero but in RHello, IIKeying)
       close       empty
 
 An encoded packet is therefore exactly 12 + sum(10 + body_len) bytes, which
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 PACKET_HEADER = 12
 CHUNK_HEADER = 10
 COOKIE_LEN = 64
+NO_COOKIE = bytes(COOKIE_LEN)
 TS_NONE = 0xFFFF
 
 # Chunk type codes.
@@ -103,7 +104,7 @@ class HandshakeChunk:
     kind: int  # one of HANDSHAKE_TYPES
     epd: int = 0
     sid: int = 0
-    cookie: bytes = b"\x00" * COOKIE_LEN
+    cookie: bytes = NO_COOKIE
 
     def body_len(self) -> int:
         return _HS_FIXED.size + len(self.cookie)

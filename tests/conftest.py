@@ -5,7 +5,7 @@ import pytest
 
 from rtmfpsim import netsim, wire
 from rtmfpsim.config import HostSpec
-from rtmfpsim.engine import RtmfpEngine
+from rtmfpsim.engine import HANDSHAKE_SID, RtmfpEngine
 
 
 class PacketSniffer:
@@ -76,17 +76,25 @@ class Responder:
         self.opened.append(session)
 
     def receive(self, sid, chunk, at):
+        """A packet to session id `sid` from the peer at host9:5000."""
         self.sim.run_until(at)
         pkt = wire.Packet(sid, 0, 0, wire.TS_NONE, [chunk])
         self.engine.handle_datagram(
             netsim.Datagram(("host9", 5000), ("host2", 2013), wire.encode(pkt)), at)
 
+    def ihello(self, initiator_sid, at):
+        self.receive(HANDSHAKE_SID, wire.HandshakeChunk(
+            wire.T_IHELLO, epd=2014, sid=initiator_sid), at)
+
+    def iikeying(self, initiator_sid, cookie, at):
+        self.receive(HANDSHAKE_SID, wire.HandshakeChunk(
+            wire.T_IIKEYING, epd=2014, sid=initiator_sid, cookie=cookie), at)
+
     def rhellos(self):
         return [p for p in self.sent if p.chunks[0].kind == wire.T_RHELLO]
 
-
-# A half-open responder session is dropped 1 + 2 + 4 + 8 + 16 s after its IHello.
-AFTER_GC_US = 31_001_000
+    def rikeyings(self):
+        return [p for p in self.sent if p.chunks[0].kind == wire.T_RIKEYING]
 
 
 def random_packet(rng: random.Random) -> wire.Packet:

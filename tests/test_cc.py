@@ -41,7 +41,7 @@ def test_avoidance_growth_is_one_mss_per_window_of_acks():
     assert flow.flight_bytes == 14600
     for seq in range(1, 11):
         res = flow.on_ack(wire.AckChunk(19, seq, [], 65536), now=0)
-        cc.on_ack_progress(res.acked_bytes, now=0)
+        cc.on_ack_progress(res.acked_bytes)
     growth = cc.cwnd - 14600
     assert abs(growth - 1460) < 1460 * 0.1
     assert flow.flight_bytes == 0
@@ -50,7 +50,7 @@ def test_avoidance_growth_is_one_mss_per_window_of_acks():
 def test_time_critical_avoidance_grows_twice_as_fast():
     cc = make_cc(cwnd=14600, ssthresh=1, mode=MODE_TIME_CRITICAL)
     for _ in range(10):
-        cc.on_ack_progress(1460, now=0)
+        cc.on_ack_progress(1460)
     growth = cc.cwnd - 14600
     assert abs(growth - 2920) < 2920 * 0.1
 
@@ -58,21 +58,21 @@ def test_time_critical_avoidance_grows_twice_as_fast():
 def test_deferring_growth_is_halved():
     cc = make_cc(cwnd=14600, ssthresh=1, mode=MODE_DEFERRING)
     for _ in range(10):
-        cc.on_ack_progress(1460, now=0)
+        cc.on_ack_progress(1460)
     growth = cc.cwnd - 14600
     assert abs(growth - 730) < 730 * 0.12
 
 
 def test_zero_bytes_acked_changes_nothing():
     cc = make_cc(cwnd=10000, ssthresh=20000)
-    cc.on_ack_progress(0, now=0)
+    cc.on_ack_progress(0)
     assert cc.cwnd == 10000 and cc.ssthresh == 20000
 
 
 def test_slow_start_adds_at_most_one_mss_per_ack():
     cc = make_cc(cwnd=4380)  # ssthresh is huge: slow start
     assert cc.cwnd < cc.ssthresh  # slow start
-    cc.on_ack_progress(2920, now=0)
+    cc.on_ack_progress(2920)
     assert cc.cwnd == 4380 + 1460
 
 
@@ -81,7 +81,7 @@ def test_slow_start_doubles_per_round_with_per_segment_acks():
     start = cc.cwnd
     acks = int(start // 1460)
     for _ in range(acks):
-        cc.on_ack_progress(1460, now=0)
+        cc.on_ack_progress(1460)
     assert cc.cwnd == pytest.approx(2 * start)
 
 

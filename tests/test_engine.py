@@ -1,7 +1,7 @@
-from conftest import AFTER_GC_US, PacketSniffer, Responder
+from conftest import PacketSniffer, Responder
 from rtmfpsim import flows as flows_mod
 from rtmfpsim import netsim, wire
-from rtmfpsim.engine import HANDSHAKE_SID, S_CLOSED, S_OPEN, S_RHELLO_SENT
+from rtmfpsim.engine import S_CLOSED, S_OPEN
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import preset_points, run_config
 
@@ -165,57 +165,80 @@ def test_two_candidate_addresses_first_responder_wins():
     assert res.stats("host2", 2014, 19, "recv").msgs == 50
 
 
-IHELLO_777 = wire.HandshakeChunk(wire.T_IHELLO, epd=2014, sid=777)
+def opened_777(r):
+    """IHello from initiator session 777, then the IIKeying echoing the
+    RHello's cookie; -> (the responder session, the cookie)."""
+    r.ihello(777, 0)
+    cookie = r.rhellos()[0].chunks[0].cookie
+    r.iikeying(777, cookie, 100_000)
+    (s,) = r.opened
+    return s, cookie
 
 
-def test_half_open_session_is_dropped_so_a_fresh_ihello_is_answered():
+def test_ihello_gets_an_rhello_with_a_cookie_and_opens_nothing():
     r = Responder()
-    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
-    assert len(r.rhellos()) == 1 and len(r.engine.sessions) == 1
-    r.sim.run_until(AFTER_GC_US)
-    assert r.engine.sessions == {}
-    r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
-    assert len(r.rhellos()) == 2
-    (s,) = r.engine.sessions.values()
-    assert s.state == S_RHELLO_SENT
+    r.ihello(777, 0)
+    r.ihello(777, 1_000)
+    r.ihello(778, 2_000)
+    assert r.engine.sessions == {} and r.opened == []
+    first, again, other = r.rhellos()
+    # To the initiator's session; the responder has no session id to name yet.
+    assert (first.session_id, first.chunks[0].sid, first.chunks[0].epd) == (777, 0, 2014)
+    cookie = first.chunks[0].cookie
+    assert len(cookie) == wire.COOKIE_LEN and cookie != wire.NO_COOKIE
+    # Nothing is kept between IHellos: the same one gets the same cookie.
+    assert again.chunks[0].cookie == cookie
+    assert other.chunks[0].cookie != cookie
+    assert r.engine.delivered_packets == 3 and r.engine.unknown_session == 0
 
 
-def test_half_open_session_closed_by_its_peer_is_dropped():
+def test_iikeying_echoing_the_cookie_opens_the_session():
     r = Responder()
-    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
-    sid = r.rhellos()[0].chunks[0].sid
-    r.receive(sid, wire.CloseChunk(), 1_000)
-    assert r.engine.sessions == {}
-    r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
-    assert len(r.rhellos()) == 2
-    (s,) = r.engine.sessions.values()
-    assert s.state == S_RHELLO_SENT
+    s, _ = opened_777(r)
+    assert s.state == S_OPEN and r.engine.sessions == {s.local_sid: s}
+    assert (s.peer_sid, s.peer_address) == (777, ("host9", 5000))
+    (rik,) = r.rikeyings()
+    assert (rik.session_id, rik.chunks[0].sid) == (777, s.local_sid)
 
 
-def test_completed_session_outlives_the_gc_and_ignores_a_late_ihello():
+def test_forged_cookie_opens_nothing_and_counts_as_unknown_session():
     r = Responder()
-    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
-    sid = r.rhellos()[0].chunks[0].sid
-    r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 100_000)
-    assert [s.state for s in r.opened] == [S_OPEN]
-    r.sim.run_until(AFTER_GC_US)
-    assert r.opened[0].state == S_OPEN
-    r.receive(HANDSHAKE_SID, IHELLO_777, AFTER_GC_US)
+    r.ihello(777, 0)
+    cookie = r.rhellos()[0].chunks[0].cookie
+    r.ihello(778, 0)
+    other = r.rhellos()[1].chunks[0].cookie
+    forged = [wire.NO_COOKIE, cookie[:-1] + bytes([cookie[-1] ^ 1]), other]
+    for i, bad in enumerate(forged, start=1):
+        r.iikeying(777, bad, 100_000 * i)
+        assert r.engine.unknown_session == i
+    assert r.engine.sessions == {} and r.opened == [] and r.rikeyings() == []
+
+
+def test_repeated_iikeying_repeats_the_rikeying_without_a_second_session():
+    r = Responder()
+    s, cookie = opened_777(r)
+    r.iikeying(777, cookie, 200_000)
+    assert r.opened == [s] and list(r.engine.sessions.values()) == [s]
+    first, again = r.rikeyings()
+    assert first.chunks == again.chunks
+    # A late IHello for the open session gets no answer.
+    r.ihello(777, 300_000)
     assert len(r.rhellos()) == 1
-    assert list(r.engine.sessions.values()) == r.opened
+    assert r.engine.unknown_session == 0
 
 
 def test_close_chunk_takes_an_open_session_out_of_the_registry():
     r = Responder()
-    r.receive(HANDSHAKE_SID, IHELLO_777, 0)
-    sid = r.rhellos()[0].chunks[0].sid
-    r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 100_000)
-    (s,) = r.opened
+    s, cookie = opened_777(r)
     assert r.engine.registry.sessions == [s]
-    r.receive(sid, wire.CloseChunk(), 200_000)
+    r.receive(s.local_sid, wire.CloseChunk(), 200_000)
     assert s.state == S_CLOSED and r.engine.registry.sessions == []
-    r.receive(sid, wire.HandshakeChunk(wire.T_IIKEYING, sid=777), 300_000)
-    assert r.engine.unknown_session == 1
+    # Neither an IIKeying for the closed session nor a packet to its id
+    # opens anything.
+    r.iikeying(777, cookie, 300_000)
+    r.receive(s.local_sid, wire.AckChunk(1, 0), 400_000)
+    assert r.engine.unknown_session == 2
+    assert list(r.engine.sessions.values()) == [s]
     assert len(r.sent) == 2  # the RHello and the RIKeying; nothing after the Close
 
 

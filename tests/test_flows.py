@@ -5,8 +5,8 @@ import pytest
 
 from conftest import FakeSession, snapshot
 from rtmfpsim import wire
-from rtmfpsim.flows import (ST_IN_FLIGHT, ST_RETRANSMIT, Message, RecvFlow,
-                            SendFlow, fill_packet)
+from rtmfpsim.flows import (LOSS_REPORT_LIMIT, ST_IN_FLIGHT, ST_RETRANSMIT, Message,
+                            RecvFlow, SendFlow, fill_packet)
 
 CHUNK_CAP = 1450  # 1472 - 12 - 10
 
@@ -67,7 +67,7 @@ def test_fragment_reassemble_inverse_for_random_sizes():
             rf.on_data_chunk(wire.DataChunk(19, ch.seq, ch.frag, False, ch.payload), 0)
         msgs = rf.app_read()
         assert len(msgs) == 1
-        assert msgs[0].payload == payload
+        assert msgs[0] == payload
 
 
 # ------------------------------------------------------------------ bundling
@@ -334,6 +334,31 @@ def test_ack_retires_exactly_the_covered_seqs():
         assert res.acked_bytes == 140 * len(covered)
 
 
+def test_gap_order_does_not_change_loss_reports():
+    # A peer may list its received ranges in any order; the ranges, not their
+    # order, say which chunks are missing below the highest one.
+    rng = random.Random(11)
+    for _ in range(200):
+        cum = rng.randrange(0, 10)
+        gaps = []
+        lo = cum + 2
+        while lo < 40 and rng.random() < 0.7:
+            hi = rng.randrange(lo, 41)
+            gaps.append((lo, hi))
+            lo = hi + 2
+        shuffled = rng.sample(gaps, len(gaps))
+        flows = [sent_flow(40), sent_flow(40)]
+        for _ in range(LOSS_REPORT_LIMIT):
+            results = [f.on_ack(wire.AckChunk(19, cum, g, 65536), now=0)
+                       for f, g in zip(flows, (gaps, shuffled))]
+            assert results[0] == results[1]
+            assert [(seq, c.loss_reports, c.state) for seq, c in flows[0].outstanding.items()] \
+                == [(seq, c.loss_reports, c.state) for seq, c in flows[1].outstanding.items()]
+    f = sent_flow(12)
+    f.on_ack(wire.AckChunk(19, 2, [(10, 12), (5, 6)], 65536), now=0)
+    assert f.loss_reports_received == 5  # seqs 3, 4, 7, 8 and 9
+
+
 def test_ack_updates_flow_control_gate():
     f = sent_flow(2)
     f.on_ack(wire.AckChunk(19, 2, [], 1234), now=0)
@@ -373,7 +398,7 @@ def test_app_read_returns_messages_in_order():
     for i, payload in enumerate((b"aa", b"bb", b"cc"), start=1):
         recv_chunk(rf, i, payload=payload)
     msgs = rf.app_read()
-    assert [m.payload for m in msgs] == [b"aa", b"bb", b"cc"]
+    assert msgs == [b"aa", b"bb", b"cc"]
 
 
 def test_read_from_empty_flow_is_empty():

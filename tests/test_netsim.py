@@ -205,7 +205,7 @@ def test_forced_drop_by_send_ordinal():
 
 def test_oversize_datagram_rejected():
     sim = Simulator()
-    link = Link(sim, "l", Recorder(), bandwidth_bps=10_000_000, mtu=1500)
+    link = Link(sim, "l", Recorder(), bandwidth_bps=10_000_000)
     with pytest.raises(SimulationError):
         link.send(dgram(1501), 0)
 

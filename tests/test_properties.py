@@ -1,9 +1,8 @@
 """Property tests: the wire codec, send/receive flows sharing a session, and
-a responder's session lifecycle, over inputs generated by hypothesis. Skipped where hypothesis is not
-installed."""
+a responder's handshake, over inputs generated by hypothesis. Skipped where
+hypothesis is not installed."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -11,9 +10,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import AFTER_GC_US, FakeSession, Responder, snapshot  # noqa: E402
+from conftest import FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import wire  # noqa: E402
-from rtmfpsim.engine import HANDSHAKE_SID, S_CLOSED, S_RHELLO_SENT  # noqa: E402
+from rtmfpsim.engine import S_CLOSED  # noqa: E402
 from rtmfpsim.flows import ST_IN_FLIGHT, Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
@@ -144,7 +143,7 @@ def transfer(flows, drop, dup, rng, max_steps=20_000):
             ack = rf.end_of_packet(0)
             if ack is not None:
                 put("ack", [ack])
-            got[rf.flow_id].extend(m.payload for m in rf.app_read())
+            got[rf.flow_id].extend(rf.app_read())
     raise AssertionError(f"no completion in {max_steps} steps")
 
 
@@ -174,52 +173,50 @@ def test_flows_sharing_a_session_each_deliver_once_in_order(flows, drop, dup, se
     assert got == [payloads for _, payloads in sent]
 
 
-# One step of a peer at host9:5000: an IHello under one of two session ids, an
-# IIKeying or a Close to the n-th session the responder ever made, or a jump
-# of the clock past the half-open GC.
-lifecycle_steps = st.lists(st.one_of(
-    st.tuples(st.just("ihello"), st.sampled_from((777, 778))),
-    st.tuples(st.sampled_from(("iikeying", "close")), st.integers(0, 3)),
-    st.tuples(st.just("gc"), st.just(0))), max_size=15)
-
-
-def key(s):
-    """The (address, session id, EPD) an IHello files a responder session under."""
-    return (s.peer_address, s.peer_sid, s.local_epd)
+# One step of a peer at host9:5000, from initiator session 777 or 778: an
+# IHello, an IIKeying whose cookie is the one its RHello carried or a wrong
+# one, or a Close to the responder session it opened.
+lifecycle_steps = st.lists(st.tuples(
+    st.sampled_from(("ihello", "iikeying", "close")), st.sampled_from((777, 778)),
+    st.booleans()), max_size=15)
 
 
 @settings(SETTINGS, max_examples=100)
 @given(lifecycle_steps)
-def test_responder_lifecycle_keeps_one_session_per_key_and_reclaims_the_rest(steps):
+def test_responder_opens_a_session_only_for_an_echoed_cookie(steps):
     r = Responder()
     engine = r.engine
-    seen = []  # every session the responder made, in order
-    closed = []  # the sessions a Close chunk was sent to
+    cookies = {}  # initiator sid -> the cookie its last RHello carried
+    echoed = set()  # initiator sids whose IIKeying echoed the cookie
+    closed = set()  # initiator sids whose session a Close chunk closed
+    unknown = 0
     now = 0
-    for op, arg in steps:
-        now += AFTER_GC_US if op == "gc" else 1_000
+    for op, sid, right in steps:
+        now += 1_000
+        sessions = dict(engine.sessions)
+        by_sid = {s.peer_sid: s for s in sessions.values()}
         if op == "ihello":
-            r.receive(HANDSHAKE_SID, wire.HandshakeChunk(wire.T_IHELLO, epd=2014, sid=arg), now)
-        elif op == "gc":
-            r.sim.run_until(now)
-        elif seen:
-            s = seen[arg % len(seen)]
-            if op == "iikeying":
-                chunk = wire.HandshakeChunk(wire.T_IIKEYING, sid=s.peer_sid)
+            n_rhellos = len(r.rhellos())
+            r.ihello(sid, now)
+            assert engine.sessions == sessions
+            if sid in echoed:
+                assert len(r.rhellos()) == n_rhellos
             else:
-                chunk = wire.CloseChunk()
-                closed.append(s)
-            r.receive(s.local_sid, chunk, now)
-        seen += [s for s in engine.sessions.values() if s not in seen]
-        live = Counter(key(s) for s in engine.sessions.values() if s.state != S_CLOSED)
-        assert all(n == 1 for n in live.values())
-        for s in seen:
-            if s.state == S_RHELLO_SENT:
-                assert engine.sessions[s.local_sid] is s
-                assert engine._half_open[key(s)] is s
-            elif s.state == S_CLOSED and s not in r.opened:
-                assert engine.sessions.get(s.local_sid) is not s
-                assert engine._half_open.get(key(s)) is not s
-        # Only its peer closes a session that opened; the GC leaves it be.
-        for s in r.opened:
-            assert (s.state == S_CLOSED) == (s in closed)
+                cookies[sid] = r.rhellos()[-1].chunks[0].cookie
+        elif op == "iikeying":
+            cookie = cookies.get(sid, wire.NO_COOKIE)
+            if not (right and sid in cookies):
+                cookie = cookie[:-1] + bytes([cookie[-1] ^ 1])
+            r.iikeying(sid, cookie, now)
+            if cookie != cookies.get(sid) or sid in closed:
+                unknown += 1
+            else:
+                echoed.add(sid)
+        elif sid in by_sid:
+            r.receive(by_sid[sid].local_sid, wire.CloseChunk(), now)
+            if sid in closed:
+                unknown += 1
+            closed.add(sid)
+        assert sorted(s.peer_sid for s in engine.sessions.values()) == sorted(echoed)
+        assert {s.peer_sid for s in engine.sessions.values() if s.state == S_CLOSED} == closed
+        assert engine.unknown_session == unknown
