@@ -6,18 +6,26 @@ session and drives its outgoing flows; every app can receive on flows that
 appear on inbound sessions. Message payloads embed the flow id and a running
 index so the receiving side can verify ordering, and both sides keep a
 running SHA-256 over the payload stream for end-to-end integrity checks.
+
+A message is drawn when its tick fires but built when its flow takes it: a
+flow that still has an unsent chunk leaves the message's size in a backlog,
+and the flow asks for the next one when its last unsent chunk goes out. The
+send digest covers every message drawn, in order; `finalize` hashes the ones
+still in the backlog.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
 from . import netsim
 from .engine import S_OPEN, RtmfpEngine, Session
+from .flows import SendFlow
 
 _PATTERN = bytes(range(256))
 _HEADER = struct.Struct("!IQ")
@@ -94,10 +102,12 @@ class FlowStats:
 
 class _SendSide:
     """One outgoing flow: its spec, statistics, payload hash, the two random
-    streams its message sizes and intervals are drawn from, and the bound
-    tick callable scheduled for each of its messages."""
+    streams its message sizes and intervals are drawn from, the bound tick
+    callable scheduled for each of its messages, the session's flow and the
+    sizes of the messages drawn but not yet handed to it, in index order."""
 
-    __slots__ = ("spec", "stats", "hasher", "size_rng", "ival_rng", "tick")
+    __slots__ = ("spec", "stats", "hasher", "size_rng", "ival_rng", "tick",
+                 "flow", "backlog")
 
     def __init__(self, spec: FlowSpec, stats: FlowStats, size_rng, ival_rng):
         self.spec = spec
@@ -106,6 +116,8 @@ class _SendSide:
         self.size_rng = size_rng
         self.ival_rng = ival_rng
         self.tick = None
+        self.flow: Optional[SendFlow] = None
+        self.backlog: deque[int] = deque()
 
 
 class _RecvSide:
@@ -148,7 +160,9 @@ class RtmfpApp:
             return
         self.session = session
         for side in self._send:
-            session.create_send_flow(side.spec.flow_id, side.spec.time_critical)
+            side.flow = session.create_send_flow(side.spec.flow_id,
+                                                 side.spec.time_critical)
+            side.flow.refill = partial(self._refill, side)
             side.tick = partial(self.send_tick, side)
             self._schedule_tick(side, now)
 
@@ -173,15 +187,31 @@ class RtmfpApp:
         # The guard keeps the min/max calls off the per-message path.
         if not SIZE_CLAMP_MIN <= size <= SIZE_CLAMP_MAX:
             size = min(max(size, SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
-        payload = make_payload(fs.flow_id, st.msgs, size)
-        st.msgs += 1
-        st.bytes += len(payload)
+        index = st.msgs
+        st.msgs = index + 1
+        st.bytes += size
         st.touch(now)
-        side.hasher.update(payload)
-        self.engine.send_message(self.session, fs.flow_id, payload, now)
+        # A flow with an unsent chunk would only queue the message behind it,
+        # so keep its size until the flow takes it.
+        if side.flow.unsent:
+            side.backlog.append(size)
+        else:
+            payload = make_payload(fs.flow_id, index, size)
+            side.hasher.update(payload)
+            self.engine.send_message(self.session, fs.flow_id, payload, now)
         if st.msgs < fs.num_packets:
             interval = max(0, round(fs.interval_dist.sample(side.ival_rng)))
             self._schedule_tick(side, now + interval)
+
+    def _refill(self, side: _SendSide) -> None:
+        """Build, hash and queue the next backlog message; the flow calls
+        this when its last unsent chunk goes out."""
+        backlog = side.backlog
+        if backlog:
+            index = side.stats.msgs - len(backlog)
+            payload = make_payload(side.spec.flow_id, index, backlog.popleft())
+            side.hasher.update(payload)
+            side.flow.enqueue_message(payload)
 
     # -------------------------------------------------------------- receiving
 
@@ -238,11 +268,12 @@ class RtmfpApp:
         rows = []
         for side in self._send:
             st = side.stats
-            st.digest = side.hasher.hexdigest()
-            if self.session is not None:
-                f = self.session.send_flows.get(st.flow_id)
-                if f is not None:
-                    st.retransmissions = f.retransmissions
+            hasher = side.hasher.copy()
+            for index, size in enumerate(side.backlog, st.msgs - len(side.backlog)):
+                hasher.update(make_payload(st.flow_id, index, size))
+            st.digest = hasher.hexdigest()
+            if side.flow is not None:
+                st.retransmissions = side.flow.retransmissions
             rows.append(st)
         for flow_id, side in self._recv.items():
             side.stats.digest = side.hasher.hexdigest()

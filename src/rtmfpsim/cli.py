@@ -4,12 +4,14 @@
   rtmfpsim preset NAME [--seed N] [--override key=value ...] [--out DIR] [--trace FILE]
   rtmfpsim report --out DIR
 
-Exit codes: 0 success, 1 configuration error, 2 runtime assertion failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime assertion failure,
+3 an output file or directory cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -27,16 +29,28 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
+class OutputError(Exception):
+    """A trace file or output directory that cannot be written."""
+
+
 def _open_trace(path: str | None):
     if path is None:
         return None, None
-    f = open(path, "w")
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        f = open(path, "w")
+    except OSError as e:
+        raise OutputError(f"trace {path}: {e}") from e
     return f, lambda line: f.write(line + "\n")
 
 
 def _finish(results, out_dir: str | None) -> None:
     if out_dir:
-        for path in harness.write_outputs(results, out_dir):
+        try:
+            written = harness.write_outputs(results, out_dir)
+        except OSError as e:
+            raise OutputError(f"output directory {out_dir}: {e}") from e
+        for path in written:
             print(f"wrote {path}")
     for res in results:
         s = res.summary
@@ -85,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
                                          overrides=overrides, trace=trace)
             _finish(results, args.out)
         else:
-            import os
             path = os.path.join(args.out, "results.csv")
             for entry in harness.summarize_results_csv(path):
                 print(f"{entry['scenario']}: flows={entry['flows_recv']} "
@@ -98,6 +111,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SimulationError, AssertionError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
+    except OutputError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 3
     finally:
         if trace_file is not None:
             trace_file.close()

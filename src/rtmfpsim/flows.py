@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import netsim, wire
 
@@ -70,6 +70,9 @@ class SendFlow:
         self.flight_bytes = 0
         self.retransmissions = 0
         self.loss_reports_received = 0
+        # Called when the last unsent chunk goes out, so the owner can queue
+        # its next message; it may call enqueue_message and nothing else.
+        self.refill: Optional[Callable[[], None]] = None
 
     def enqueue_message(self, payload: Message) -> None:
         """Queue a message as one whole chunk, or as fragments when it
@@ -121,6 +124,8 @@ class SendFlow:
             self.outstanding[ch.seq] = ch
             self.outstanding_payload += len(ch.payload)
             self.highest_sent_seq = max(self.highest_sent_seq, ch.seq)
+            if not self.unsent and self.refill is not None:
+                self.refill()
         ch.state = ST_IN_FLIGHT
         self.flight_bytes += len(ch.payload)
 

@@ -192,6 +192,32 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.conf")]) == 1
 
 
+def small_config(tmp_path):
+    cfg_path = tmp_path / "scenario.conf"
+    cfg_path.write_text(point_text("bottleneck-basic", seed=9).replace(
+        "flowNumPackets = 5000", "flowNumPackets = 20"))
+    return str(cfg_path)
+
+
+def test_cli_creates_the_directory_of_a_trace_path(tmp_path):
+    from rtmfpsim.cli import main
+    out_dir = tmp_path / "out"
+    trace = out_dir / "t.tsv"
+    assert main(["run", "--config", small_config(tmp_path), "--trace", str(trace),
+                 "--out", str(out_dir)]) == 0
+    assert trace.read_text().startswith("0\t") and (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flag,what", [("--trace", "trace"),
+                                       ("--out", "output directory")])
+def test_cli_unwritable_output_path_is_an_output_error(tmp_path, capsys, flag, what):
+    from rtmfpsim.cli import main
+    # A directory cannot be opened as the trace file, nor a file used as --out.
+    path = tmp_path if flag == "--trace" else tmp_path / "scenario.conf"
+    assert main(["run", "--config", small_config(tmp_path), flag, str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"output error: {what} {path}: ")
+
+
 def test_cli_runtime_failure_exit_code(monkeypatch):
     from rtmfpsim import cli
     from rtmfpsim.netsim import SimulationError

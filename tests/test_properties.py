@@ -1,8 +1,11 @@
-"""Property tests: the wire codec, send/receive flows sharing a session, and
-a responder's handshake, over inputs generated by hypothesis. Skipped where
-hypothesis is not installed."""
+"""Property tests: the wire codec, send/receive flows sharing a session, an
+app's send backlog against queueing every payload at once, and a responder's
+handshake, over inputs generated by hypothesis. Skipped where hypothesis is
+not installed."""
 
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +14,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
-from rtmfpsim import wire  # noqa: E402
-from rtmfpsim.engine import S_CLOSED  # noqa: E402
+from rtmfpsim import netsim, wire  # noqa: E402
+from rtmfpsim.app import AppConfig, FlowSpec, RtmfpApp, make_payload  # noqa: E402
+from rtmfpsim.engine import S_CLOSED, S_OPEN  # noqa: E402
 from rtmfpsim.flows import ST_IN_FLIGHT, Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
@@ -171,6 +175,86 @@ def test_flows_sharing_a_session_each_deliver_once_in_order(flows, drop, dup, se
     sent = [(tc, payloads_of(sizes)) for tc, sizes in flows]
     got = transfer(sent, drop, dup, random.Random(seed))
     assert got == [payloads for _, payloads in sent]
+
+
+class QueueingSession(FakeSession):
+    """An open initiator session: the surface an app's send side uses."""
+
+    role = "initiator"
+    state = S_OPEN
+
+    def create_send_flow(self, flow_id, time_critical):
+        f = self.send_flows[flow_id] = SendFlow(flow_id, time_critical, CHUNK_CAP)
+        return f
+
+
+class QueueingEngine:
+    """The engine surface an app's send side uses. send_message only queues:
+    the test fills packets itself."""
+
+    host = SimpleNamespace(node_id="host1")
+
+    def register_app(self, epd, app):
+        pass
+
+    def send_message(self, session, flow_id, payload, now):
+        session.send_flows[flow_id].enqueue_message(payload)
+
+
+class NextSize:
+    """A size distribution that returns the size the test set last."""
+
+    value = 1
+
+    def sample(self, rng):
+        return self.value
+
+
+backlog_steps = st.lists(st.one_of(
+    st.tuples(st.just("tick"), st.integers(1, 3 * CHUNK_CAP + 17)),
+    st.tuples(st.just("fill"), st.integers(0, 3 * MTU_PAYLOAD)),
+    st.tuples(st.just("ack"), st.integers(0, 1 << 16), st.booleans(),
+              st.sampled_from((0, 2_000, 65_536)))), max_size=80)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(backlog_steps)
+def test_backlog_sends_what_queueing_every_payload_at_once_sends(steps):
+    """An app's send side, whose flow builds each payload when it takes it,
+    puts the same (seq, frag, bytes) stream on the wire and ends with the
+    same send digest as a flow given make_payload(flow_id, i, size) at each
+    tick, under any mix of ticks, packet fills and acks; and its flow runs
+    out of unsent chunks only when the backlog is empty."""
+    sizes = NextSize()
+    app = RtmfpApp(netsim.Simulator(seed=1), QueueingEngine(), AppConfig(
+        local_epd=1, flows=[FlowSpec(7, sizes, netsim.Dist.constant(10), 1 << 30)]))
+    app.session_opened(QueueingSession(), 0)
+    side, = app._send
+    flow = side.flow
+    ref = SendFlow(7, False, CHUNK_CAP)
+    ref_session = FakeSession(ref)
+    ref_hash = hashlib.sha256()
+    for now, (op, *args) in enumerate(steps, 1):
+        if op == "tick":
+            sizes.value, = args
+            payload = make_payload(7, side.stats.msgs, sizes.value)
+            app.send_tick(side, now)
+            ref.enqueue_message(Message(payload))
+            ref_hash.update(payload)
+        elif op == "fill":
+            got, want = (fill_packet(s, MTU_PAYLOAD, args[0])
+                         for s in (app.session, ref_session))
+            assert ([(c.seq, c.frag, c.payload) for c in got or ()] ==
+                    [(c.seq, c.frag, c.payload) for c in want or ()])
+        else:
+            x, gap, adv = args
+            highest = ref.highest_sent_seq
+            cum_ack = x % (highest + 1)
+            gaps = [(cum_ack + 2, highest)] if gap and cum_ack + 2 <= highest else []
+            for f in (flow, ref):
+                f.on_ack(wire.AckChunk(7, cum_ack, gaps, adv), now)
+        assert flow.unsent or not side.backlog
+    assert app.finalize()[0].digest == ref_hash.hexdigest()
 
 
 # One step of a peer at host9:5000, from initiator session 777 or 778: an
