@@ -24,7 +24,7 @@ from functools import partial
 from typing import Optional
 
 from . import netsim
-from .engine import S_OPEN, RtmfpEngine, Session
+from .engine import RtmfpEngine, Session
 from .flows import SendFlow
 
 _PATTERN = bytes(range(256))
@@ -176,8 +176,6 @@ class RtmfpApp:
     def send_tick(self, side: _SendSide, now: int) -> None:
         fs = side.spec
         st = side.stats
-        if self.session is None or self.session.state != S_OPEN:
-            return
         if st.msgs >= fs.num_packets:
             return
         # start() is scheduled at start_time_us: this is the time since start.

@@ -66,20 +66,15 @@ class CcRegistry:
     A session is time-critical while one of its flows marked time-critical
     has queued data. Every *other* local session defers while at least one
     local session is time-critical; a session also defers when its peer
-    signaled a time-critical transfer. Membership changes and `tc_active`
-    flips take effect at the next update().
+    signaled a time-critical transfer. A new session and `tc_active` flips
+    take effect at the next update().
     """
 
     def __init__(self):
         self.sessions: list = []
 
     def add(self, session) -> None:
-        if session not in self.sessions:
-            self.sessions.append(session)
-
-    def remove(self, session) -> None:
-        if session in self.sessions:
-            self.sessions.remove(session)
+        self.sessions.append(session)
 
     def update(self) -> list:
         """Recompute every session's mode; returns sessions whose mode changed."""

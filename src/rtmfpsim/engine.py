@@ -34,7 +34,6 @@ DELAYED_ACK_US = 50_000
 S_IHELLO_SENT = "IHelloSent"
 S_KEYING_SENT = "KeyingSent"
 S_OPEN = "Open"
-S_CLOSED = "Closed"
 
 
 class Session:
@@ -130,8 +129,8 @@ class RtmfpEngine:
         host.bind(self.local_port, self.handle_datagram)
         self.apps: dict[int, object] = {}
         self.sessions: dict[int, Session] = {}
-        # Responder sessions by the (address, initiator sid, EPD) that opened them.
-        self._responders: dict[tuple, Session] = {}
+        # Responder sessions by the cookie they opened with.
+        self._responders: dict[bytes, Session] = {}
         self.registry = cc_mod.CcRegistry()
         self._rng = sim.stream(f"engine:{host.node_id}:{self.local_port}")
         self._cookie_key = sim.stream(f"cookie:{host.node_id}:{self.local_port}").randbytes(32)
@@ -182,42 +181,47 @@ class RtmfpEngine:
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
 
     def _on_handshake_timer(self, s: Session, now: int) -> None:
-        # Opening cancels the timer; a Close chunk does not.
-        if s.state == S_CLOSED:
-            return
+        """Retry, or give up: a failed session leaves the session table, so
+        later packets for it count as unknown. Opening cancels the timer."""
         if s.hs_sends < HANDSHAKE_ATTEMPTS:
             self._handshake_step(s, now)
         else:
             self.sessions_failed += 1
-            self._close(s, now)
+            del self.sessions[s.local_sid]
 
     def _respond(self, dgram: netsim.Datagram, chunk: wire.HandshakeChunk,
                  pkt: wire.Packet, now: int) -> bool:
         """The responder, stateless before the IIKeying (RFC 7016, 3.5.1). An
         IHello gets an RHello whose cookie is a keyed hash of its (address,
-        initiator sid, EPD), unless a session for that key opened. An IIKeying
-        echoing the cookie opens the session, or repeats the RIKeying of one
-        open; False, opening nothing, for a wrong cookie or a closed one."""
+        initiator sid, EPD), unless a session opened with that cookie. An
+        IIKeying echoing the cookie opens the session. One echoing the cookie
+        of an open session repeats its RIKeying to the packet's source, which
+        becomes the peer's address, as for data. False, opening nothing, for
+        any other cookie."""
         key = (dgram.src, chunk.sid, chunk.epd)
         cookie = hashlib.blake2b(repr(key).encode(), key=self._cookie_key,
                                  digest_size=wire.COOKIE_LEN).digest()
-        s = self._responders.get(key)
         if chunk.kind == wire.T_IHELLO:
             if chunk.epd not in self.apps:
                 self.unknown_epd += 1
-            elif s is None:
+            elif cookie not in self._responders:
                 rhello = wire.HandshakeChunk(wire.T_RHELLO, chunk.epd, 0, cookie)
                 self._send(chunk.sid, 0, pkt.timestamp, [rhello], dgram.src, now)
             return True
-        if chunk.cookie != cookie or (s is not None and s.state != S_OPEN):
-            return False
-        if s is None:
+        s = self._responders.get(chunk.cookie)
+        if s is not None:
+            if dgram.src != s.peer_address:
+                s.peer_address = dgram.src
+                s.mobility_events += 1
+        elif chunk.cookie == cookie:
             s = Session(self, "responder", chunk.epd, 0, self._fresh_sid(), S_OPEN)
             s.app = self.apps[chunk.epd]
             s.peer_sid = chunk.sid
             s.peer_address = dgram.src
-            self.sessions[s.local_sid] = self._responders[key] = s
+            self.sessions[s.local_sid] = self._responders[cookie] = s
             self._opened(s, now)
+        else:
+            return False
         s.heard(pkt, now)
         self._send_packet(s, [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)], now,
                           established=False)
@@ -271,7 +275,7 @@ class RtmfpEngine:
                 self.unknown_session += 1
             return
         s = self.sessions.get(pkt.session_id)
-        if s is None or s.state == S_CLOSED:
+        if s is None:
             self.unknown_session += 1
             return
         self.delivered_packets += 1
@@ -313,9 +317,6 @@ class RtmfpEngine:
                 res = sf.on_ack(chunk, now)
                 acked += res.acked_bytes
                 losses += res.losses_detected
-            elif isinstance(chunk, wire.CloseChunk):
-                self._close(s, now)
-                return
         ack_chunks = []
         for rf in touched:
             ack = rf.end_of_packet(now)
@@ -367,7 +368,7 @@ class RtmfpEngine:
 
     def _on_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
         rf.delack_timer = None
-        if s.state != S_OPEN or not rf.ack_pending():
+        if not rf.ack_pending():
             return
         self._send_packet(s, [rf.make_ack(now)], now)
 
@@ -383,7 +384,7 @@ class RtmfpEngine:
 
     def _on_rto(self, s: Session, now: int) -> None:
         s.rto_timer = None
-        if s.state != S_OPEN or not s.in_flight():
+        if not s.in_flight():
             return
         s.rto_fires += 1
         for f in s.send_flows.values():
@@ -398,19 +399,12 @@ class RtmfpEngine:
 
     def send_message(self, s: Session, flow_id: int, payload: bytes, now: int) -> None:
         f = s.send_flows[flow_id]
-        waiting = bool(f.unsent)
         f.enqueue_message(payload)
         # Queueing on another flow cannot change whether a time-critical flow
         # has data; every path that drains a flow runs the update itself.
         if f.time_critical:
             self._update_tc_active(s, now)
-        # Every transmit opportunity ends blocked, and whatever can unblock it
-        # (an ack, an RTO, the RIKeying) makes one itself. A chunk queued
-        # behind one that is already waiting changes no flow's next chunk, so
-        # trying again would find nothing to send, and a try that finds
-        # nothing changes nothing.
-        if not waiting:
-            self.transmit_opportunity(s, now)
+        self.transmit_opportunity(s, now)
 
     def _update_tc_active(self, s: Session, now: int) -> None:
         active = any(f.time_critical and f.has_pending()
@@ -426,8 +420,6 @@ class RtmfpEngine:
 
     def transmit_opportunity(self, s: Session, now: int) -> int:
         """Send as many packets as the window, flow control and queues allow."""
-        if s.state != S_OPEN:
-            return 0
         sent = 0
         while (payload_budget := int(s.cc.cwnd) - s.flight()) > 0:
             chunks = flows_mod.fill_packet(s, self.spec.max_segment_size,
@@ -471,19 +463,9 @@ class RtmfpEngine:
         if rf is None:
             return []
         msgs = rf.app_read()
-        if msgs and rf.window_update_due(self.chunk_capacity) and s.state == S_OPEN:
+        if msgs and rf.window_update_due(self.chunk_capacity):
             self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs
-
-    def _close(self, s: Session, now: int) -> None:
-        """Close a session: on a Close chunk, or when the initiator runs out
-        of attempts. An open session leaves the mode registry. A responder
-        session stays keyed, so a late IHello or IIKeying opens no second
-        session."""
-        if s.state == S_OPEN:
-            self.registry.remove(s)
-            self._update_modes(now)
-        s.state = S_CLOSED
 
     def migrate(self, new_port: int) -> None:
         """Rebind to a different local port; the peer learns the new address

@@ -21,7 +21,6 @@ Fixed layout, big-endian throughout:
       data        the payload itself (>= 1 byte)
       ack         adv_buffer u32, gap_count u16, then gap_count * (from u32, to u32)
       handshake   epd u32, sid u32, cookie (64 bytes; zero but in RHello, IIKeying)
-      close       empty
 
 An encoded packet is therefore exactly 12 + sum(10 + body_len) bytes, which
 makes bundling efficiency analytically checkable. Unknown chunk types are
@@ -46,7 +45,6 @@ T_IIKEYING = 0x03
 T_RIKEYING = 0x04
 T_DATA = 0x10
 T_ACK = 0x11
-T_CLOSE = 0x1F
 
 HANDSHAKE_TYPES = (T_IHELLO, T_RHELLO, T_IIKEYING, T_RIKEYING)
 
@@ -110,13 +108,7 @@ class HandshakeChunk:
         return _HS_FIXED.size + len(self.cookie)
 
 
-@dataclass(slots=True)
-class CloseChunk:
-    def body_len(self) -> int:
-        return 0
-
-
-Chunk = DataChunk | AckChunk | HandshakeChunk | CloseChunk
+Chunk = DataChunk | AckChunk | HandshakeChunk
 
 
 @dataclass(slots=True)
@@ -158,8 +150,6 @@ def encode(p: Packet, max_size: int | None = None) -> bytes:
         elif isinstance(c, HandshakeChunk):
             ctype = c.kind
             body = _HS_FIXED.pack(c.epd & 0xFFFFFFFF, c.sid & 0xFFFFFFFF) + c.cookie
-        elif isinstance(c, CloseChunk):
-            ctype, body = T_CLOSE, b""
         else:
             raise EncodeError(f"unknown chunk object: {c!r}")
         out.append(_CHK_HDR.pack(ctype, len(body), cflags, flow_id & 0xFFFF,
@@ -214,8 +204,6 @@ def decode(buf: bytes) -> Packet:
                 raise DecodeError("handshake chunk body too short")
             epd, sid = _HS_FIXED.unpack_from(body, 0)
             chunks.append(HandshakeChunk(ctype, epd, sid, body[_HS_FIXED.size:]))
-        elif ctype == T_CLOSE:
-            chunks.append(CloseChunk())
         else:
             continue  # forward-compatibility: skip unknown chunk kinds
     if not chunks:

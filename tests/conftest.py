@@ -75,20 +75,20 @@ class Responder:
     def session_opened(self, session, now):
         self.opened.append(session)
 
-    def receive(self, sid, chunk, at):
-        """A packet to session id `sid` from the peer at host9:5000."""
+    def receive(self, sid, chunk, at, src=("host9", 5000)):
+        """A packet to session id `sid` from the peer at `src`."""
         self.sim.run_until(at)
         pkt = wire.Packet(sid, 0, 0, wire.TS_NONE, [chunk])
         self.engine.handle_datagram(
-            netsim.Datagram(("host9", 5000), ("host2", 2013), wire.encode(pkt)), at)
+            netsim.Datagram(src, ("host2", 2013), wire.encode(pkt)), at)
 
     def ihello(self, initiator_sid, at):
         self.receive(HANDSHAKE_SID, wire.HandshakeChunk(
             wire.T_IHELLO, epd=2014, sid=initiator_sid), at)
 
-    def iikeying(self, initiator_sid, cookie, at):
+    def iikeying(self, initiator_sid, cookie, at, src=("host9", 5000)):
         self.receive(HANDSHAKE_SID, wire.HandshakeChunk(
-            wire.T_IIKEYING, epd=2014, sid=initiator_sid, cookie=cookie), at)
+            wire.T_IIKEYING, epd=2014, sid=initiator_sid, cookie=cookie), at, src)
 
     def rhellos(self):
         return [p for p in self.sent if p.chunks[0].kind == wire.T_RHELLO]
@@ -102,7 +102,7 @@ def random_packet(rng: random.Random) -> wire.Packet:
     n = rng.randint(1, 9)
     chunks = []
     for _ in range(n):
-        kind = rng.choice(("data", "data", "data", "ack", "hs", "close"))
+        kind = rng.choice(("data", "data", "data", "ack", "hs"))
         if kind == "data":
             size = rng.randint(1, 1450)
             chunks.append(wire.DataChunk(
@@ -123,14 +123,12 @@ def random_packet(rng: random.Random) -> wire.Packet:
             chunks.append(wire.AckChunk(
                 flow_id=rng.randint(0, 0xFFFF), cum_ack=cum, gaps=gaps,
                 adv_buffer=rng.randint(0, 1 << 24)))
-        elif kind == "hs":
+        else:
             chunks.append(wire.HandshakeChunk(
                 kind=rng.choice(wire.HANDSHAKE_TYPES),
                 epd=rng.randint(0, 0xFFFFFFFF),
                 sid=rng.randint(0, 0xFFFFFFFF),
                 cookie=rng.randbytes(64)))
-        else:
-            chunks.append(wire.CloseChunk())
     return wire.Packet(
         session_id=rng.randint(0, 0xFFFFFFFF),
         flags=rng.randint(0, 3),

@@ -1,7 +1,6 @@
 from conftest import PacketSniffer, Responder
-from rtmfpsim import flows as flows_mod
 from rtmfpsim import netsim, wire
-from rtmfpsim.engine import S_CLOSED, S_OPEN
+from rtmfpsim.engine import S_OPEN
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import preset_points, run_config
 
@@ -128,8 +127,15 @@ def test_all_packets_dropped_closes_after_five_attempts():
     assert [b - a for a, b in zip(attempts, attempts[1:])] == [
         1_000_000, 2_000_000, 4_000_000, 8_000_000]
     engine1 = res.bundle.engines["host1"]
-    assert all(s.state == S_CLOSED for s in engine1.sessions.values())
+    assert engine1.sessions == {}
     assert res.summary["sessions_failed"] == 1
+    # A late packet to the failed session's id finds no session.
+    failed_sid = sniffer.handshake_packets()[0][1].chunks[0].sid
+    late = wire.Packet(failed_sid, 0, 0, wire.TS_NONE, [wire.AckChunk(19, 0)])
+    before = engine1.unknown_session
+    engine1.handle_datagram(netsim.Datagram(("host2", 2013), ("host1", 4711),
+                                            wire.encode(late)), res.bundle.sim.now)
+    assert engine1.unknown_session == before + 1
     # The app still reports its configured flow, with zero traffic.
     st = res.stats("host1", 4712, 19, "send")
     assert st.msgs == 0 and st.goodput_bps == 0.0
@@ -227,19 +233,18 @@ def test_repeated_iikeying_repeats_the_rikeying_without_a_second_session():
     assert r.engine.unknown_session == 0
 
 
-def test_close_chunk_takes_an_open_session_out_of_the_registry():
+def test_iikeying_from_a_new_address_moves_the_open_session():
     r = Responder()
     s, cookie = opened_777(r)
-    assert r.engine.registry.sessions == [s]
-    r.receive(s.local_sid, wire.CloseChunk(), 200_000)
-    assert s.state == S_CLOSED and r.engine.registry.sessions == []
-    # Neither an IIKeying for the closed session nor a packet to its id
-    # opens anything.
-    r.iikeying(777, cookie, 300_000)
-    r.receive(s.local_sid, wire.AckChunk(1, 0), 400_000)
-    assert r.engine.unknown_session == 2
-    assert list(r.engine.sessions.values()) == [s]
-    assert len(r.sent) == 2  # the RHello and the RIKeying; nothing after the Close
+    r.iikeying(777, cookie, 200_000, src=("host9", 5001))
+    assert r.opened == [s] and list(r.engine.sessions.values()) == [s]
+    assert s.peer_address == ("host9", 5001) and s.mobility_events == 1
+    assert len(r.rikeyings()) == 2 and r.engine.unknown_session == 0
+    # An IHello from the new address is a new key: it gets a fresh cookie.
+    r.ihello(777, 300_000)
+    r.receive(0, wire.HandshakeChunk(wire.T_IHELLO, epd=2014, sid=777), 400_000,
+              src=("host9", 5001))
+    assert len(r.rhellos()) == 2 and r.rhellos()[1].chunks[0].cookie != cookie
 
 
 # -------------------------------------------------------------------- demux
@@ -423,33 +428,6 @@ def fill_window(sim, engine, session, flow_id):
     return flow
 
 
-def count_fill_packet(monkeypatch):
-    calls = []
-    real = flows_mod.fill_packet
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flows_mod, "fill_packet", counted)
-    return calls
-
-
-def test_enqueue_behind_a_waiting_chunk_makes_no_send_attempt(monkeypatch):
-    sim, engine1, session = idle_sender()
-    flow = fill_window(sim, engine1, session, 19)
-    waiting = len(flow.unsent)
-    calls = count_fill_packet(monkeypatch)
-    for _ in range(5):
-        engine1.send_message(session, 19, b"y" * 140, sim.now)
-    assert calls == []
-    assert len(flow.unsent) == waiting + 5
-    # The next ack opens the window and the queued chunks go out.
-    sim.run_until(sim.now + 1_000_000)
-    assert calls and not flow.unsent and not flow.outstanding
-    assert flow.highest_sent_seq == flow.next_seq - 1
-
-
 def test_enqueue_on_an_empty_queue_with_an_open_window_sends_at_once():
     sim, engine1, session = idle_sender()
     flow = session.send_flows[19]
@@ -458,21 +436,20 @@ def test_enqueue_on_an_empty_queue_with_an_open_window_sends_at_once():
     assert session.data_packets_out == 1
 
 
-def test_two_flow_session_tries_to_send_only_for_an_enqueue_on_an_empty_queue(
-        monkeypatch):
+def test_chunks_queued_behind_a_full_window_go_out_after_the_next_ack():
     sim, engine1, session = idle_sender(flows=2)
-    fill_window(sim, engine1, session, 19)
-    calls = count_fill_packet(monkeypatch)
+    flow = fill_window(sim, engine1, session, 19)
+    waiting = len(flow.unsent)
     for _ in range(5):
         engine1.send_message(session, 19, b"y" * 140, sim.now)
-    assert calls == []
-    # Flow 88's queue was empty: one try, and its chunk waits behind the window.
+    # Flow 88's chunks wait behind the same window.
     engine1.send_message(session, 88, b"z" * 140, sim.now)
     engine1.send_message(session, 88, b"z" * 140, sim.now)
-    assert len(calls) == 1 and len(session.send_flows[88].unsent) == 2
+    assert len(flow.unsent) == waiting + 5 and len(session.send_flows[88].unsent) == 2
     sim.run_until(sim.now + 1_000_000)
     for f in session.send_flows.values():
         assert not f.unsent and not f.outstanding
+        assert f.highest_sent_seq == f.next_seq - 1
 
 
 # ---------------------------------------------------------------- mobility
@@ -493,6 +470,21 @@ def test_mid_transfer_address_change_is_transparent():
     assert (plain.summary["handshakes_completed"]
             == moved.summary["handshakes_completed"] == 2)
     assert moved.summary["sessions_failed"] == 0
+
+
+def test_initiator_that_moves_before_the_rikeying_opens():
+    # The first IIKeying leaves from 4711 at 40 ms and opens the responder
+    # session; its RIKeying reaches 4711 after the move and is lost. The
+    # IIKeying retry from 4721 echoes the same cookie and gets the RIKeying.
+    [(_, text)] = preset_points("bottleneck-basic", seed=1)
+    res = run_config(text, {"host.1.migrateAt": "45ms", "host.1.migrateTo": "4721",
+                            "scenario.duration": "20s"}, "move-at-45ms")
+    assert res.summary["handshakes_completed"] == 2
+    assert res.summary["unknown_session"] == 0
+    sent = res.stats("host1", 4712, 19, "send")
+    received = res.stats("host2", 2014, 19, "recv")
+    assert received.msgs == sent.msgs == 5000
+    assert received.digest == sent.digest
 
 
 def test_replies_follow_the_new_address_within_one_rtt():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import netsim, wire  # noqa: E402
 from rtmfpsim.app import AppConfig, FlowSpec, RtmfpApp, make_payload  # noqa: E402
-from rtmfpsim.engine import S_CLOSED, S_OPEN  # noqa: E402
+from rtmfpsim.engine import S_OPEN  # noqa: E402
 from rtmfpsim.flows import ST_IN_FLIGHT, Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
@@ -41,8 +41,8 @@ handshake_chunks = st.builds(
     cookie=st.binary(max_size=wire.COOKIE_LEN))
 packets = st.builds(
     wire.Packet, session_id=u32, flags=st.integers(0, 0xFF), timestamp=u16, ts_echo=u16,
-    chunks=st.lists(st.one_of(data_chunks, ack_chunks, handshake_chunks,
-                              st.just(wire.CloseChunk())), min_size=1, max_size=6))
+    chunks=st.lists(st.one_of(data_chunks, ack_chunks, handshake_chunks),
+                    min_size=1, max_size=6))
 
 
 @st.composite
@@ -257,11 +257,14 @@ def test_backlog_sends_what_queueing_every_payload_at_once_sends(steps):
     assert app.finalize()[0].digest == ref_hash.hexdigest()
 
 
-# One step of a peer at host9:5000, from initiator session 777 or 778: an
-# IHello, an IIKeying whose cookie is the one its RHello carried or a wrong
-# one, or a Close to the responder session it opened.
+HOME = ("host9", 5000)
+MOVED = ("host9", 5001)
+
+# One step of a peer from initiator session 777 or 778: an IHello from
+# host9:5000, or an IIKeying whose cookie is the one its RHello carried or a
+# wrong one, from host9:5000 or, after a move, from host9:5001.
 lifecycle_steps = st.lists(st.tuples(
-    st.sampled_from(("ihello", "iikeying", "close")), st.sampled_from((777, 778)),
+    st.sampled_from(("ihello", "iikeying", "move")), st.sampled_from((777, 778)),
     st.booleans()), max_size=15)
 
 
@@ -271,14 +274,13 @@ def test_responder_opens_a_session_only_for_an_echoed_cookie(steps):
     r = Responder()
     engine = r.engine
     cookies = {}  # initiator sid -> the cookie its last RHello carried
-    echoed = set()  # initiator sids whose IIKeying echoed the cookie
-    closed = set()  # initiator sids whose session a Close chunk closed
+    echoed = {}  # initiator sid -> the source of its last IIKeying answered
     unknown = 0
+    answered = 0
     now = 0
     for op, sid, right in steps:
         now += 1_000
         sessions = dict(engine.sessions)
-        by_sid = {s.peer_sid: s for s in sessions.values()}
         if op == "ihello":
             n_rhellos = len(r.rhellos())
             r.ihello(sid, now)
@@ -287,20 +289,22 @@ def test_responder_opens_a_session_only_for_an_echoed_cookie(steps):
                 assert len(r.rhellos()) == n_rhellos
             else:
                 cookies[sid] = r.rhellos()[-1].chunks[0].cookie
-        elif op == "iikeying":
+        else:
+            src = HOME if op == "iikeying" else MOVED
             cookie = cookies.get(sid, wire.NO_COOKIE)
             if not (right and sid in cookies):
                 cookie = cookie[:-1] + bytes([cookie[-1] ^ 1])
-            r.iikeying(sid, cookie, now)
-            if cookie != cookies.get(sid) or sid in closed:
-                unknown += 1
+            r.iikeying(sid, cookie, now, src)
+            # The cookie binds the address it was issued to, so only an open
+            # session's cookie is answered from the moved address.
+            if cookie == cookies.get(sid) and (sid in echoed or src == HOME):
+                echoed[sid] = src
+                answered += 1
             else:
-                echoed.add(sid)
-        elif sid in by_sid:
-            r.receive(by_sid[sid].local_sid, wire.CloseChunk(), now)
-            if sid in closed:
                 unknown += 1
-            closed.add(sid)
-        assert sorted(s.peer_sid for s in engine.sessions.values()) == sorted(echoed)
-        assert {s.peer_sid for s in engine.sessions.values() if s.state == S_CLOSED} == closed
+        # One session per cookie, each at the source of its last IIKeying.
+        assert sorted(engine._responders) == sorted(cookies[sid] for sid in echoed)
+        assert len(engine.sessions) == len(echoed)
+        assert {s.peer_sid: s.peer_address for s in engine.sessions.values()} == echoed
+        assert len(r.rikeyings()) == answered
         assert engine.unknown_session == unknown
