@@ -436,16 +436,31 @@ def test_enqueue_on_an_empty_queue_with_an_open_window_sends_at_once():
     assert session.data_packets_out == 1
 
 
-def test_chunks_queued_behind_a_full_window_go_out_after_the_next_ack():
-    sim, engine1, session = idle_sender(flows=2)
+def test_enqueue_behind_a_waiting_chunk_makes_no_send_attempt():
+    # No packet leaves while a chunk waits for the window; the next ack
+    # opens it and the queued chunks go out.
+    sim, engine1, session = idle_sender()
     flow = fill_window(sim, engine1, session, 19)
-    waiting = len(flow.unsent)
+    waiting, packets = len(flow.unsent), session.data_packets_out
     for _ in range(5):
         engine1.send_message(session, 19, b"y" * 140, sim.now)
-    # Flow 88's chunks wait behind the same window.
+    assert len(flow.unsent) == waiting + 5 and session.data_packets_out == packets
+    sim.run_until(sim.now + 1_000_000)
+    assert not flow.unsent and not flow.outstanding
+    assert flow.highest_sent_seq == flow.next_seq - 1
+
+
+def test_two_flow_session_tries_to_send_only_for_an_enqueue_on_an_empty_queue():
+    sim, engine1, session = idle_sender(flows=2)
+    flow = fill_window(sim, engine1, session, 19)
+    waiting, packets = len(flow.unsent), session.data_packets_out
+    for _ in range(5):
+        engine1.send_message(session, 19, b"y" * 140, sim.now)
+    # Flow 88's queue was empty, and its chunks wait behind the same window.
     engine1.send_message(session, 88, b"z" * 140, sim.now)
     engine1.send_message(session, 88, b"z" * 140, sim.now)
     assert len(flow.unsent) == waiting + 5 and len(session.send_flows[88].unsent) == 2
+    assert session.data_packets_out == packets
     sim.run_until(sim.now + 1_000_000)
     for f in session.send_flows.values():
         assert not f.unsent and not f.outstanding
