@@ -185,31 +185,31 @@ class RtmfpApp:
         # The guard keeps the min/max calls off the per-message path.
         if not SIZE_CLAMP_MIN <= size <= SIZE_CLAMP_MAX:
             size = min(max(size, SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
-        index = st.msgs
-        st.msgs = index + 1
+        st.msgs += 1
         st.bytes += size
         st.touch(now)
         # A flow with an unsent chunk would only queue the message behind it,
-        # so keep its size until the flow takes it.
-        if side.flow.unsent:
-            side.backlog.append(size)
-        else:
-            payload = make_payload(fs.flow_id, index, size)
-            side.hasher.update(payload)
-            self.engine.send_message(self.session, fs.flow_id, payload, now)
+        # so the size waits in the backlog until the flow takes it.
+        side.backlog.append(size)
+        if not side.flow.unsent:
+            self.engine.send_message(self.session, fs.flow_id, self._take(side), now)
         if st.msgs < fs.num_packets:
             interval = max(0, round(fs.interval_dist.sample(side.ival_rng)))
             self._schedule_tick(side, now + interval)
 
-    def _refill(self, side: _SendSide) -> None:
-        """Build, hash and queue the next backlog message; the flow calls
-        this when its last unsent chunk goes out."""
+    def _take(self, side: _SendSide) -> bytes:
+        """Build and hash the oldest backlog message, which leaves the backlog."""
         backlog = side.backlog
-        if backlog:
-            index = side.stats.msgs - len(backlog)
-            payload = make_payload(side.spec.flow_id, index, backlog.popleft())
-            side.hasher.update(payload)
-            side.flow.enqueue_message(payload)
+        index = side.stats.msgs - len(backlog)
+        payload = make_payload(side.spec.flow_id, index, backlog.popleft())
+        side.hasher.update(payload)
+        return payload
+
+    def _refill(self, side: _SendSide) -> None:
+        """Queue the next backlog message; the flow calls this when its last
+        unsent chunk goes out."""
+        if side.backlog:
+            side.flow.enqueue_message(self._take(side))
 
     # -------------------------------------------------------------- receiving
 

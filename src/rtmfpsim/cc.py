@@ -35,8 +35,6 @@ class CongestionController:
         self._last_collapse_us: int | None = None
 
     def on_ack_progress(self, bytes_acked: int) -> None:
-        if bytes_acked <= 0:
-            return
         g = GAIN[self.mode]
         mss = self.mss
         if self.cwnd < self.ssthresh:

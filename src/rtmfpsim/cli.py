@@ -4,8 +4,9 @@
   rtmfpsim preset NAME [--seed N] [--override key=value ...] [--out DIR] [--trace FILE]
   rtmfpsim report --out DIR
 
-Exit codes: 0 success, 1 configuration error, 2 runtime assertion failure,
-3 an output file or directory cannot be written.
+Exit codes: 0 success, 1 configuration error or an input that cannot be
+read, 2 runtime assertion failure, 3 an output file or directory cannot be
+written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
             raise ConfigError(f"override {pair!r}: expected key=value")
         overrides[key.strip()] = value.strip()
     return overrides
+
+
+class InputError(Exception):
+    """A --config file or report input that cannot be read."""
 
 
 class OutputError(Exception):
@@ -84,8 +89,11 @@ def main(argv: list[str] | None = None) -> int:
     trace_file = None
     try:
         if args.command == "run":
-            with open(args.config) as f:
-                text = f.read()
+            try:
+                with open(args.config) as f:
+                    text = f.read()
+            except (OSError, ValueError) as e:
+                raise InputError(f"--config {args.config}: {e}") from e
             overrides = {}
             if args.seed is not None:
                 overrides["scenario.seed"] = str(args.seed)
@@ -99,14 +107,21 @@ def main(argv: list[str] | None = None) -> int:
                                          overrides=overrides, trace=trace)
             _finish(results, args.out)
         else:
-            path = os.path.join(args.out, "results.csv")
-            for entry in harness.summarize_results_csv(path):
+            try:
+                entries = harness.summarize_results_csv(
+                    os.path.join(args.out, "results.csv"))
+            except (OSError, ValueError) as e:
+                raise InputError(f"--out {args.out}: {e}") from e
+            for entry in entries:
                 print(f"{entry['scenario']}: flows={entry['flows_recv']} "
                       f"goodput={entry['total_recv_goodput_bps']:.0f}bps "
                       f"jain={entry['jain_index']:.4f} "
                       f"retx={entry['total_retransmissions']}")
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return 1
     except (SimulationError, AssertionError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)

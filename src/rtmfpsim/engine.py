@@ -459,9 +459,7 @@ class RtmfpEngine:
     # ----------------------------------------------------------- app surface
 
     def read_flow(self, s: Session, flow_id: int) -> list[flows_mod.Message]:
-        rf = s.recv_flows.get(flow_id)
-        if rf is None:
-            return []
+        rf = s.recv_flows[flow_id]
         msgs = rf.app_read()
         if msgs and rf.window_update_due(self.chunk_capacity):
             self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)

@@ -32,10 +32,8 @@ Message = bytes
 
 
 @dataclass(slots=True)
-class OutboundChunk:
-    seq: int
-    frag: int
-    payload: bytes
+class OutboundChunk(wire.DataChunk):
+    """A data chunk as its send flow keeps it; the bundler sends it as is."""
     state: int = ST_QUEUED
     loss_reports: int = 0
     # After a retransmission, only acks that cover data sent later may report
@@ -80,14 +78,16 @@ class SendFlow:
         cap = self.chunk_capacity
         seq = self.next_seq
         if len(payload) <= cap:
-            self.unsent.append(OutboundChunk(seq, wire.FRAG_WHOLE, payload))
+            self.unsent.append(OutboundChunk(self.flow_id, seq, wire.FRAG_WHOLE,
+                                             self.time_critical, payload))
             self.next_seq = seq + 1
         else:
             pieces = [payload[i:i + cap] for i in range(0, len(payload), cap)]
             last = len(pieces) - 1
             self.unsent.extend(
-                OutboundChunk(seq + i, wire.FRAG_FIRST if i == 0 else
-                              wire.FRAG_LAST if i == last else wire.FRAG_MIDDLE, piece)
+                OutboundChunk(self.flow_id, seq + i, wire.FRAG_FIRST if i == 0 else
+                              wire.FRAG_LAST if i == last else wire.FRAG_MIDDLE,
+                              self.time_critical, piece)
                 for i, piece in enumerate(pieces))
             self.next_seq = seq + len(pieces)
 
@@ -286,7 +286,7 @@ class RecvFlow:
 
 
 def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
-                now: int = 0) -> Optional[list[wire.DataChunk]]:
+                now: int = 0) -> Optional[list[OutboundChunk]]:
     """Greedy bundler: pick sendable chunks for one packet of at most `budget`
     wire bytes (and optionally at most `payload_budget` payload bytes).
 
@@ -294,25 +294,20 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
     retransmissions before new chunks; within a priority, round-robin by
     service. The order of `session.send_flows` is the round-robin order: the
     flow that leads its priority's part of a packet moves to the back. Returns
-    None, and changes nothing, when nothing is eligible.
+    the flows' own chunks, or None, changing nothing, when nothing fits.
+
+    `session.last_fill_was_full` tells whether some flow's next chunk no
+    longer fits in the packet's `budget`. A chunk the walk passes over never
+    fits later in the same packet, and its flow does not change, so the
+    largest one passed over decides; a packet that passed over nothing is not
+    full, however close it ends to `budget`.
     """
     send_flows = session.send_flows
-    # Most calls find nothing the window or the receiver's buffer admits, so
-    # look for one chunk that fits before building anything.
-    room = budget - wire.PACKET_HEADER - wire.CHUNK_HEADER
-    if payload_budget is not None and payload_budget < room:
-        room = payload_budget
-    for f in send_flows.values():
-        ch = f.next_chunk()
-        if ch is not None and len(ch.payload) <= room:
-            break
-    else:
-        return None
-    # Some chunk fits, so the pass below picks at least one.
     flows = list(send_flows.values())
-    picked: list[tuple[SendFlow, OutboundChunk]] = []
+    picked: list[OutboundChunk] = []
     wire_len = wire.PACKET_HEADER
     pay_len = 0
+    passed = -1  # largest payload passed over, -1 for none
     for group in ([f for f in flows if f.time_critical],
                   [f for f in flows if not f.time_critical]):
         first = len(picked)
@@ -324,26 +319,21 @@ def fill_packet(session, budget: int, payload_budget: Optional[int] = None,
                 if ch is None:
                     continue
                 size = len(ch.payload)
-                if wire_len + wire.CHUNK_HEADER + size > budget:
-                    continue
-                if payload_budget is not None and pay_len + size > payload_budget:
+                if (wire_len + wire.CHUNK_HEADER + size > budget
+                        or payload_budget is not None and pay_len + size > payload_budget):
+                    if size > passed:
+                        passed = size
                     continue
                 f.mark_sent(ch, now)
-                picked.append((f, ch))
+                picked.append(ch)
                 wire_len += wire.CHUNK_HEADER + size
                 pay_len += size
                 progress = True
         if len(picked) > first:
-            leader = picked[first][0]
-            send_flows[leader.flow_id] = send_flows.pop(leader.flow_id)
-    # Whether the packet is MTU-full (the next eligible chunk did not fit):
-    # consumed by bundling statistics.
-    full = False
-    for f in flows:
-        ch = f.next_chunk()
-        if ch is not None and wire_len + wire.CHUNK_HEADER + len(ch.payload) > budget:
-            full = True
-            break
-    session.last_fill_was_full = full
-    return [wire.DataChunk(f.flow_id, ch.seq, ch.frag, f.time_critical, ch.payload)
-            for f, ch in picked]
+            leader = picked[first].flow_id
+            send_flows[leader] = send_flows.pop(leader)
+    if not picked:
+        return None
+    session.last_fill_was_full = (passed >= 0
+                                  and wire_len + wire.CHUNK_HEADER + passed > budget)
+    return picked

@@ -307,6 +307,8 @@ def summarize_results_csv(path: str) -> list[dict]:
     """Recompute per-scenario aggregates from a results.csv file."""
     with open(path) as f:
         reader = csv.DictReader(f)
+        if reader.fieldnames != RESULTS_HEADER.split(","):
+            raise ValueError(f"{path}: first line is not the results header")
         rows = list(reader)
     by_scenario: dict[str, list[dict]] = {}
     for row in rows:

@@ -124,10 +124,6 @@ def ack_body_len(n_gaps: int) -> int:
     return _ACK_FIXED.size + _GAP.size * n_gaps
 
 
-def encoded_size(p: Packet) -> int:
-    return PACKET_HEADER + sum(CHUNK_HEADER + c.body_len() for c in p.chunks)
-
-
 def encode(p: Packet, max_size: int | None = None) -> bytes:
     """Serialize a packet. Raises EncodeError on invariant violations."""
     if not p.chunks:
@@ -169,10 +165,7 @@ def decode(buf: bytes) -> Packet:
     """
     if len(buf) < PACKET_HEADER:
         raise DecodeError(f"buffer too short for packet header: {len(buf)}B")
-    try:
-        session_id, flags, timestamp, ts_echo = _PKT_HDR.unpack_from(buf, 0)
-    except struct.error as e:  # pragma: no cover - guarded by length check
-        raise DecodeError(str(e))
+    session_id, flags, timestamp, ts_echo = _PKT_HDR.unpack_from(buf, 0)
     chunks: list[Chunk] = []
     off = PACKET_HEADER
     end = len(buf)

@@ -64,9 +64,10 @@ def test_deferring_growth_is_halved():
 
 
 def test_zero_bytes_acked_changes_nothing():
-    cc = make_cc(cwnd=10000, ssthresh=20000)
-    cc.on_ack_progress(0)
-    assert cc.cwnd == 10000 and cc.ssthresh == 20000
+    for cwnd, ssthresh in ((10000, 20000), (20000, 10000)):  # slow start, then avoidance
+        cc = make_cc(cwnd=cwnd, ssthresh=ssthresh)
+        cc.on_ack_progress(0)
+        assert cc.cwnd == cwnd and cc.ssthresh == ssthresh
 
 
 def test_slow_start_adds_at_most_one_mss_per_ack():

@@ -83,6 +83,16 @@ def test_mtu_budget_fits_nine_140_byte_chunks():
     assert s.last_fill_was_full
 
 
+def test_a_packet_that_passes_over_nothing_is_not_full():
+    f = send_flow()
+    f.enqueue_message(Message(b"x" * 1445))
+    s = FakeSession(f)
+    s.last_fill_was_full = True
+    chunks = fill_packet(s, budget=1472)
+    assert wire.PACKET_HEADER + sum(wire.CHUNK_HEADER + len(c.payload) for c in chunks) == 1467
+    assert not s.last_fill_was_full  # 5 bytes short of budget, but nothing waits
+
+
 def test_time_critical_flow_has_absolute_priority():
     bulk = send_flow(flow_id=1, tc=False)
     rt = send_flow(flow_id=2, tc=True)

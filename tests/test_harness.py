@@ -189,7 +189,26 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("[scenario]\nseed = banana\n")
     assert main(["run", "--config", str(bad)]) == 1
-    assert main(["run", "--config", str(tmp_path / "missing.conf")]) == 1
+
+
+@pytest.mark.parametrize("command,make", [
+    ("run", lambda d: None),                                       # no such file
+    ("run", lambda d: (d / "scenario.conf").mkdir()),              # a directory
+    ("report", lambda d: None),                                    # no results.csv
+    ("report", lambda d: (d / "results.csv").mkdir()),             # a directory
+    ("report", lambda d: (d / "results.csv").write_text("a,b\n1,2\n")),  # no header
+], ids=["run-missing", "run-directory", "report-missing", "report-directory",
+        "report-no-header"])
+def test_cli_unreadable_input_is_an_input_error(tmp_path, capsys, command, make):
+    from rtmfpsim.cli import main
+    make(tmp_path)
+    if command == "run":
+        flag, path = "--config", tmp_path / "scenario.conf"
+    else:
+        flag, path = "--out", tmp_path
+    assert main([command, flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag} {path}: ") and err.count("\n") == 1
 
 
 def small_config(tmp_path):

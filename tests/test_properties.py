@@ -71,7 +71,6 @@ def test_any_bytes_decode_or_raise_decode_error(buf):
 def test_decode_inverts_encode_and_size_is_header_plus_chunks(pkt):
     buf = wire.encode(pkt)
     assert len(buf) == 12 + sum(10 + c.body_len() for c in pkt.chunks)
-    assert len(buf) == wire.encoded_size(pkt)
     assert wire.decode(buf) == pkt
 
 
@@ -119,6 +118,11 @@ def transfer(flows, drop, dup, rng, max_steps=20_000):
             if chunks is None:
                 assert snapshot(session) == before
                 break
+            # Full: some flow's next chunk no longer fits in the packet.
+            used = wire.PACKET_HEADER + sum(wire.CHUNK_HEADER + len(c.payload) for c in chunks)
+            assert session.last_fill_was_full == any(
+                c is not None and used + wire.CHUNK_HEADER + len(c.payload) > MTU_PAYLOAD
+                for c in (sf.next_chunk() for sf in senders))
             put("data", chunks)
         check_flight()
         if not channel:

@@ -16,7 +16,6 @@ def data(flow=19, seq=1, payload=b"x" * 140, frag=wire.FRAG_WHOLE, tc=False):
 def test_single_140_byte_chunk_packet_is_162_bytes():
     p = wire.Packet(1, chunks=[data()])
     assert len(wire.encode(p)) == 162  # 12 + 10 + 140
-    assert wire.encoded_size(p) == 162
 
 
 def test_nine_140_byte_chunks_packet_is_1362_bytes():
@@ -39,8 +38,7 @@ def test_chunk_overhead_is_fixed_ten_bytes():
     # Every chunk kind costs the same 10-byte header on the wire.
     for chunk in (data(seq=1), wire.AckChunk(19, 0), wire.HandshakeChunk(wire.T_IHELLO)):
         p = wire.Packet(1, chunks=[chunk])
-        assert wire.encoded_size(p) == len(wire.encode(p))
-        assert wire.encoded_size(p) == wire.PACKET_HEADER + wire.CHUNK_HEADER + chunk.body_len()
+        assert len(wire.encode(p)) == wire.PACKET_HEADER + wire.CHUNK_HEADER + chunk.body_len()
     assert wire.CHUNK_HEADER == 10
     assert wire.ack_body_len(0) == 6
     assert wire.ack_body_len(3) == 6 + 24
@@ -74,7 +72,8 @@ def test_round_trip_randomized_packets():
     for _ in range(2000):
         p = random_packet(rng)
         buf = wire.encode(p)
-        assert len(buf) == wire.encoded_size(p)
+        assert len(buf) == wire.PACKET_HEADER + sum(wire.CHUNK_HEADER + c.body_len()
+                                                    for c in p.chunks)
         assert wire.decode(buf) == p
 
 
