@@ -226,10 +226,10 @@ class RtmfpApp:
         if side.read_pending:
             return
         side.read_pending = True
-        self.sim.after(self.config.read_delay_us, self.host_id, netsim.KIND_APP_TICK,
-                       lambda t: self._do_read(session, flow_id, t),
-                       f"read epd={self.config.local_epd} flow={flow_id}"
-                       if self.sim.tracing else "")
+        self.sim.schedule(now + self.config.read_delay_us, self.host_id,
+                          netsim.KIND_APP_TICK, lambda t: self._do_read(session, flow_id, t),
+                          f"read epd={self.config.local_epd} flow={flow_id}"
+                          if self.sim.tracing else "")
 
     def _do_read(self, session: Session, flow_id: int, now: int) -> None:
         side = self._recv_side(flow_id)

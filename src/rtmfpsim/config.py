@@ -242,7 +242,7 @@ class Key(NamedTuple):
 
 SCENARIO_KEYS = (
     Key("seed", "seed", _int),
-    Key("duration", "duration_us", parse_time_us, 0),
+    Key("duration", "duration_us", parse_time_us, 1),
     Key("probeTimes", "probe_times_us", _times),
 )
 TOPOLOGY_KEYS = (

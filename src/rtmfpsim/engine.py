@@ -59,11 +59,11 @@ class Session:
         self.candidates: list[tuple[str, int]] = []
         self.cookie = wire.NO_COOKIE  # the responder's, from its RHello
         self.hs_sends = 0
-        self.hs_timer: Optional[netsim.Event] = None
+        self.hs_timer: Optional[list] = None  # a Simulator.schedule entry
         self.srtt_us: Optional[int] = None
         self.rttvar_us: int = 0
         self.rto_backoff = 1
-        self.rto_timer: Optional[netsim.Event] = None
+        self.rto_timer: Optional[list] = None
         self.last_peer_ts: int = wire.TS_NONE
         # Counters exported to the harness.
         self.mobility_events = 0
@@ -176,8 +176,8 @@ class RtmfpEngine:
         chunk = wire.HandshakeChunk(kind, s.remote_epd, s.local_sid, s.cookie)
         for addr in dsts:
             self._send_packet(s, [chunk], now, addr, established=False)
-        s.hs_timer = self.sim.after(
-            HANDSHAKE_TIMEOUT_US << (s.hs_sends - 1), self.host.node_id, netsim.KIND_TIMER,
+        s.hs_timer = self.sim.schedule(
+            now + (HANDSHAKE_TIMEOUT_US << (s.hs_sends - 1)), self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
 
     def _on_handshake_timer(self, s: Session, now: int) -> None:
@@ -237,13 +237,13 @@ class RtmfpEngine:
             s.cookie = chunk.cookie
             s.peer_address = dgram.src
             s.state = S_KEYING_SENT
-            s.hs_timer.cancel()
+            self.sim.cancel(s.hs_timer)
             self._handshake_step(s, now)
         elif chunk.kind == wire.T_RIKEYING:
             if s.state != S_KEYING_SENT:
                 return
             s.peer_sid = chunk.sid
-            s.hs_timer.cancel()
+            self.sim.cancel(s.hs_timer)
             self._opened(s, now)
             self.transmit_opportunity(s, now)
 
@@ -323,7 +323,7 @@ class RtmfpEngine:
             if ack is not None:
                 ack_chunks.append(ack)
                 if rf.delack_timer is not None:
-                    rf.delack_timer.cancel()
+                    self.sim.cancel(rf.delack_timer)
                     rf.delack_timer = None
             elif rf.ack_pending():
                 self._arm_delack(s, rf, now)
@@ -361,8 +361,8 @@ class RtmfpEngine:
     def _arm_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
         if rf.delack_timer is not None:
             return
-        rf.delack_timer = self.sim.after(
-            DELAYED_ACK_US, self.host.node_id, netsim.KIND_TIMER,
+        rf.delack_timer = self.sim.schedule(
+            now + DELAYED_ACK_US, self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_delack(s, rf, t),
             f"delack {s.label}/{rf.flow_id}" if self.sim.tracing else "")
 
@@ -374,7 +374,7 @@ class RtmfpEngine:
 
     def _rearm_rto(self, s: Session, now: int) -> None:
         if s.rto_timer is not None:
-            s.rto_timer.cancel()
+            self.sim.cancel(s.rto_timer)
             s.rto_timer = None
         if not s.in_flight():
             return

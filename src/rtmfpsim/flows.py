@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import netsim, wire
+from . import wire
 
 # Chunk states on the send side.
 ST_QUEUED = 0
@@ -192,10 +192,11 @@ class RecvFlow:
         self._buffer: dict[int, tuple[int, bytes]] = {}  # seq > cum_ack -> (frag, payload)
         self._partial: list[bytes] = []
         self._ready: deque[Message] = deque()
-        self.delack_timer: Optional[netsim.Event] = None
+        self.delack_timer: Optional[list] = None  # a Simulator.schedule entry
         self.occupied_bytes = 0
         self.data_since_last_ack = 0
         self.last_advertised = rcv_buffer_size
+        self.largest_chunk = 0  # payload bytes: the sender's chunks may exceed ours
         self.acks_sent = 0
         self.duplicates = 0
         self.discarded_full = 0
@@ -209,14 +210,17 @@ class RecvFlow:
 
     def on_data_chunk(self, c: wire.DataChunk, now: int) -> None:
         """Buffer one chunk; ack emission is decided at end_of_packet()."""
+        size = len(c.payload)
+        if size > self.largest_chunk:
+            self.largest_chunk = size
         if c.seq <= self.cum_ack or c.seq in self._buffer:
             self.duplicates += 1
             return
-        if self.occupied_bytes + len(c.payload) > self.rcv_buffer_size:
+        if self.occupied_bytes + size > self.rcv_buffer_size:
             self.discarded_full += 1
             return
         self._buffer[c.seq] = (c.frag, c.payload)
-        self.occupied_bytes += len(c.payload)
+        self.occupied_bytes += size
         while self.cum_ack + 1 in self._buffer:
             self.cum_ack += 1
             frag, payload = self._buffer.pop(self.cum_ack)
@@ -277,11 +281,14 @@ class RecvFlow:
         self.occupied_bytes -= sum(map(len, out))
         return out
 
-    def window_update_due(self, threshold: int) -> bool:
+    def window_update_due(self, chunk_capacity: int) -> bool:
         """True when the last advertised buffer was too small to accept a full
         chunk but space has been freed since; the sender needs an ack to resume.
-        Small buffers use half the buffer instead of the full chunk size."""
-        effective = min(threshold, max(1, self.rcv_buffer_size // 2))
+        A full chunk is the larger of our own `chunk_capacity` and the largest
+        chunk this flow has received, since the sender's segments may be
+        larger than ours. Small buffers use half the buffer instead."""
+        full = max(chunk_capacity, self.largest_chunk)
+        effective = min(full, max(1, self.rcv_buffer_size // 2))
         return self.last_advertised < effective <= self.adv_buffer()
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .app import FlowStats
 from .config import ConfigError, ScenarioConfig, apply_overrides, parse_config
-from .netsim import ceil_div
+from .netsim import KIND_APP_TICK, ceil_div
 from .topology import SimBundle, build_bottleneck
 
 RESULTS_HEADER = ("scenario,seed,host,app,flow_id,direction,msgs_sent,msgs_recv,"
@@ -115,7 +115,7 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
                 for flow_id, nbytes in app.recv_bytes_by_flow().items():
                     key = (app.host_id, app.config.local_epd, flow_id, at_us)
                     result.window_bytes[key] = nbytes
-        bundle.sim.schedule(at_us, "harness", "app-tick", snap, f"probe@{at_us}")
+        bundle.sim.schedule(at_us, "harness", KIND_APP_TICK, snap, f"probe@{at_us}")
 
     for t in cfg.probe_times_us:
         probe(t)

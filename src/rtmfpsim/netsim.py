@@ -35,22 +35,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(slots=True)
-class Event:
-    """A queued callback. (fire_at, seq) totally orders the queue."""
-
-    fire_at: int
-    seq: int
-    node: str
-    kind: str
-    action: Callable[[int], None]
-    detail: str = ""
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Datagram:
     """A UDP-style datagram addressed by (node id, port) pairs."""
 
@@ -75,7 +59,9 @@ class Simulator:
         self.seed = seed
         self.now = 0
         self.processed_events = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        # Each entry is the event: [fire_at, seq, action, node, kind, detail].
+        # (fire_at, seq) totally orders the queue; a None action is cancelled.
+        self._heap: list[list] = []
         self._seq = 0
         self._streams: dict[str, random.Random] = {}
         self._trace = trace
@@ -92,18 +78,20 @@ class Simulator:
         return rng
 
     def schedule(self, fire_at: int, node: str, kind: str,
-                 action: Callable[[int], None], detail: str = "") -> Event:
+                 action: Callable[[int], None], detail: str = "") -> list:
+        """Queue `action(fire_at)`; the returned entry is the handle cancel() takes."""
         if fire_at < self.now:
             raise SimulationError(
                 f"event scheduled in the past: fire_at={fire_at} < now={self.now}")
-        ev = Event(int(fire_at), self._seq, node, kind, action, detail)
+        ev = [int(fire_at), self._seq, action, node, kind, detail]
         self._seq += 1
-        heapq.heappush(self._heap, (ev.fire_at, ev.seq, ev))
+        heapq.heappush(self._heap, ev)
         return ev
 
-    def after(self, delay: int, node: str, kind: str,
-              action: Callable[[int], None], detail: str = "") -> Event:
-        return self.schedule(self.now + int(delay), node, kind, action, detail)
+    @staticmethod
+    def cancel(ev: list) -> None:
+        """The event will not fire; a no-op once it has fired."""
+        ev[2] = None
 
     def run_until(self, t: int) -> int:
         """Process all events with fire_at <= t in (fire_at, seq) order.
@@ -118,13 +106,13 @@ class Simulator:
         heappop = heapq.heappop
         trace = self._trace
         while heap and heap[0][0] <= t:
-            _, _, ev = heappop(heap)
-            if ev.cancelled:
+            fire_at, _, action, node, kind, detail = heappop(heap)
+            if action is None:
                 continue
-            self.now = ev.fire_at
+            self.now = fire_at
             if trace is not None:
-                trace(f"{ev.fire_at}\t{ev.node}\t{ev.kind}\t{ev.detail}")
-            ev.action(ev.fire_at)
+                trace(f"{fire_at}\t{node}\t{kind}\t{detail}")
+            action(fire_at)
             count += 1
         self.now = t
         self.processed_events += count

@@ -77,8 +77,8 @@ class BackgroundSender:
         self.host.send(netsim.Datagram((self.host.node_id, BG_PORT),
                                        self.dst, payload), now)
         delay = max(1, int(round(self.interval_dist.sample(self._ival_rng))))
-        self.sim.after(delay, self.host.node_id, netsim.KIND_APP_TICK,
-                       self._tick, "background send")
+        self.sim.schedule(now + delay, self.host.node_id, netsim.KIND_APP_TICK,
+                          self._tick, "background send")
 
 
 @dataclass

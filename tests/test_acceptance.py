@@ -294,7 +294,7 @@ def test_06_retransmit_on_third_loss_report_before_rto():
                         session = next(iter(engine1.sessions.values()))
                         timer = session.rto_timer
                         retransmit_events.append(
-                            (now, c.seq, timer.fire_at if timer is not None else None))
+                            (now, c.seq, timer[0] if timer is not None else None))
                     seen_seqs.add(c.seq)
 
         bundle.links["bottleneck:lr"].observer = observer

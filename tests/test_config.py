@@ -241,7 +241,7 @@ def test_minimal_config_parses():
     ("host.1", "rcvBufferSize", "1byte"), ("host.1", "localPort", "65535"),
     ("topology", "bottleneckQueue", "1500byte"), ("topology", "bottleneckLoss", "1"),
     ("topology", "backgroundLoad", "0.999"), ("host.1", "ccCwndInit", "1478byte"),
-    ("topology", "bottleneckBandwidth", "1bit"), ("scenario", "duration", "0us"),
+    ("topology", "bottleneckBandwidth", "1bit"), ("scenario", "duration", "1us"),
     ("scenario", "probeTimes", "0us 1s"), ("app.1.0", "startTime", "0us"),
     ("host.1", "ccMss", "739byte"), ("topology", "accessQueue", "1500byte"),
     # host1 sends host2 chunks of 1472 - 12 - 10 bytes.

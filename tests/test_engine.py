@@ -409,6 +409,20 @@ def test_window_update_ack_unblocks_a_stalled_sender():
     assert res.stats("host2", 2014, 19, "recv").msgs == 2000
 
 
+def test_window_update_reaches_a_sender_with_larger_segments():
+    # host1 sends 1450-byte chunks to a receiver whose own chunks hold 1078
+    # bytes. Once the advertised buffer falls below 1450 the sender waits;
+    # only a window update measured against its chunks restarts it. Without
+    # one, 76 messages arrive, the last at 251.7 ms.
+    text = mini_config(num=1_000_000, size=1450, interval_us=100, duration_s=20,
+                       delay_ms=10)
+    res = run_config(text, {"host.2.maxSegmentSize": "1100byte",
+                            "host.2.rcvBufferSize": "66500byte",
+                            "app.2.0.readDelay": "100ms"}, "mss-mismatch")
+    recv = res.stats("host2", 2014, 19, "recv")
+    assert recv.msgs >= 6000 and recv.last_us > 19_000_000
+
+
 def idle_sender(flows=1):
     """A run whose app sent nothing: -> (sim, sender engine, its open session)."""
     res, _ = run_sniffed(mini_config(num=0, duration_s=1, flows=flows))

@@ -424,3 +424,15 @@ def test_read_frees_buffer_and_flags_window_update():
     assert not rf.window_update_due(1450)
     rf.app_read()
     assert rf.window_update_due(1450)
+
+
+def test_window_update_is_measured_against_the_senders_larger_chunks():
+    # Our own chunks would hold 1078 bytes; the sender's hold 1450. An
+    # advertised 1100 bytes admits none of them, so freeing space is due.
+    rf = RecvFlow(19, rcv_buffer_size=4000)
+    recv_chunk(rf, 1, payload=b"x" * 1450)
+    ack = recv_chunk(rf, 2, payload=b"x" * 1450)
+    assert ack.adv_buffer == 1100
+    assert not rf.window_update_due(1078)
+    rf.app_read()
+    assert rf.window_update_due(1078)

@@ -68,7 +68,7 @@ def test_cancelled_events_do_not_fire_or_count():
     sim = Simulator()
     fired = []
     ev = sim.schedule(3, "n", "timer", lambda t: fired.append(t))
-    ev.cancel()
+    sim.cancel(ev)
     assert sim.run_until(10) == 0
     assert fired == []
 

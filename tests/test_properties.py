@@ -1,10 +1,11 @@
-"""Property tests: the wire codec, send/receive flows sharing a session, an
-app's send backlog against queueing every payload at once, and a responder's
-handshake, over inputs generated by hypothesis. Skipped where hypothesis is
-not installed."""
+"""Property tests: the event queue with cancels, the wire codec, send/receive
+flows sharing a session, an app's send backlog against queueing every payload
+at once, and a responder's handshake, over inputs generated by hypothesis.
+Skipped where hypothesis is not installed."""
 
 import hashlib
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -43,6 +44,59 @@ packets = st.builds(
     wire.Packet, session_id=u32, flags=st.integers(0, 0xFF), timestamp=u16, ts_echo=u16,
     chunks=st.lists(st.one_of(data_chunks, ack_chunks, handshake_chunks),
                     min_size=1, max_size=6))
+
+
+@st.composite
+def event_plans(draw):
+    """-> (fire times with many ties, canceller per event, run end). A
+    canceller is None (never cancelled), -1 (cancelled before the run) or the
+    index of the event whose action cancels it, which may fire before or
+    after it, or be cancelled itself."""
+    n = draw(st.integers(0, 30))
+    times = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    cancellers = draw(st.lists(st.one_of(st.none(), st.integers(-1, n - 1)),
+                               min_size=n, max_size=n))
+    return times, cancellers, draw(st.integers(0, 6))
+
+
+@settings(SETTINGS)
+@given(event_plans())
+def test_exactly_the_uncancelled_events_fire_in_fire_time_then_schedule_order(plan):
+    times, cancellers, t = plan
+    lines = []
+    sim = netsim.Simulator(trace=lines.append)
+    fired = []
+    events = []
+    cancels_of = {i: [j for j, k in enumerate(cancellers) if k == i]
+                  for i in range(len(times))}
+
+    def action(i, now):
+        fired.append(i)
+        for j in cancels_of[i]:
+            sim.cancel(events[j])
+
+    for i, at in enumerate(times):
+        events.append(sim.schedule(at, "n", netsim.KIND_TIMER, partial(action, i), str(i)))
+    for j, k in enumerate(cancellers):
+        if k == -1:
+            sim.cancel(events[j])
+
+    expected = []
+    cancelled = {j for j, k in enumerate(cancellers) if k == -1}
+    for i in sorted(range(len(times)), key=lambda i: (times[i], i)):
+        if times[i] <= t and i not in cancelled:
+            expected.append(i)
+            cancelled.update(cancels_of[i])
+    assert sim.run_until(t) == len(expected)
+    assert fired == expected
+    assert sim.processed_events == len(lines) == len(expected)
+    assert sim.now == t
+    # Cancelling an event that has fired changes nothing.
+    for i in expected:
+        sim.cancel(events[i])
+    sim.run_until(7)
+    assert fired[:len(expected)] == expected
+    assert sim.processed_events == len(lines) == len(fired)
 
 
 @st.composite
