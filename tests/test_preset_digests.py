@@ -1,29 +1,44 @@
 """Byte-identical outputs: every preset point, seed 1, cut to one second.
 
-`tests/vectors/preset_digests.txt` pins, per scenario id, the sha256 of
-`results_csv([r]) + cwnd_csv(r)`. A change that alters any simulation output
-fails here; if the change is intended, regenerate the file with
+The pins live in `tests/vectors/`:
 
-    PYTHONPATH=src python tests/test_preset_digests.py > tests/vectors/preset_digests.txt
+- `preset_digests.txt`: per preset point, the sha256 of
+  `results_csv([r]) + cwnd_csv(r)`;
+- `preset_parts.txt`: per preset point and per extra point below, the sha256
+  of the results CSV and of the cwnd CSV, apart, so a failure names the file;
+- `trace_pins.txt`: per trace point, the line count and sha256 of the whole
+  `--trace` text (kind `*`), of each event kind's lines, and of each kind's
+  lines in each 100 ms slice of the run, so a failure names the kind and the
+  first slice that changed.
 
-and name the change in CHANGES.md.
+A change that alters any simulation output fails here; if the change is
+intended, regenerate every pin with
+
+    PYTHONPATH=src python tests/test_preset_digests.py
+
+and name the changed pins in CHANGES.md.
 """
 
+import functools
 import hashlib
 import os
 
 import pytest
 
-from rtmfpsim import harness
+from rtmfpsim import harness, netsim
 
-VECTORS = os.path.join(os.path.dirname(__file__), "vectors", "preset_digests.txt")
+VECTORS = os.path.join(os.path.dirname(__file__), "vectors")
+DIGESTS = os.path.join(VECTORS, "preset_digests.txt")
+PARTS = os.path.join(VECTORS, "preset_parts.txt")
+TRACE_PINS = os.path.join(VECTORS, "trace_pins.txt")
 OVERRIDES = {"scenario.duration": "1s"}
+SLICE_US = 100_000
+KINDS = (netsim.KIND_APP_TICK, netsim.KIND_DELIVERY, netsim.KIND_TIMER)
 
 # Cases no preset point covers, as (preset, name, overrides on top of
 # OVERRIDES): a time-critical flow that drains so the modes revert, a port
 # migration, a session with two outgoing flows, and 4,000-byte messages, each
-# sent as a first, a middle and a last fragment. Only their results CSV is
-# pinned (sha256 below); their cwnd rows are not.
+# sent as a first, a middle and a last fragment.
 EXTRA_POINTS = [
     ("fairness-simultaneous", "time-critical-drains", {
         "app.1.0.flowTimeCritical": "1", "app.1.0.flowNumPackets": "300"}),
@@ -35,23 +50,10 @@ EXTRA_POINTS = [
         "app.1.0.flowNumPackets": "5000 5000", "app.1.0.flowId": "19 20"}),
     ("bottleneck-basic", "fragmenting", {"app.1.0.flowPacketSize": "4000byte"}),
 ]
-EXTRA_RESULTS_SHA256 = {
-    "time-critical-drains": "c2a6d22a4d31c3220ec1a15a0617bd0853fc55c712a2c88cc7fbe342fc30ce42",
-    "migration": "b2848155bf07e815b8227cd6a854f43dbbbeab19795aa1be0a0ea0ddf7d62214",
-    "two-flows": "73e5413d76b9ebbd8f67a4c9e398d90c8b8191e121575c2f5677122918fdab5c",
-    "fragmenting": "e47d99f6d8934c98b062d30efd25a85512e55e256ee019bc5f559ae58f301cd0",
-}
 
-# sha256 of the `--trace` text (one line per event, each ending in a newline)
-# for the plain bottleneck-basic point, the two-flows and fragmenting extra
+# Traced: the plain bottleneck-basic point, the two-flows and fragmenting extra
 # points, and a lossy point with one message per 70 ms, whose trace is the only
 # one with retransmission-timeout and delayed-ack events.
-TRACE_SHA256 = {
-    "bottleneck-basic": "bb73b70fe50308a609e24ca748d2a8addceea02b1b88a4c2fdea577787aabb22",
-    "two-flows": "389eddc1c5aa0f72e76feb3073088aaf889ae2e2ec76aaf95a6f9f658692caf7",
-    "lossy-sparse": "cb74e79dea0f3c927b7e3930ef97b5930e3f8f35312561c44fea704f34e9f42a",
-    "fragmenting": "a7bcacc09774cf25c87812999805ccc940254eeca70d5eb2c3c9ecdfd6f556d1",
-}
 TRACE_POINTS = [("bottleneck-basic", "bottleneck-basic", {}),
                 next(p for p in EXTRA_POINTS if p[1] == "two-flows"),
                 next(p for p in EXTRA_POINTS if p[1] == "fragmenting"),
@@ -59,47 +61,126 @@ TRACE_POINTS = [("bottleneck-basic", "bottleneck-basic", {}),
                     "topology.bottleneckLoss": "0.2", "app.1.0.flowSendInterval": "70ms"})]
 
 
-def preset_digests():
-    """-> [(scenario id, sha256 hex)] over every point of every preset."""
-    out = []
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _points():
+    """-> {name: (scenario id, config text, overrides)}: every preset point
+    under its scenario id, then every extra point under its name."""
+    out = {}
     for name in harness.PRESET_NAMES:
         for scenario_id, text in harness.preset_points(name, seed=1):
-            res = harness.run_config(text, OVERRIDES, scenario_id)
-            rendered = harness.results_csv([res]) + harness.cwnd_csv(res)
-            out.append((scenario_id, hashlib.sha256(rendered.encode()).hexdigest()))
+            out[scenario_id] = (scenario_id, text, OVERRIDES)
+    for preset, name, overrides in EXTRA_POINTS:
+        (scenario_id, text), = harness.preset_points(preset, seed=1)
+        out[name] = (scenario_id, text, {**OVERRIDES, **overrides})
     return out
 
 
-def pinned():
-    with open(VECTORS) as f:
-        return [tuple(line.split()) for line in f if line.strip()]
+POINTS = _points()
+PRESET_IDS = [sid for name in harness.PRESET_NAMES
+              for sid, _ in harness.preset_points(name, seed=1)]
+
+
+@functools.cache
+def point_digests(name: str) -> tuple[str, str, str]:
+    """-> sha256 of (results + cwnd, results, cwnd) CSV text of one point."""
+    scenario_id, text, overrides = POINTS[name]
+    res = harness.run_config(text, overrides, scenario_id)
+    results, cwnd = harness.results_csv([res]), harness.cwnd_csv(res)
+    return sha256(results + cwnd), sha256(results), sha256(cwnd)
+
+
+@functools.cache
+def trace_pins(name: str) -> dict[tuple[str, str], tuple[int, str]]:
+    """-> {(kind, slice): (lines, sha256)} of one trace point's trace text,
+    each line ending in a newline. Kind `*` is every kind; slice `*` is the
+    whole run, else the index of a 100 ms slice."""
+    preset, _, overrides = next(p for p in TRACE_POINTS if p[1] == name)
+    (scenario_id, text), = harness.preset_points(preset, seed=1)
+    groups: dict[tuple[str, str], list[str]] = {}
+
+    def record(line: str) -> None:
+        at, _, kind, _ = line.split("\t", 3)
+        line += "\n"
+        for key in (("*", "*"), (kind, "*"), (kind, str(int(at) // SLICE_US))):
+            groups.setdefault(key, []).append(line)
+
+    harness.run_config(text, {**OVERRIDES, **overrides}, scenario_id, trace=record)
+    return {key: (len(lines), sha256("".join(lines))) for key, lines in groups.items()}
+
+
+def read_pins(path):
+    with open(path) as f:
+        return [line.split() for line in f if line.strip()]
+
+
+def pinned_parts():
+    return {name: (results, cwnd) for name, results, cwnd in read_pins(PARTS)}
+
+
+def pinned_trace(name):
+    return {(kind, slc): (int(lines), digest)
+            for point, kind, slc, lines, digest in read_pins(TRACE_PINS) if point == name}
 
 
 def test_preset_digests_match_pinned_vectors():
-    expected = pinned()
+    expected = [tuple(row) for row in read_pins(DIGESTS)]
     assert len(expected) == 19
-    assert preset_digests() == expected
+    assert [(sid, point_digests(sid)[0]) for sid in PRESET_IDS] == expected
+
+
+@pytest.mark.parametrize("name", list(POINTS))
+def test_results_and_cwnd_match_pinned_parts(name):
+    _, results, cwnd = point_digests(name)
+    want_results, want_cwnd = pinned_parts()[name]
+    changed = [f for f, got, want in (("results", results, want_results),
+                                      ("cwnd", cwnd, want_cwnd)) if got != want]
+    assert not changed, f"{name}: {' and '.join(changed)} CSV differs from its pin"
 
 
 @pytest.mark.parametrize("preset,name,overrides", EXTRA_POINTS,
                          ids=[name for _, name, _ in EXTRA_POINTS])
 def test_extra_point_results_match_pinned_digest(preset, name, overrides):
-    (scenario_id, text), = harness.preset_points(preset, seed=1)
-    res = harness.run_config(text, {**OVERRIDES, **overrides}, scenario_id)
-    rendered = harness.results_csv([res])
-    assert hashlib.sha256(rendered.encode()).hexdigest() == EXTRA_RESULTS_SHA256[name]
+    assert point_digests(name)[1] == pinned_parts()[name][0]
 
 
 @pytest.mark.parametrize("preset,name,overrides", TRACE_POINTS,
                          ids=[name for _, name, _ in TRACE_POINTS])
 def test_trace_text_matches_pinned_digest(preset, name, overrides):
-    (scenario_id, text), = harness.preset_points(preset, seed=1)
-    h = hashlib.sha256()
-    harness.run_config(text, {**OVERRIDES, **overrides}, scenario_id,
-                       trace=lambda line: h.update((line + "\n").encode()))
-    assert h.hexdigest() == TRACE_SHA256[name]
+    assert trace_pins(name)[("*", "*")][1] == pinned_trace(name)[("*", "*")][1]
+
+
+@pytest.mark.parametrize("name,kind", [(p[1], kind) for p in TRACE_POINTS for kind in KINDS],
+                         ids=[f"{p[1]}-{kind}" for p in TRACE_POINTS for kind in KINDS])
+def test_trace_kind_matches_pinned(name, kind):
+    """One event kind's lines, as a whole and per 100 ms slice."""
+    got = {key: v for key, v in trace_pins(name).items() if key[0] == kind}
+    want = {key: v for key, v in pinned_trace(name).items() if key[0] == kind}
+    if got == want:
+        return
+    n_got, n_want = (d.get((kind, "*"), (0, ""))[0] for d in (got, want))
+    slices = sorted({int(s) for _, s in got.keys() | want.keys() if s != "*"})
+    first = next(s for s in slices if got.get((kind, str(s))) != want.get((kind, str(s))))
+    pytest.fail(f"{name}: {kind} lines differ ({n_got} lines, pinned {n_want}); first "
+                f"differing slice {first} ({first * SLICE_US}-{(first + 1) * SLICE_US} us)")
+
+
+def regenerate():
+    with open(DIGESTS, "w") as f:
+        f.writelines(f"{sid} {point_digests(sid)[0]}\n" for sid in PRESET_IDS)
+    with open(PARTS, "w") as f:
+        f.writelines(f"{name} {point_digests(name)[1]} {point_digests(name)[2]}\n"
+                     for name in POINTS)
+    with open(TRACE_PINS, "w") as f:
+        for _, name, _ in TRACE_POINTS:
+            pins = trace_pins(name)
+            order = sorted(pins, key=lambda k: (k[0] != "*", k[0], k[1] != "*",
+                                                int(k[1]) if k[1] != "*" else 0))
+            f.writelines(f"{name} {kind} {slc} {pins[kind, slc][0]} {pins[kind, slc][1]}\n"
+                         for kind, slc in order)
 
 
 if __name__ == "__main__":
-    for scenario_id, digest in preset_digests():
-        print(scenario_id, digest)
+    regenerate()
