@@ -7,18 +7,19 @@ appear on inbound sessions. Message payloads embed the flow id and a running
 index so the receiving side can verify ordering, and both sides keep a
 running SHA-256 over the payload stream for end-to-end integrity checks.
 
-A message is drawn when its tick fires but built when its flow takes it: a
-flow that still has an unsent chunk leaves the message's size in a backlog,
-and the flow asks for the next one when its last unsent chunk goes out. The
-send digest covers every message drawn, in order; `finalize` hashes the ones
-still in the backlog.
+Ticks are drawn lazily: only a tick of an idle flow is an event. A tick
+behind a busy flow is drawn when the flow asks for its next message, as its
+last unsent chunk goes out, if it fell due strictly before that time. A tick
+of that same microsecond becomes an event after the current one: the order a
+source that schedules every tick gives, unless it scheduled that tick before
+the current event. `finalize` draws the ticks due by the end of the run. The
+send digest covers the messages handed to the flow, in order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -45,12 +46,6 @@ def make_payload(flow_id: int, index: int, size: int) -> bytes:
         pattern = _FILL if off + fill <= len(_FILL) else _PATTERN * (fill // 256 + 2)
         return _HEADER.pack(flow_id & 0xFFFFFFFF, index) + pattern[off:off + fill]
     return _PATTERN[:size]
-
-
-def parse_payload(payload: bytes) -> Optional[tuple[int, int]]:
-    if len(payload) >= _HEADER.size:
-        return _HEADER.unpack_from(payload, 0)
-    return None
 
 
 @dataclass
@@ -103,11 +98,11 @@ class FlowStats:
 class _SendSide:
     """One outgoing flow: its spec, statistics, payload hash, the two random
     streams its message sizes and intervals are drawn from, the bound tick
-    callable scheduled for each of its messages, the session's flow and the
-    sizes of the messages drawn but not yet handed to it, in index order."""
+    callable scheduled while the flow is idle, the session's flow and the
+    time of its next tick not yet drawn, None when it sends no more."""
 
     __slots__ = ("spec", "stats", "hasher", "size_rng", "ival_rng", "tick",
-                 "flow", "backlog")
+                 "flow", "next_at")
 
     def __init__(self, spec: FlowSpec, stats: FlowStats, size_rng, ival_rng):
         self.spec = spec
@@ -117,7 +112,7 @@ class _SendSide:
         self.ival_rng = ival_rng
         self.tick = None
         self.flow: Optional[SendFlow] = None
-        self.backlog: deque[int] = deque()
+        self.next_at: Optional[int] = None
 
 
 class _RecvSide:
@@ -164,6 +159,7 @@ class RtmfpApp:
                                                  side.spec.time_critical)
             side.flow.refill = partial(self._refill, side)
             side.tick = partial(self.send_tick, side)
+            side.next_at = now
             self._schedule_tick(side, now)
 
     # ---------------------------------------------------------------- sending
@@ -174,42 +170,55 @@ class RtmfpApp:
                           if self.sim.tracing else "")
 
     def send_tick(self, side: _SendSide, now: int) -> None:
-        fs = side.spec
+        """The tick of an idle flow: its message goes to the engine now."""
+        size = self._draw(side, now)
+        if size is None:
+            return
+        # Hidden during the send, so that a refill in it schedules no tick.
+        next_at, side.next_at = side.next_at, None
+        self.engine.send_message(self.session, side.spec.flow_id, self._build(side, size), now)
+        side.next_at = next_at
+        if next_at is not None and not side.flow.unsent:
+            self._schedule_tick(side, next_at)
+
+    def _draw(self, side: _SendSide, at: int) -> Optional[int]:
+        """Draw and count the size of the tick at `at`, and the time of the
+        next one; None, ending the flow's ticks, once it has sent them all or
+        maxRuntime has passed."""
         st = side.stats
-        if st.msgs >= fs.num_packets:
-            return
+        fs = side.spec
         # start() is scheduled at start_time_us: this is the time since start.
-        if now - self.config.start_time_us >= self.config.max_runtime_us:
-            return
+        if (st.msgs >= fs.num_packets
+                or at - self.config.start_time_us >= self.config.max_runtime_us):
+            side.next_at = None
+            return None
         size = round(fs.size_dist.sample(side.size_rng))
         # The guard keeps the min/max calls off the per-message path.
         if not SIZE_CLAMP_MIN <= size <= SIZE_CLAMP_MAX:
             size = min(max(size, SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
         st.msgs += 1
         st.bytes += size
-        st.touch(now)
-        # A flow with an unsent chunk would only queue the message behind it,
-        # so the size waits in the backlog until the flow takes it.
-        side.backlog.append(size)
-        if not side.flow.unsent:
-            self.engine.send_message(self.session, fs.flow_id, self._take(side), now)
-        if st.msgs < fs.num_packets:
-            interval = max(0, round(fs.interval_dist.sample(side.ival_rng)))
-            self._schedule_tick(side, now + interval)
+        if st.first_us is None:  # FlowStats.touch, inline
+            st.first_us = at
+        st.last_us = at
+        side.next_at = (at + max(0, round(fs.interval_dist.sample(side.ival_rng)))
+                        if st.msgs < fs.num_packets else None)
+        return size
 
-    def _take(self, side: _SendSide) -> bytes:
-        """Build and hash the oldest backlog message, which leaves the backlog."""
-        backlog = side.backlog
-        index = side.stats.msgs - len(backlog)
-        payload = make_payload(side.spec.flow_id, index, backlog.popleft())
+    def _build(self, side: _SendSide, size: int) -> bytes:
+        """Build and hash the message of the tick drawn last."""
+        payload = make_payload(side.spec.flow_id, side.stats.msgs - 1, size)
         side.hasher.update(payload)
         return payload
 
     def _refill(self, side: _SendSide) -> None:
-        """Queue the next backlog message; the flow calls this when its last
-        unsent chunk goes out."""
-        if side.backlog:
-            side.flow.enqueue_message(self._take(side))
+        """The flow's last unsent chunk went out: queue the message of the
+        next tick if it fell due before now, else make that tick an event."""
+        at = side.next_at
+        if at is not None and at >= self.sim.now:
+            self._schedule_tick(side, at)
+        elif at is not None and (size := self._draw(side, at)) is not None:
+            side.flow.enqueue_message(self._build(side, size))
 
     # -------------------------------------------------------------- receiving
 
@@ -241,14 +250,14 @@ class RtmfpApp:
         st.msgs += len(msgs)
         st.touch(now)
         update = side.hasher.update
+        unpack_from = _HEADER.unpack_from
         expected = side.expected_index
         n_bytes = 0
         for payload in msgs:
             n_bytes += len(payload)
             update(payload)
-            parsed = parse_payload(payload)
-            if parsed is not None:
-                fid, idx = parsed
+            if len(payload) >= _HEADER.size:  # it carries (flow id, index)
+                fid, idx = unpack_from(payload, 0)
                 if fid != flow_id or idx != expected:
                     st.order_violations += 1
                 expected = idx + 1
@@ -264,12 +273,12 @@ class RtmfpApp:
     def finalize(self) -> list[FlowStats]:
         """Emit statistics for every configured send flow and touched recv flow."""
         rows = []
+        end = self.sim.now
         for side in self._send:
             st = side.stats
-            hasher = side.hasher.copy()
-            for index, size in enumerate(side.backlog, st.msgs - len(side.backlog)):
-                hasher.update(make_payload(st.flow_id, index, size))
-            st.digest = hasher.hexdigest()
+            while (at := side.next_at) is not None and at <= end:
+                self._draw(side, at)
+            st.digest = side.hasher.hexdigest()
             if side.flow is not None:
                 st.retransmissions = side.flow.retransmissions
             rows.append(st)

@@ -71,11 +71,8 @@ class Session:
         self.data_packets_out = 0
         self.full_packets_out = 0
         self.full_packet_chunks = 0
-
-    @property
-    def label(self) -> str:
-        arrow = "->" if self.role == "initiator" else "<-"
-        return f"{self.local_epd}{arrow}{self.remote_epd}"
+        # Names the session in the cwnd log and the trace; its inputs are fixed.
+        self.label = f"{local_epd}{'->' if role == 'initiator' else '<-'}{remote_epd}"
 
     def rto_us(self) -> int:
         if self.srtt_us is None:
@@ -297,9 +294,8 @@ class RtmfpEngine:
         losses = 0
         saw_ack = False
         for chunk in pkt.chunks:
-            if isinstance(chunk, wire.HandshakeChunk):
-                self._on_handshake_chunk(s, chunk, dgram, now)
-            elif isinstance(chunk, wire.DataChunk):
+            # Data first: most chunks are data.
+            if isinstance(chunk, wire.DataChunk):
                 if s.state != S_OPEN:
                     continue
                 rf = s.recv_flows.get(chunk.flow_id)
@@ -309,6 +305,8 @@ class RtmfpEngine:
                 rf.on_data_chunk(chunk, now)
                 if rf not in touched:
                     touched.append(rf)
+            elif isinstance(chunk, wire.HandshakeChunk):
+                self._on_handshake_chunk(s, chunk, dgram, now)
             elif isinstance(chunk, wire.AckChunk):
                 sf = s.send_flows.get(chunk.flow_id)
                 if sf is None:

@@ -69,7 +69,7 @@ class SendFlow:
         self.retransmissions = 0
         self.loss_reports_received = 0
         # Called when the last unsent chunk goes out, so the owner can queue
-        # its next message; it may call enqueue_message and nothing else.
+        # its next message; it may call enqueue_message but must not send.
         self.refill: Optional[Callable[[], None]] = None
 
     def enqueue_message(self, payload: Message) -> None:
@@ -123,7 +123,8 @@ class SendFlow:
             assert popped is ch, "send order must follow the queue"
             self.outstanding[ch.seq] = ch
             self.outstanding_payload += len(ch.payload)
-            self.highest_sent_seq = max(self.highest_sent_seq, ch.seq)
+            # Unsent chunks are ascending and above every seq sent before.
+            self.highest_sent_seq = ch.seq
             if not self.unsent and self.refill is not None:
                 self.refill()
         ch.state = ST_IN_FLIGHT
@@ -131,13 +132,12 @@ class SendFlow:
 
     def on_ack(self, ack: wire.AckChunk, now: int) -> AckResult:
         """Retire covered chunks, refresh the flow-control gate, count losses."""
-        res = AckResult()
         self.peer_adv_buffer = ack.adv_buffer
         # One walk over the outstanding seqs (ascending) against the sorted
         # gaps: the cost is bounded by what we have in flight and by the ack's
         # length, never by how wide a range the peer claims.
         cum_ack = ack.cum_ack
-        gaps = sorted(ack.gaps)
+        gaps = sorted(ack.gaps) if ack.gaps else ()
         n_gaps = len(gaps)
         g = 0
         covered: list[int] = []
@@ -151,15 +151,18 @@ class SendFlow:
                 break
             if gaps[g][0] <= seq:
                 covered.append(seq)
+        acked = freed = 0
         for seq in covered:
             ch = self.outstanding.pop(seq)
-            self.outstanding_payload -= len(ch.payload)
+            freed += len(ch.payload)
             if ch.state == ST_IN_FLIGHT:
-                res.acked_bytes += len(ch.payload)
-        self.flight_bytes -= res.acked_bytes
-        max_acked = cum_ack
-        if gaps:
-            max_acked = max(max_acked, max(hi for _, hi in gaps))
+                acked += len(ch.payload)
+        self.outstanding_payload -= freed
+        self.flight_bytes -= acked
+        res = AckResult(acked)
+        if not gaps:  # every outstanding seq is above cum_ack: none is missing
+            return res
+        max_acked = max(cum_ack, max(hi for _, hi in gaps))
         for seq, ch in self.outstanding.items():
             if seq >= max_acked:
                 break
@@ -219,8 +222,14 @@ class RecvFlow:
         if self.occupied_bytes + size > self.rcv_buffer_size:
             self.discarded_full += 1
             return
-        self._buffer[c.seq] = (c.frag, c.payload)
         self.occupied_bytes += size
+        if c.seq == self.cum_ack + 1 and c.frag == wire.FRAG_WHOLE and not self._buffer:
+            # In order, whole, and nothing to reorder behind it: ready now.
+            assert not self._partial, "whole chunk inside a fragment run"
+            self.cum_ack = c.seq
+            self._ready.append(c.payload)
+            return
+        self._buffer[c.seq] = (c.frag, c.payload)
         while self.cum_ack + 1 in self._buffer:
             self.cum_ack += 1
             frag, payload = self._buffer.pop(self.cum_ack)

@@ -139,7 +139,7 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         "scenario": scenario_id,
         "seed": cfg.seed,
         "duration_us": cfg.duration_us,
-        "bottleneck_utilization": (bn.bytes_admitted * 8 * 1_000_000
+        "bottleneck_utilization": (bn.bytes_serialized_by(cfg.duration_us) * 8 * 1_000_000
                                    / cfg.duration_us / bn.bandwidth_bps),
         "bottleneck_sent": bn.sent,
         "bottleneck_admitted": bn.admitted,

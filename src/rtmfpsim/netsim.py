@@ -62,6 +62,7 @@ class Simulator:
         # Each entry is the event: [fire_at, seq, action, node, kind, detail].
         # (fire_at, seq) totally orders the queue; a None action is cancelled.
         self._heap: list[list] = []
+        self._dead = 0  # cancelled entries; a cancel after firing counts too
         self._seq = 0
         self._streams: dict[str, random.Random] = {}
         self._trace = trace
@@ -88,10 +89,16 @@ class Simulator:
         heapq.heappush(self._heap, ev)
         return ev
 
-    @staticmethod
-    def cancel(ev: list) -> None:
-        """The event will not fire; a no-op once it has fired."""
-        ev[2] = None
+    def cancel(self, ev: list) -> None:
+        """The event will not fire; a no-op once it has fired. Once cancelled
+        entries outnumber live ones, the heap drops them, in place."""
+        if ev[2] is not None:
+            ev[2] = None
+            self._dead += 1
+            if 2 * self._dead > len(self._heap):
+                self._heap[:] = [e for e in self._heap if e[2] is not None]
+                heapq.heapify(self._heap)
+                self._dead = 0
 
     def run_until(self, t: int) -> int:
         """Process all events with fire_at <= t in (fire_at, seq) order.
@@ -108,6 +115,7 @@ class Simulator:
         while heap and heap[0][0] <= t:
             fire_at, _, action, node, kind, detail = heappop(heap)
             if action is None:
+                self._dead -= 1
                 continue
             self.now = fire_at
             if trace is not None:
@@ -196,6 +204,10 @@ class Link:
         if self.observer:
             self.observer(now, dgram, "sent", arrival)
         return arrival
+
+    def bytes_serialized_by(self, t: int) -> int:
+        """Bytes admitted whose serialization finished by time t."""
+        return self.bytes_admitted - sum(size for finish, size in self._queue if finish > t)
 
     @property
     def dropped(self) -> int:

@@ -130,6 +130,8 @@ def encode(p: Packet, max_size: int | None = None) -> bytes:
         raise EncodeError("packet must carry at least one chunk")
     out = [_PKT_HDR.pack(p.session_id & 0xFFFFFFFF, p.flags & 0xFF,
                          p.timestamp & 0xFFFF, p.ts_echo & 0xFFFF)]
+    append = out.append
+    chunk_header = _CHK_HDR.pack
     for c in p.chunks:
         # Chunk header fields are (type, flags, flow_id, seq); flags, flow_id
         # and seq are 0 unless the kind uses them.
@@ -148,9 +150,8 @@ def encode(p: Packet, max_size: int | None = None) -> bytes:
             body = _HS_FIXED.pack(c.epd & 0xFFFFFFFF, c.sid & 0xFFFFFFFF) + c.cookie
         else:
             raise EncodeError(f"unknown chunk object: {c!r}")
-        out.append(_CHK_HDR.pack(ctype, len(body), cflags, flow_id & 0xFFFF,
-                                 seq & 0xFFFFFFFF))
-        out.append(body)
+        append(chunk_header(ctype, len(body), cflags, flow_id & 0xFFFF, seq & 0xFFFFFFFF))
+        append(body)
     buf = b"".join(out)
     if max_size is not None and len(buf) > max_size:
         raise EncodeError(f"encoded packet {len(buf)}B exceeds limit {max_size}B")
@@ -167,12 +168,14 @@ def decode(buf: bytes) -> Packet:
         raise DecodeError(f"buffer too short for packet header: {len(buf)}B")
     session_id, flags, timestamp, ts_echo = _PKT_HDR.unpack_from(buf, 0)
     chunks: list[Chunk] = []
+    append = chunks.append
+    chunk_header = _CHK_HDR.unpack_from
     off = PACKET_HEADER
     end = len(buf)
     while off < end:
         if off + CHUNK_HEADER > end:
             raise DecodeError("truncated chunk header")
-        ctype, blen, cflags, flow_id, seq = _CHK_HDR.unpack_from(buf, off)
+        ctype, blen, cflags, flow_id, seq = chunk_header(buf, off)
         off += CHUNK_HEADER
         if off + blen > end:
             raise DecodeError("chunk body overruns buffer")
@@ -181,8 +184,7 @@ def decode(buf: bytes) -> Packet:
         if ctype == T_DATA:
             if blen < 1:
                 raise DecodeError("empty data chunk")
-            chunks.append(DataChunk(flow_id, seq, cflags & 0x03,
-                                    bool(cflags & _DATA_TC_BIT), body))
+            append(DataChunk(flow_id, seq, cflags & 0x03, bool(cflags & _DATA_TC_BIT), body))
         elif ctype == T_ACK:
             if blen < _ACK_FIXED.size:
                 raise DecodeError("ack chunk body too short")
@@ -191,12 +193,12 @@ def decode(buf: bytes) -> Packet:
                 raise DecodeError("ack gap count disagrees with body length")
             gaps = [_GAP.unpack_from(body, _ACK_FIXED.size + i * _GAP.size)
                     for i in range(n_gaps)]
-            chunks.append(AckChunk(flow_id, seq, [(a, b) for a, b in gaps], adv))
+            append(AckChunk(flow_id, seq, [(a, b) for a, b in gaps], adv))
         elif ctype in HANDSHAKE_TYPES:
             if blen < _HS_FIXED.size:
                 raise DecodeError("handshake chunk body too short")
             epd, sid = _HS_FIXED.unpack_from(body, 0)
-            chunks.append(HandshakeChunk(ctype, epd, sid, body[_HS_FIXED.size:]))
+            append(HandshakeChunk(ctype, epd, sid, body[_HS_FIXED.size:]))
         else:
             continue  # forward-compatibility: skip unknown chunk kinds
     if not chunks:

@@ -1,10 +1,11 @@
 import csv
 import io
+import struct
 
 import pytest
 
-from rtmfpsim.app import make_payload, parse_payload
-from rtmfpsim.harness import preset_points, results_csv, run_config
+from rtmfpsim.app import make_payload
+from rtmfpsim.harness import results_csv, run_config
 
 
 def app_config(size="140byte", interval="1000us", num=1000, read_delay="0ms",
@@ -51,8 +52,8 @@ def test_payload_embeds_flow_and_index_and_is_deterministic():
     p1 = make_payload(19, 7, 140)
     p2 = make_payload(19, 7, 140)
     assert p1 == p2 and len(p1) == 140
-    assert parse_payload(p1) == (19, 7)
-    assert parse_payload(make_payload(1, 0, 4)) is None  # too small to embed
+    assert struct.unpack_from("!IQ", p1) == (19, 7)  # flow id u32, index u64
+    assert make_payload(1, 0, 4) == bytes(range(4))  # too small to embed
 
 
 # ----------------------------------------------------------------- schedule
@@ -100,24 +101,6 @@ def test_size_draws_are_clamped():
     # A 0-byte draw would make an empty data chunk, which the codec refuses.
     assert st.msgs == 500 and st.bytes >= st.msgs
     assert res.stats("host2", 2014, 19, "recv").msgs == 500
-
-
-def test_backlog_holds_sizes_and_a_flow_one_message_of_chunks():
-    """Past saturation the senders fall behind. What they fall behind on is
-    kept as message sizes, and a flow holds only the chunks of the one
-    message it is sending."""
-    (scenario_id, text), = preset_points("fairness-simultaneous", seed=1)
-    res = run_config(text, {"scenario.duration": "2s"}, scenario_id)
-    backlog = 0
-    for app in res.bundle.apps:
-        for side in app._send:
-            dist = side.spec.size_dist
-            assert dist.kind == "constant"
-            cap = side.flow.chunk_capacity
-            assert len(side.flow.unsent) <= -(-round(dist.a) // cap)
-            assert all(type(size) is int for size in side.backlog)
-            backlog += len(side.backlog)
-    assert backlog > 1000
 
 
 # ------------------------------------------------------------------- reads

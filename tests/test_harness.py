@@ -119,6 +119,14 @@ def test_overrides_reach_the_simulation():
     assert res.stats("host1", 4712, 19, "send").msgs == 100
 
 
+@pytest.mark.parametrize("duration", ["1us", "100us", "2s"])
+def test_bottleneck_utilization_counts_only_bytes_serialized_in_the_run(duration):
+    """A datagram admitted at t=0 takes longer than 100 us to serialize at
+    10 Mbit, so only what left the queue within the run may count."""
+    res = run_preset("bottleneck-basic", overrides={"scenario.duration": duration})[0]
+    assert 0.0 <= res.summary["bottleneck_utilization"] <= 1.0
+
+
 # ---------------------------------------------------------------- sawtooth
 
 

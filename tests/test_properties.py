@@ -1,10 +1,11 @@
 """Property tests: the event queue with cancels, the wire codec, send/receive
-flows sharing a session, an app's send backlog against queueing every payload
-at once, and a responder's handshake, over inputs generated by hypothesis.
+flows sharing a session, an app's lazy traffic source against an eager one,
+and a responder's handshake, over inputs generated by hypothesis.
 Skipped where hypothesis is not installed."""
 
 import hashlib
 import random
+from collections import deque
 from functools import partial
 from types import SimpleNamespace
 
@@ -16,9 +17,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import netsim, wire  # noqa: E402
-from rtmfpsim.app import AppConfig, FlowSpec, RtmfpApp, make_payload  # noqa: E402
+from rtmfpsim.app import AppConfig, FlowSpec, FlowStats, RtmfpApp, make_payload  # noqa: E402
 from rtmfpsim.engine import S_OPEN  # noqa: E402
-from rtmfpsim.flows import ST_IN_FLIGHT, Message, RecvFlow, SendFlow, fill_packet  # noqa: E402
+from rtmfpsim.flows import (DEFAULT_ADV_BUFFER, ST_IN_FLIGHT, Message, RecvFlow,  # noqa: E402
+                            SendFlow, fill_packet)
 
 # Derandomized, so that every run tries the same examples and a failure
 # replays; no example database is written.
@@ -97,6 +99,28 @@ def test_exactly_the_uncancelled_events_fire_in_fire_time_then_schedule_order(pl
     sim.run_until(7)
     assert fired[:len(expected)] == expected
     assert sim.processed_events == len(lines) == len(fired)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from((True, True, True, False))),
+                max_size=60))
+def test_cancelled_entries_never_outnumber_live_ones_and_order_holds(plan):
+    """Mostly cancelled events, with many ties: the queue drops its cancelled
+    entries once they outnumber the live ones, and the rest still fire in
+    (fire time, schedule order)."""
+    sim = netsim.Simulator()
+    fired = []
+    events = [sim.schedule(at, "n", netsim.KIND_TIMER, partial(lambda i, now: fired.append(i), i))
+              for i, (at, _) in enumerate(plan)]
+    live = len(plan)
+    for ev, (_, cancel) in zip(events, plan):
+        if cancel:
+            sim.cancel(ev)
+            live -= 1
+            assert len(sim._heap) <= 2 * live
+    sim.run_until(5)
+    assert fired == sorted((i for i, (_, cancel) in enumerate(plan) if not cancel),
+                           key=lambda i: (plan[i][0], i))
 
 
 @st.composite
@@ -246,73 +270,131 @@ class QueueingSession(FakeSession):
         return f
 
 
-class QueueingEngine:
-    """The engine surface an app's send side uses. send_message only queues:
-    the test fills packets itself."""
+class CreditEngine:
+    """The engine surface an app's send side uses, over a window of payload
+    credit that the test's drain events open. send_message queues and sends
+    while credit lasts, as transmit_opportunity sends while the congestion
+    window has room. Records each packet as (time, [(seq, frag, bytes)])."""
 
     host = SimpleNamespace(node_id="host1")
+
+    def __init__(self, session):
+        self.session = session
+        self.credit = 0
+        self.sent = []
 
     def register_app(self, epd, app):
         pass
 
     def send_message(self, session, flow_id, payload, now):
         session.send_flows[flow_id].enqueue_message(payload)
+        self.transmit(now)
+
+    def drain(self, credit, now):
+        """An ack of everything sent, with `credit` more bytes to send."""
+        for f in self.session.send_flows.values():
+            f.on_ack(wire.AckChunk(f.flow_id, f.highest_sent_seq, [], DEFAULT_ADV_BUFFER), now)
+        self.credit += credit
+        self.transmit(now)
+
+    def transmit(self, now):
+        while self.credit > 0:
+            chunks = fill_packet(self.session, MTU_PAYLOAD, self.credit)
+            if not chunks:
+                return
+            self.credit -= sum(len(c.payload) for c in chunks)
+            self.sent.append((now, [(c.seq, c.frag, c.payload) for c in chunks]))
 
 
-class NextSize:
-    """A size distribution that returns the size the test set last."""
+class Script:
+    """A distribution that returns its values in turn."""
 
-    value = 1
+    def __init__(self, values):
+        self.values = iter(values)
 
     def sample(self, rng):
-        return self.value
+        return next(self.values)
 
 
-backlog_steps = st.lists(st.one_of(
-    st.tuples(st.just("tick"), st.integers(1, 3 * CHUNK_CAP + 17)),
-    st.tuples(st.just("fill"), st.integers(0, 3 * MTU_PAYLOAD)),
-    st.tuples(st.just("ack"), st.integers(0, 1 << 16), st.booleans(),
-              st.sampled_from((0, 2_000, 65_536)))), max_size=80)
+class EagerSource:
+    """The reference traffic source: every tick is an event. A tick behind a
+    busy flow leaves its message's size in a backlog, and the flow takes the
+    oldest one each time its last unsent chunk goes out."""
+
+    def __init__(self, sim, engine, spec, max_runtime_us):
+        self.sim, self.engine, self.spec = sim, engine, spec
+        self.max_runtime_us = max_runtime_us
+        self.stats = FlowStats("host1", 1, spec.flow_id, "send")
+        self.hasher = hashlib.sha256()
+        self.backlog = deque()
+        self.flow = engine.session.create_send_flow(spec.flow_id, False)
+        self.flow.refill = self.refill
+
+    def tick(self, now):
+        st = self.stats
+        if st.msgs >= self.spec.num_packets or now >= self.max_runtime_us:
+            return
+        size = round(self.spec.size_dist.sample(None))
+        st.msgs += 1
+        st.bytes += size
+        st.touch(now)
+        self.backlog.append(size)
+        if not self.flow.unsent:
+            self.engine.send_message(self.engine.session, self.spec.flow_id, self.take(), now)
+        if st.msgs < self.spec.num_packets:
+            interval = round(self.spec.interval_dist.sample(None))
+            self.sim.schedule(now + interval, "host1", netsim.KIND_APP_TICK, self.tick)
+
+    def take(self):
+        payload = make_payload(self.spec.flow_id, self.stats.msgs - len(self.backlog),
+                               self.backlog.popleft())
+        self.hasher.update(payload)
+        return payload
+
+    def refill(self):
+        if self.backlog:
+            self.flow.enqueue_message(self.take())
 
 
-@settings(SETTINGS, max_examples=150)
-@given(backlog_steps)
-def test_backlog_sends_what_queueing_every_payload_at_once_sends(steps):
-    """An app's send side, whose flow builds each payload when it takes it,
-    puts the same (seq, frag, bytes) stream on the wire and ends with the
-    same send digest as a flow given make_payload(flow_id, i, size) at each
-    tick, under any mix of ticks, packet fills and acks; and its flow runs
-    out of unsent chunks only when the backlog is empty."""
-    sizes = NextSize()
-    app = RtmfpApp(netsim.Simulator(seed=1), QueueingEngine(), AppConfig(
-        local_epd=1, flows=[FlowSpec(7, sizes, netsim.Dist.constant(10), 1 << 30)]))
-    app.session_opened(QueueingSession(), 0)
-    side, = app._send
-    flow = side.flow
-    ref = SendFlow(7, False, CHUNK_CAP)
-    ref_session = FakeSession(ref)
-    ref_hash = hashlib.sha256()
-    for now, (op, *args) in enumerate(steps, 1):
-        if op == "tick":
-            sizes.value, = args
-            payload = make_payload(7, side.stats.msgs, sizes.value)
-            app.send_tick(side, now)
-            ref.enqueue_message(Message(payload))
-            ref_hash.update(payload)
-        elif op == "fill":
-            got, want = (fill_packet(s, MTU_PAYLOAD, args[0])
-                         for s in (app.session, ref_session))
-            assert ([(c.seq, c.frag, c.payload) for c in got or ()] ==
-                    [(c.seq, c.frag, c.payload) for c in want or ()])
+@settings(SETTINGS, max_examples=300)
+@given(sizes=st.lists(st.integers(1, 3 * CHUNK_CAP + 17), max_size=60),
+       intervals=st.lists(st.one_of(st.just(0), st.integers(0, 4)), min_size=60,
+                          max_size=60),
+       drains=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3 * MTU_PAYLOAD)),
+                       max_size=30),
+       max_runtime=st.integers(1, 60), end=st.integers(0, 50))
+def test_lazy_source_sends_what_an_eager_source_sends(sizes, intervals, drains,
+                                                      max_runtime, end):
+    """The app draws a tick behind a busy flow only when the flow asks for
+    its next message, and makes a tick an event only while the flow is idle.
+    Against a source whose every tick is an event, it puts the same timed
+    (seq, frag, bytes) stream on the wire and ends with the same FlowStats,
+    send digest included, under any mix of ticks and drains, with intervals
+    full of zeros and ties. The drains are scheduled before the first tick,
+    so in the reference a drain fires before a tick of the same
+    microsecond, and the app must not draw that tick inside the drain."""
+    runs = []
+    for lazy in (True, False):
+        sim = netsim.Simulator(seed=1)
+        engine = CreditEngine(QueueingSession())
+        for at, credit in drains:
+            sim.schedule(at, "test", netsim.KIND_TIMER, partial(engine.drain, credit))
+        spec = FlowSpec(7, Script(sizes), Script(intervals), len(sizes))
+        if lazy:
+            app = RtmfpApp(sim, engine, AppConfig(local_epd=1, flows=[spec],
+                                                  max_runtime_us=max_runtime))
+            app.session_opened(engine.session, 0)
         else:
-            x, gap, adv = args
-            highest = ref.highest_sent_seq
-            cum_ack = x % (highest + 1)
-            gaps = [(cum_ack + 2, highest)] if gap and cum_ack + 2 <= highest else []
-            for f in (flow, ref):
-                f.on_ack(wire.AckChunk(7, cum_ack, gaps, adv), now)
-        assert flow.unsent or not side.backlog
-    assert app.finalize()[0].digest == ref_hash.hexdigest()
+            source = EagerSource(sim, engine, spec, max_runtime)
+            sim.schedule(0, "host1", netsim.KIND_APP_TICK, source.tick)
+        sim.run_until(end)
+        if lazy:
+            stats = app.finalize()
+        else:
+            source.stats.digest = source.hasher.hexdigest()
+            stats = [source.stats]
+        runs.append((engine.sent, stats))
+    assert runs[0] == runs[1]
 
 
 HOME = ("host9", 5000)
