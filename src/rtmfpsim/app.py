@@ -215,9 +215,11 @@ class RtmfpApp:
         """The flow's last unsent chunk went out: queue the message of the
         next tick if it fell due before now, else make that tick an event."""
         at = side.next_at
-        if at is not None and at >= self.sim.now:
+        if at is None:
+            return
+        if at >= self.sim.now:
             self._schedule_tick(side, at)
-        elif at is not None and (size := self._draw(side, at)) is not None:
+        elif (size := self._draw(side, at)) is not None:
             side.flow.enqueue_message(self._build(side, size))
 
     # -------------------------------------------------------------- receiving
