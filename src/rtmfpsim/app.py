@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from . import netsim
+from .config import SIZE_CLAMP_MAX, SIZE_CLAMP_MIN, AppConfig, FlowSpec
 from .engine import RtmfpEngine, Session
 from .flows import SendFlow
 
 _PATTERN = bytes(range(256))
 _HEADER = struct.Struct("!IQ")
-
-SIZE_CLAMP_MIN = 1
-SIZE_CLAMP_MAX = 65536
 
 # Every message body of up to SIZE_CLAMP_MAX bytes is one slice of this.
 _FILL = _PATTERN * (SIZE_CLAMP_MAX // 256 + 2)
@@ -46,27 +44,6 @@ def make_payload(flow_id: int, index: int, size: int) -> bytes:
         pattern = _FILL if off + fill <= len(_FILL) else _PATTERN * (fill // 256 + 2)
         return _HEADER.pack(flow_id & 0xFFFFFFFF, index) + pattern[off:off + fill]
     return _PATTERN[:size]
-
-
-@dataclass
-class FlowSpec:
-    flow_id: int
-    size_dist: netsim.Dist
-    interval_dist: netsim.Dist
-    num_packets: int
-    time_critical: bool = False
-
-
-@dataclass
-class AppConfig:
-    local_epd: int
-    remote_address: Optional[str] = None
-    remote_port: Optional[int] = None
-    remote_epd: Optional[int] = None
-    flows: list[FlowSpec] = field(default_factory=list)
-    max_runtime_us: int = 1_800_000_000
-    read_delay_us: int = 0
-    start_time_us: int = 0
 
 
 @dataclass

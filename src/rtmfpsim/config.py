@@ -13,7 +13,8 @@ configs/two-peer-bottleneck.conf is a complete example.
 build_config also checks the rules that join keys: localEpd unique across
 apps; remoteAddress needs remotePort and remoteEpd, and each of those needs
 remoteAddress; flowsOutgoing > 0 needs remoteAddress; flowId unique within an
-app; migrateAt and migrateTo together.
+app; migrateAt and migrateTo together; a remote host's rcvBufferSize holds
+the largest chunk and the largest message its sender may send.
 Every rule about a valid scenario is checked here, once, at parse time, and
 its error names the line or override at fault; the layers below trust the
 config they are given.
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import flows, wire
-from .app import AppConfig, FlowSpec
 from .netsim import MTU_DEFAULT, Dist
 
 
@@ -46,12 +46,12 @@ _DIST_RE = re.compile(rf"^({'|'.join(_DIST_ARGS)})\((.*)\)$")
 # would fail to encode it at run time.
 MIN_SEGMENT_SIZE = (wire.PACKET_HEADER + wire.CHUNK_HEADER
                     + wire.ack_body_len(flows.MAX_ACK_GAPS))
-# The largest chunk payload a packet can carry. A smaller initial window cannot
-# admit a chunk that size, so a flow of large messages would never send.
-MIN_CWND_INIT = MTU_DEFAULT - wire.PACKET_HEADER - wire.CHUNK_HEADER
 # The window never shrinks below two segments (cc floor = 2 * ccMss); that
 # floor must still admit the largest chunk payload.
-MIN_CC_MSS = -(-MIN_CWND_INIT // 2)
+MIN_CC_MSS = -(-wire.MAX_CHUNK_PAYLOAD // 2)
+# An app rounds each message size it draws and clamps it to this range.
+SIZE_CLAMP_MIN = 1
+SIZE_CLAMP_MAX = 65536
 
 
 @dataclass
@@ -65,6 +65,33 @@ class HostSpec:
     side: Optional[str] = None  # "left" | "right"; derived when absent
     migrate_at_us: Optional[int] = None
     migrate_to_port: Optional[int] = None
+
+
+@dataclass
+class FlowSpec:
+    flow_id: int
+    size_dist: Dist
+    interval_dist: Dist
+    num_packets: int
+    time_critical: bool = False
+
+    def largest_message(self) -> int:
+        """The largest message size the app can draw for this flow."""
+        dist = self.size_dist
+        top = {"constant": dist.a, "uniform": dist.b}.get(dist.kind, SIZE_CLAMP_MAX)
+        return min(max(round(top), SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
+
+
+@dataclass
+class AppConfig:
+    local_epd: int
+    remote_address: Optional[str] = None
+    remote_port: Optional[int] = None
+    remote_epd: Optional[int] = None
+    flows: list[FlowSpec] = field(default_factory=list)
+    max_runtime_us: int = 1_800_000_000
+    read_delay_us: int = 0
+    start_time_us: int = 0
 
 
 @dataclass
@@ -188,10 +215,6 @@ def _flag(value: str, where: str) -> bool:
     return bool(_int(value, where))
 
 
-def _text(value: str, where: str) -> str:
-    return value
-
-
 def _side(value: str, where: str) -> str:
     if value not in ("left", "right"):
         raise ConfigError(f"{where}: side must be left or right")
@@ -262,7 +285,8 @@ HOST_KEYS = (
     Key("localPort", "local_port", _int, 1, 65535),
     Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
     Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1),
-    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, MIN_CWND_INIT, aliases=("ccWndInit",)),
+    # A smaller initial window never admits the largest chunk a flow may send.
+    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, wire.MAX_CHUNK_PAYLOAD, aliases=("ccWndInit",)),
     Key("ccMss", "cc_mss", parse_bytes, MIN_CC_MSS),
     Key("side", "side", _side),
     Key("migrateAt", "migrate_at_us", parse_time_us, 0),
@@ -270,7 +294,7 @@ HOST_KEYS = (
 )
 APP_KEYS = (
     Key("localEpd", "local_epd", _int, 0, 0xFFFFFFFF, required=True),
-    Key("remoteAddress", "remote_address", _text),
+    Key("remoteAddress", "remote_address", lambda value, where: value),
     Key("remotePort", "remote_port", _int, 1, 65535),
     Key("remoteEpd", "remote_epd", _int, 0, 0xFFFFFFFF),
     Key("maxRuntime", "max_runtime_us", parse_time_us, 0),
@@ -308,13 +332,9 @@ def _read(sec: dict, section: str, rows: tuple[Key, ...], missing_at: str) -> di
         if (row.lo is not None and value < row.lo) or (row.hi is not None and value > row.hi):
             span = f">= {row.lo}" if row.hi is None else f"[{row.lo}, {row.hi}]"
             raise ConfigError(f"{where}: {row.key} = {value} is outside {span}")
-    _reject_unknown(sec, section)
-    return out
-
-
-def _reject_unknown(sec: dict, section: str) -> None:
     for key, (_, where) in sec.items():
         raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+    return out
 
 
 def build_config(sections: dict[str, dict[str, tuple[str, str]]],
@@ -405,16 +425,20 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
             raise ConfigError(
                 f"{given[name, 'remoteEpd']}: remoteEpd {app.remote_epd} is not the "
                 f"localEpd of an app on {remote.name}")
-        # A chunk larger than the receiver's whole buffer never fits in it. The
-        # default buffer holds any chunk, so this fires only on a given one.
-        chunk_capacity = (cfg.hosts[host_name].max_segment_size
-                          - wire.PACKET_HEADER - wire.CHUNK_HEADER)
-        if app.flows and remote.rcv_buffer_size < chunk_capacity:
-            host_section = "host." + remote.name[len("host"):]
-            raise ConfigError(
-                f"{given[host_section, 'rcvBufferSize']}: rcvBufferSize = "
-                f"{remote.rcv_buffer_size} is below the {chunk_capacity}-byte chunks "
-                f"that {host_name} sends to it")
+        if not app.flows:
+            continue
+        # A chunk larger than the receiver's whole buffer never fits in it, nor does
+        # a message, whose fragments wait there for the last. The default buffer
+        # holds any chunk and any message, so these fire only on a given one.
+        largest = {"chunks": wire.chunk_capacity(cfg.hosts[host_name].max_segment_size),
+                   "messages": max(f.largest_message() for f in app.flows)}
+        for what, size in largest.items():
+            if remote.rcv_buffer_size < size:
+                host_section = "host." + remote.name[len("host"):]
+                raise ConfigError(
+                    f"{given[host_section, 'rcvBufferSize']}: rcvBufferSize = "
+                    f"{remote.rcv_buffer_size} is below the {size}-byte {what} "
+                    f"that {host_name} sends to it")
     return cfg
 
 

@@ -11,14 +11,12 @@ single event loop.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import cc as cc_mod
 from . import flows as flows_mod
 from . import netsim, wire
-
-if TYPE_CHECKING:  # config imports app, which imports this module
-    from .config import HostSpec
+from .config import HostSpec
 
 HANDSHAKE_SID = 0
 # The first handshake retry waits this long; each further one waits twice as
@@ -122,7 +120,7 @@ class RtmfpEngine:
         self.host = host
         self.spec = spec
         self.local_port = spec.local_port
-        self.chunk_capacity = spec.max_segment_size - wire.PACKET_HEADER - wire.CHUNK_HEADER
+        self.chunk_capacity = wire.chunk_capacity(spec.max_segment_size)
         host.bind(self.local_port, self.handle_datagram)
         self.apps: dict[int, object] = {}
         self.sessions: dict[int, Session] = {}
@@ -459,7 +457,7 @@ class RtmfpEngine:
     def read_flow(self, s: Session, flow_id: int) -> list[flows_mod.Message]:
         rf = s.recv_flows[flow_id]
         msgs = rf.app_read()
-        if msgs and rf.window_update_due(self.chunk_capacity):
+        if msgs and rf.window_update_due():
             self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs
 

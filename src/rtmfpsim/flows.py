@@ -199,7 +199,6 @@ class RecvFlow:
         self.occupied_bytes = 0
         self.data_since_last_ack = 0
         self.last_advertised = rcv_buffer_size
-        self.largest_chunk = 0  # payload bytes: the sender's chunks may exceed ours
         self.acks_sent = 0
         self.duplicates = 0
         self.discarded_full = 0
@@ -207,15 +206,9 @@ class RecvFlow:
     def adv_buffer(self) -> int:
         return max(0, self.rcv_buffer_size - self.occupied_bytes)
 
-    def has_gaps(self) -> bool:
-        # In-order chunks leave the buffer as cum_ack passes them.
-        return bool(self._buffer)
-
     def on_data_chunk(self, c: wire.DataChunk, now: int) -> None:
         """Buffer one chunk; ack emission is decided at end_of_packet()."""
         size = len(c.payload)
-        if size > self.largest_chunk:
-            self.largest_chunk = size
         if c.seq <= self.cum_ack or c.seq in self._buffer:
             self.duplicates += 1
             return
@@ -251,7 +244,8 @@ class RecvFlow:
     def end_of_packet(self, now: int) -> Optional[wire.AckChunk]:
         """Count one received data packet; ack on cadence or on a gap."""
         self.data_since_last_ack += 1
-        if self.has_gaps() or self.data_since_last_ack >= ACK_EVERY_N_PACKETS:
+        # In-order chunks leave the buffer as cum_ack passes them: any left are gaps.
+        if self._buffer or self.data_since_last_ack >= ACK_EVERY_N_PACKETS:
             return self.make_ack(now)
         return None
 
@@ -290,15 +284,11 @@ class RecvFlow:
         self.occupied_bytes -= sum(map(len, out))
         return out
 
-    def window_update_due(self, chunk_capacity: int) -> bool:
-        """True when the last advertised buffer was too small to accept a full
-        chunk but space has been freed since; the sender needs an ack to resume.
-        A full chunk is the larger of our own `chunk_capacity` and the largest
-        chunk this flow has received, since the sender's segments may be
-        larger than ours. Small buffers use half the buffer instead."""
-        full = max(chunk_capacity, self.largest_chunk)
-        effective = min(full, max(1, self.rcv_buffer_size // 2))
-        return self.last_advertised < effective <= self.adv_buffer()
+    def window_update_due(self) -> bool:
+        """True when the window has grown since the last ack and that ack
+        advertised less than the largest chunk any sender can send: the sender
+        may be waiting for room that it now has."""
+        return self.last_advertised < min(wire.MAX_CHUNK_PAYLOAD, self.adv_buffer())
 
 
 def fill_packet(session, budget: int, payload_budget: Optional[int] = None,

@@ -32,6 +32,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from .netsim import MTU_DEFAULT
+
 PACKET_HEADER = 12
 CHUNK_HEADER = 10
 COOKIE_LEN = 64
@@ -58,6 +60,15 @@ FRAG_FIRST = 1
 FRAG_MIDDLE = 2
 FRAG_LAST = 3
 _DATA_TC_BIT = 0x04
+
+
+def chunk_capacity(max_segment_size: int) -> int:
+    """The largest data payload a packet of `max_segment_size` bytes carries."""
+    return max_segment_size - PACKET_HEADER - CHUNK_HEADER
+
+
+# No packet exceeds the link MTU, so no sender's chunk holds more than this.
+MAX_CHUNK_PAYLOAD = chunk_capacity(MTU_DEFAULT)
 
 _PKT_HDR = struct.Struct("!IB3xHH")
 _CHK_HDR = struct.Struct("!BHBHI")

@@ -265,6 +265,21 @@ def test_value_at_odds_with_another_section_names_its_line(section, key, value):
     assert str(err.value).startswith(f"line {line}: {key} ")
 
 
+@pytest.mark.parametrize("size,largest", [
+    ("4000byte", 4000), ("uniform(100byte,3000byte)", 3000),
+    ("exponential(500byte)", config.SIZE_CLAMP_MAX), ("constant(70000byte)", config.SIZE_CLAMP_MAX)])
+def test_a_message_larger_than_the_receivers_buffer_names_rcvbuffersize(size, largest):
+    # A message's fragments wait in the receive buffer until its last one
+    # arrives, so a message larger than the whole buffer is never delivered.
+    text, _ = text_with("app.1.0", "flowPacketSize", size)
+    parse_config(text, {"host.2.rcvBufferSize": f"{largest}byte"})
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, {"host.2.rcvBufferSize": f"{largest - 1}byte"})
+    assert str(err.value) == (
+        f"override host.2.rcvBufferSize: rcvBufferSize = {largest - 1} is below "
+        f"the {largest}-byte messages that host1 sends to it")
+
+
 def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
     text, line = text_with("host.1", "ccWndInit", "4380byte")
     text = text.replace("[host.1]\n", "[host.1]\nccCwndInit = 8760byte\n")

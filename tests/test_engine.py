@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import PacketSniffer, Responder
 from rtmfpsim import netsim, wire
 from rtmfpsim.engine import S_OPEN
@@ -421,6 +423,20 @@ def test_window_update_reaches_a_sender_with_larger_segments():
                             "app.2.0.readDelay": "100ms"}, "mss-mismatch")
     recv = res.stats("host2", 2014, 19, "recv")
     assert recv.msgs >= 6000 and recv.last_us > 19_000_000
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_window_update_keeps_variable_chunks_flowing_into_a_small_buffer(seed):
+    # A 2,000-byte buffer advertises, after one chunk of up to 1,450 bytes,
+    # less than the next chunk may need. Only the window update sent by the
+    # read that frees it restarts the sender; without one, the last message
+    # of these runs arrives before 0.7 s.
+    (scenario_id, text), = preset_points("bottleneck-basic", seed)
+    res = run_config(text, {"host.2.rcvBufferSize": "2000byte",
+                            "app.1.0.flowPacketSize": "uniform(100byte,1450byte)",
+                            "app.1.0.flowSendInterval": "1ms", "app.2.0.readDelay": "50ms",
+                            "scenario.duration": "3s"}, scenario_id)
+    assert res.stats("host2", 2014, 19, "recv").last_us > 2_000_000
 
 
 def idle_sender(flows=1):

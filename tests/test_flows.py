@@ -421,18 +421,39 @@ def test_read_frees_buffer_and_flags_window_update():
     recv_chunk(rf, 1, payload=b"x" * 140)
     ack = recv_chunk(rf, 2, payload=b"x" * 140)
     assert ack.adv_buffer == 20
-    assert not rf.window_update_due(1450)
+    assert not rf.window_update_due()
     rf.app_read()
-    assert rf.window_update_due(1450)
+    assert rf.window_update_due()
 
 
-def test_window_update_is_measured_against_the_senders_larger_chunks():
-    # Our own chunks would hold 1078 bytes; the sender's hold 1450. An
-    # advertised 1100 bytes admits none of them, so freeing space is due.
+def test_window_update_is_due_below_the_largest_chunk_any_sender_can_send():
+    # Our own chunks would hold 1078 bytes; a sender's may hold up to
+    # wire.MAX_CHUNK_PAYLOAD. An advertised 1100 bytes admits none of the
+    # 1450-byte chunks here, so freeing space is due.
     rf = RecvFlow(19, rcv_buffer_size=4000)
     recv_chunk(rf, 1, payload=b"x" * 1450)
     ack = recv_chunk(rf, 2, payload=b"x" * 1450)
     assert ack.adv_buffer == 1100
-    assert not rf.window_update_due(1078)
+    assert not rf.window_update_due()
     rf.app_read()
-    assert rf.window_update_due(1078)
+    assert rf.window_update_due()
+
+
+def test_window_update_is_due_on_a_buffer_under_two_chunks():
+    # One 900-byte chunk leaves 1100 of 2000 bytes advertised, too little for
+    # a chunk of up to wire.MAX_CHUNK_PAYLOAD, though more than half the
+    # buffer: half the buffer is no bound on the sender's next chunk.
+    rf = RecvFlow(19, rcv_buffer_size=2000)
+    rf.on_data_chunk(wire.DataChunk(19, 1, wire.FRAG_WHOLE, False, b"x" * 900), 0)
+    assert rf.make_ack(0).adv_buffer == 1100
+    assert not rf.window_update_due()
+    assert rf.app_read() == [b"x" * 900]
+    assert rf.window_update_due()
+
+
+def test_window_update_is_not_due_after_an_ack_that_admitted_any_chunk():
+    rf = RecvFlow(19, rcv_buffer_size=4000)
+    recv_chunk(rf, 1, payload=b"x" * 1261)
+    assert recv_chunk(rf, 2, payload=b"x" * 1261).adv_buffer == wire.MAX_CHUNK_PAYLOAD
+    rf.app_read()
+    assert not rf.window_update_due()

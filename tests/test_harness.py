@@ -284,6 +284,8 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
     ["app.1.0.remotePort=4711", "app.1.0.remoteAddress=host1"],
     ["host.2.rcvBufferSize=1byte"],
     ["app.1.0.flowPacketSize=1450byte", "host.2.rcvBufferSize=1400byte"],
+    ["app.1.0.flowPacketSize=4000byte", "app.1.0.flowSendInterval=10ms",
+     "host.2.rcvBufferSize=2000byte"],
     # Rules that join keys: the key the error names comes last in each case.
     ["app.2.0.localEpd=4712"],
     ["host.1.migrateAt=1s"],

@@ -1,6 +1,7 @@
 """Property tests: the event queue with cancels, the wire codec, send/receive
 flows sharing a session, an app's lazy traffic source against an eager one,
-and a responder's handshake, over inputs generated by hypothesis.
+a responder's handshake and a flow into a small receive buffer, over inputs
+generated by hypothesis.
 Skipped where hypothesis is not installed."""
 
 import hashlib
@@ -17,10 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import netsim, wire  # noqa: E402
-from rtmfpsim.app import AppConfig, FlowSpec, FlowStats, RtmfpApp, make_payload  # noqa: E402
+from rtmfpsim.app import FlowStats, RtmfpApp, make_payload  # noqa: E402
+from rtmfpsim.config import AppConfig, FlowSpec  # noqa: E402
 from rtmfpsim.engine import S_OPEN  # noqa: E402
 from rtmfpsim.flows import (DEFAULT_ADV_BUFFER, ST_IN_FLIGHT, Message, RecvFlow,  # noqa: E402
                             SendFlow, fill_packet)
+from rtmfpsim.harness import preset_points, run_config  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
 # replays; no example database is written.
@@ -395,6 +398,23 @@ def test_lazy_source_sends_what_an_eager_source_sends(sizes, intervals, drains,
             stats = [source.stats]
         runs.append((engine.sent, stats))
     assert runs[0] == runs[1]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(buffer=st.integers(wire.MAX_CHUNK_PAYLOAD, 2899), read_delay=st.integers(0, 100_000),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_receive_buffer_under_two_chunks_keeps_delivering(buffer, read_delay, seed):
+    """A buffer that holds the first flight but less than two of the
+    sender's chunks, read after any delay: messages of random sizes still
+    arrive in the last third of a 3 s run."""
+    (scenario_id, text), = preset_points("bottleneck-basic", seed)
+    res = run_config(text, {"host.1.ccCwndInit": f"{wire.MAX_CHUNK_PAYLOAD}byte",
+                            "host.2.rcvBufferSize": f"{buffer}byte",
+                            "app.1.0.flowPacketSize": "uniform(100byte,1450byte)",
+                            "app.1.0.flowSendInterval": "1ms",
+                            "app.2.0.readDelay": f"{read_delay}us",
+                            "scenario.duration": "3s"}, scenario_id)
+    assert res.stats("host2", 2014, 19, "recv").last_us > 2_000_000
 
 
 HOME = ("host9", 5000)
