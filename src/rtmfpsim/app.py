@@ -239,7 +239,8 @@ class RtmfpApp:
                 fid, idx = unpack_from(payload, 0)
                 if fid != flow_id or idx != expected:
                     st.order_violations += 1
-                expected = idx + 1
+                expected = idx  # resync on what arrived
+            expected += 1
         st.bytes += n_bytes
         side.expected_index = expected
 

@@ -6,15 +6,17 @@ host N). The keys each section accepts are the rows of the key tables below
 target field, parser, allowed range and other accepted spellings.
 Dimensioned values require a unit suffix (byte, us, ms, s; bandwidths use
 bit/kbit/Mbit/Gbit). FLOW_KEYS values are space-separated lists, one entry per
-outgoing flow. Sizes and intervals may be distributions:
-constant(v) | uniform(a,b) | exponential(mean); a bare value means constant.
+outgoing flow; `#` starts a comment anywhere on a line. Sizes and intervals
+may be distributions: constant(v) | uniform(a,b) | exponential(mean); a bare
+value means constant.
 configs/two-peer-bottleneck.conf is a complete example.
 
 build_config also checks the rules that join keys: localEpd unique across
 apps; remoteAddress needs remotePort and remoteEpd, and each of those needs
 remoteAddress; flowsOutgoing > 0 needs remoteAddress; flowId unique within an
-app; migrateAt and migrateTo together; a remote host's rcvBufferSize holds
-the largest chunk and the largest message its sender may send.
+app and among the flows into one receiving app; migrateAt and migrateTo
+together; a remote host's rcvBufferSize holds the largest chunk and the
+largest message its sender may send.
 Every rule about a valid scenario is checked here, once, at parse time, and
 its error names the line or override at fault; the layers below trust the
 config they are given.
@@ -126,8 +128,8 @@ def parse_sections(text: str) -> tuple[dict[str, dict[str, tuple[str, str]]],
     headers: dict[str, str] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
@@ -409,6 +411,7 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
         raise ConfigError(f"{placed[name]}: unknown section [{name}]")
 
     # Checks across sections.
+    flows_into: dict[tuple[str, int, int], str] = {}  # (host, epd, flow id) -> sender
     for name, (host_name, app) in zip(app_names, cfg.apps):
         if app.remote_address is None:
             continue
@@ -439,6 +442,16 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
                     f"{given[host_section, 'rcvBufferSize']}: rcvBufferSize = "
                     f"{remote.rcv_buffer_size} is below the {size}-byte {what} "
                     f"that {host_name} sends to it")
+        # The receiving app keys its flows by flow id alone.
+        for flow in app.flows:
+            into = (remote.name, app.remote_epd, flow.flow_id)
+            if into in flows_into:
+                key = "flowId" if (name, "flowId") in given else "flowsOutgoing"
+                raise ConfigError(
+                    f"{given[name, key]}: flowId {flow.flow_id} into localEpd "
+                    f"{app.remote_epd} on {remote.name} is already sent by "
+                    f"[{flows_into[into]}]")
+            flows_into[into] = name
     return cfg
 
 

@@ -99,67 +99,43 @@ class SimBundle:
         return self.links["bottleneck:lr"]
 
 
-def _host_sides(cfg: ScenarioConfig) -> dict[str, str]:
-    """Initiating hosts go left, pure receivers right, unless `side` says so."""
-    senders = {host for host, app in cfg.apps if app.remote_address is not None}
-    sides = {}
-    for name, spec in cfg.hosts.items():
-        if spec.side is not None:
-            sides[name] = spec.side
-        else:
-            sides[name] = "left" if name in senders else "right"
-    return sides
-
-
 def build_bottleneck(cfg: ScenarioConfig,
                      trace: Optional[Callable[[str], None]] = None) -> SimBundle:
-    """Construct the dumbbell: hosts - router - router - hosts."""
+    """Construct the dumbbell: hosts - router - router - hosts. Initiating
+    hosts go left, pure receivers right, unless `side` says so."""
     sim = netsim.Simulator(seed=cfg.seed, trace=trace)
     bundle = SimBundle(sim=sim, cfg=cfg)
     topo = cfg.topology
 
-    rl = Router("router.l")
-    rr = Router("router.r")
-    bundle.routers = {"router.l": rl, "router.r": rr}
-
-    for name, router in (("bottleneck:lr", rr), ("bottleneck:rl", rl)):
-        bundle.links[name] = netsim.Link(
-            sim, name, router, topo.bottleneck_bandwidth_bps,
+    routers = {"left": Router("router.l"), "right": Router("router.r")}
+    bundle.routers = {router.node_id: router for router in routers.values()}
+    # The bottleneck link toward each side ends at that side's router.
+    across = {}
+    for side, name in (("right", "bottleneck:lr"), ("left", "bottleneck:rl")):
+        across[side] = bundle.links[name] = netsim.Link(
+            sim, name, routers[side], topo.bottleneck_bandwidth_bps,
             topo.bottleneck_delay_us, topo.bottleneck_queue_bytes, topo.bottleneck_loss)
 
-    sides = _host_sides(cfg)
+    senders = {host for host, app in cfg.apps if app.remote_address is not None}
+    hosts = [(name, spec, spec.side or ("left" if name in senders else "right"))
+             for name, spec in cfg.hosts.items()]
+    if topo.background:
+        # Nothing binds the sink's port: its datagrams end at the host.
+        hosts += [("bg.send", None, "left"), ("bg.sink", None, "right")]
 
-    def attach_host(name: str) -> Host:
-        host = Host(name)
-        router = rl if sides.get(name, "left") == "left" else rr
-        for way, node in (("up", router), ("down", host)):
+    for name, spec, side in hosts:
+        host = bundle.hosts[name] = Host(name)
+        for way, node in (("up", routers[side]), ("down", host)):
             bundle.links[f"access:{name}:{way}"] = netsim.Link(
                 sim, f"access:{name}:{way}", node, topo.access_bandwidth_bps,
                 topo.access_delay_us, topo.access_queue_bytes)
         host.uplink = bundle.links[f"access:{name}:up"]
-        router.routes[name] = bundle.links[f"access:{name}:down"]
-        bundle.hosts[name] = host
-        return host
-
-    for name in cfg.hosts:
-        attach_host(name)
-    if topo.background:
-        sides["bg.send"] = "left"
-        sides["bg.sink"] = "right"
-        bg_send = attach_host("bg.send")
-        # Nothing binds the sink's port: its datagrams end at the host.
-        attach_host("bg.sink")
-
-    # Anything not local to a router goes across the bottleneck.
-    for name, side in sides.items():
-        if side == "left":
-            rr.routes.setdefault(name, bundle.links["bottleneck:rl"])
-        else:
-            rl.routes.setdefault(name, bundle.links["bottleneck:lr"])
-
-    for name, spec in cfg.hosts.items():
-        engine = RtmfpEngine(sim, bundle.hosts[name], spec)
-        bundle.engines[name] = engine
+        for router_side, router in routers.items():
+            router.routes[name] = (bundle.links[f"access:{name}:down"]
+                                   if router_side == side else across[side])
+        if spec is None:
+            continue
+        engine = bundle.engines[name] = RtmfpEngine(sim, host, spec)
         if spec.migrate_at_us is not None:
             sim.schedule(spec.migrate_at_us, name, netsim.KIND_APP_TICK,
                          lambda t, e=engine, p=spec.migrate_to_port: e.migrate(p),
@@ -176,6 +152,7 @@ def build_bottleneck(cfg: ScenarioConfig,
         mean_size = topo.background_size.mean()
         mean_interval_us = mean_size * 8 * 1_000_000 / mean_rate_bps
         bundle.background = BackgroundSender(
-            sim, bg_send, ("bg.sink", BG_PORT), topo.background_size, mean_interval_us)
+            sim, bundle.hosts["bg.send"], ("bg.sink", BG_PORT), topo.background_size,
+            mean_interval_us)
 
     return bundle

@@ -1,11 +1,14 @@
 import csv
 import io
 import struct
+from types import SimpleNamespace
 
 import pytest
 
-from rtmfpsim.app import make_payload
-from rtmfpsim.harness import results_csv, run_config
+from rtmfpsim import netsim
+from rtmfpsim.app import RtmfpApp, make_payload
+from rtmfpsim.config import AppConfig
+from rtmfpsim.harness import preset_points, results_csv, run_config
 
 
 def app_config(size="140byte", interval="1000us", num=1000, read_delay="0ms",
@@ -141,6 +144,40 @@ def test_loss_free_conservation_and_integrity():
     assert sent.digest == recv.digest
     assert recv.order_violations == 0
     assert sent.retransmissions == 0
+
+
+def test_messages_too_short_for_an_index_cause_no_order_violations():
+    # A message under 12 bytes carries no (flow id, index) header.
+    [(_, text)] = preset_points("bottleneck-basic")
+    res = run_config(text, {"scenario.duration": "2s",
+                            "app.1.0.flowPacketSize": "uniform(1byte,40byte)"})
+    recv = res.stats("host2", 2014, 19, "recv")
+    assert recv.msgs > 1000
+    assert recv.order_violations == 0
+
+
+def order_violations(indexed_sizes):
+    """Order violations the app counts over one read of these messages, given
+    as (index, size) on flow 19."""
+    msgs = [make_payload(19, index, size) for index, size in indexed_sizes]
+    engine = SimpleNamespace(host=SimpleNamespace(node_id="host2"),
+                             register_app=lambda epd, app: None,
+                             read_flow=lambda session, flow_id: msgs)
+    app = RtmfpApp(netsim.Simulator(), engine, AppConfig(local_epd=2014))
+    app._do_read(None, 19, 0)
+    [recv] = app.finalize()
+    return recv.order_violations
+
+
+@pytest.mark.parametrize("indexed_sizes,violations", [
+    ([(0, 20), (1, 5), (2, 20), (3, 11), (4, 12)], 0),
+    # Index 2 is missing: one violation, then the count resyncs on index 3.
+    ([(0, 20), (1, 5), (3, 20), (4, 5), (5, 20)], 1),
+    ([(1, 20), (0, 20)], 2),
+    ([(0, 20), (0, 20)], 1),
+])
+def test_order_violations_count_each_message_short_or_not(indexed_sizes, violations):
+    assert order_violations(indexed_sizes) == violations
 
 
 def test_goodput_matches_recomputation_from_counters():

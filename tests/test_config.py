@@ -280,6 +280,60 @@ def test_a_message_larger_than_the_receivers_buffer_names_rcvbuffersize(size, la
         f"the {largest}-byte messages that host1 sends to it")
 
 
+# host1 and host3 each send one flow, with the default flowId 1, into app 2
+# on host2; app 4 on host2 receives nothing.
+TWO_SENDERS = """[host.1]
+[host.2]
+[host.3]
+[app.1.0]
+localEpd = 1
+remoteAddress = host2
+remotePort = 4711
+remoteEpd = 2
+flowsOutgoing = 1
+flowPacketSize = 140byte
+flowSendInterval = 1ms
+flowNumPackets = 1
+[app.2.0]
+localEpd = 2
+[app.3.0]
+localEpd = 3
+remoteAddress = host2
+remotePort = 4711
+remoteEpd = 2
+flowsOutgoing = 1
+flowPacketSize = 140byte
+flowSendInterval = 1ms
+flowNumPackets = 1
+[app.2.1]
+localEpd = 4
+"""
+
+
+@pytest.mark.parametrize("overrides,where", [
+    ({}, "line 20"),
+    ({"app.3.0.flowId": "1"}, "override app.3.0.flowId"),
+])
+def test_two_senders_of_one_flow_id_into_one_app_name_the_later(overrides, where):
+    # The receiving app keys its flows by flow id alone.
+    with pytest.raises(ConfigError) as err:
+        parse_config(TWO_SENDERS, overrides)
+    assert str(err.value) == (f"{where}: flowId 1 into localEpd 2 on host2 is "
+                              f"already sent by [app.1.0]")
+
+
+@pytest.mark.parametrize("overrides", [{"app.3.0.flowId": "2"}, {"app.3.0.remoteEpd": "4"}])
+def test_one_flow_id_from_two_senders_into_two_apps_or_two_ids_is_accepted(overrides):
+    cfg = parse_config(TWO_SENDERS, overrides)
+    assert [len(app.flows) for _, app in cfg.apps] == [1, 0, 0, 1]
+
+
+def test_a_comment_may_end_any_line():
+    cfg = parse_config("[scenario]  # the run\nseed = 3  # of the streams\n"
+                       "duration = 2s#no space\n")
+    assert (cfg.seed, cfg.duration_us) == (3, 2_000_000)
+
+
 def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
     text, line = text_with("host.1", "ccWndInit", "4380byte")
     text = text.replace("[host.1]\n", "[host.1]\nccCwndInit = 8760byte\n")

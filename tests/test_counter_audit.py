@@ -1,10 +1,15 @@
-"""A counter the program keeps is read somewhere, or it is deleted.
+"""A counter the program keeps is read somewhere, and a function it defines
+is called somewhere, or it is deleted.
 
 A counter is any attribute that `src/` adds to with `+=`. It counts as read
 where `src/` or `bench/` loads that attribute name, or where `bench/` names it
 in a string (the benchmark reads counters through `getattr` and field-name
 tuples). Its own updates and initialisation store to it and are not reads.
 Tests do not count: a counter only tests read is write-only for every run.
+
+Likewise a function or method that `src/` defines counts as called where
+`src/` or `bench/` loads its name, as an attribute, a bare name or a string
+constant. Dunder methods are called by Python itself.
 """
 
 import ast
@@ -31,3 +36,29 @@ def unread_counters():
 
 def test_every_counter_is_read_outside_the_tests():
     assert unread_counters() == []
+
+
+# The verdict helpers that only tests call today; each gets a caller when
+# every preset writes its verdict to a summary file.
+UNCALLED_VERDICT_HELPERS = ["bdp_bound_bps", "sawtooth_drops", "window_rate_bps"]
+
+
+def uncalled_functions():
+    src, bench = parse_tree("src"), parse_tree("bench")
+    defined = {node.name for tree in src for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    loaded = set()
+    for tree in src + bench:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded.add(node.value)
+    return sorted(defined - loaded)
+
+
+def test_every_function_is_called_outside_the_tests():
+    assert uncalled_functions() == UNCALLED_VERDICT_HELPERS

@@ -1,11 +1,13 @@
 import os
+import pathlib
+import re
 
 import pytest
 
 from rtmfpsim import harness
 from rtmfpsim.config import ConfigError, parse_config
 from rtmfpsim.harness import (bdp_bound_bps, compute_fairness, preset_points,
-                              run_preset, sawtooth_drops,
+                              run_config, run_preset, sawtooth_drops,
                               summarize_results_csv, write_outputs)
 from rtmfpsim.topology import build_bottleneck
 
@@ -76,6 +78,18 @@ def test_side_override_controls_placement():
     cfg = parse_config(point_text("bottleneck-basic"), overrides={"host.2.side": "left"})
     bundle = build_bottleneck(cfg)
     assert bundle.routers["router.l"].routes["host2"].name == "access:host2:down"
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", ["README.md", "configs/two-peer-bottleneck.conf"])
+def test_shipped_example_configs_parse_and_run(path):
+    text = (ROOT / path).read_text()
+    if path == "README.md":
+        [text] = re.findall(r"```ini\n(.*?)```", text, re.S)
+    res = run_config(text, {"scenario.duration": "300ms"}, scenario_id=path)
+    assert res.stats("host2", 2014, 19, "recv").msgs > 0
 
 
 # ------------------------------------------------------------------ presets

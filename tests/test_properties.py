@@ -1,7 +1,7 @@
 """Property tests: the event queue with cancels, the wire codec, send/receive
 flows sharing a session, an app's lazy traffic source against an eager one,
-a responder's handshake and a flow into a small receive buffer, over inputs
-generated by hypothesis.
+a responder's handshake, a flow into a small receive buffer and the
+dumbbell's routes, over inputs generated by hypothesis.
 Skipped where hypothesis is not installed."""
 
 import hashlib
@@ -19,11 +19,12 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import netsim, wire  # noqa: E402
 from rtmfpsim.app import FlowStats, RtmfpApp, make_payload  # noqa: E402
-from rtmfpsim.config import AppConfig, FlowSpec  # noqa: E402
+from rtmfpsim.config import AppConfig, FlowSpec, parse_config  # noqa: E402
 from rtmfpsim.engine import S_OPEN  # noqa: E402
 from rtmfpsim.flows import (DEFAULT_ADV_BUFFER, ST_IN_FLIGHT, Message, RecvFlow,  # noqa: E402
                             SendFlow, fill_packet)
 from rtmfpsim.harness import preset_points, run_config  # noqa: E402
+from rtmfpsim.topology import build_bottleneck  # noqa: E402
 
 # Derandomized, so that every run tries the same examples and a failure
 # replays; no example database is written.
@@ -415,6 +416,68 @@ def test_a_receive_buffer_under_two_chunks_keeps_delivering(buffer, read_delay, 
                             "app.2.0.readDelay": f"{read_delay}us",
                             "scenario.duration": "3s"}, scenario_id)
     assert res.stats("host2", 2014, 19, "recv").last_us > 2_000_000
+
+
+@st.composite
+def dumbbells(draw):
+    """-> (config text, the side each host should sit on): 2-6 hosts, each
+    with one app that opens a session to another host or only listens, each
+    host on a side it names or on the one its role gives it, and background
+    traffic on or off. No app starts within the first 100 s."""
+    n = draw(st.integers(2, 6))
+    background = draw(st.booleans())
+    lines = ["[topology]", f"background = {int(background)}"]
+    sides = {}
+    for i in range(1, n + 1):
+        side = draw(st.sampled_from((None, "left", "right")))
+        remote = draw(st.sampled_from([None] + [j for j in range(1, n + 1) if j != i]))
+        lines += [f"[host.{i}]"] + ([f"side = {side}"] if side else [])
+        lines += [f"[app.{i}.0]", f"localEpd = {i}", "startTime = 100s"]
+        if remote is not None:
+            lines += [f"remoteAddress = host{remote}", "remotePort = 4711",
+                      f"remoteEpd = {remote}"]
+        sides[f"host{i}"] = side or ("left" if remote is not None else "right")
+    if background:
+        sides.update({"bg.send": "left", "bg.sink": "right"})
+    return "\n".join(lines) + "\n", sides
+
+
+@SETTINGS
+@given(dumbbells())
+def test_every_host_reaches_every_other_across_the_bottleneck_only_between_sides(case):
+    text, sides = case
+    bundle = build_bottleneck(parse_config(text))
+    links = bundle.links
+    toward = {"left": links["bottleneck:rl"], "right": links["bottleneck:lr"]}
+    routers = {"left": bundle.routers["router.l"], "right": bundle.routers["router.r"]}
+    assert list(bundle.hosts) == list(sides)
+    for router_side, router in routers.items():
+        assert router.routes == {
+            name: links[f"access:{name}:down"] if side == router_side else toward[side]
+            for name, side in sides.items()}
+
+    # One probe from every host to every other, on a port nothing else uses;
+    # each link notes the probes it admits.
+    port = 7
+    crossed = {}
+    for name, link in links.items():
+        link.observer = (lambda now, d, outcome, arrival, name=name:
+                         crossed.setdefault(d, []).append((name, outcome)))
+    arrived = []
+    for host in bundle.hosts.values():
+        host.bind(port, lambda d, now: arrived.append(d))
+    probes = {}
+    for src, host in bundle.hosts.items():
+        for dst in bundle.hosts:
+            if dst != src:
+                probes[src, dst] = netsim.Datagram((src, port), (dst, port), b"probe")
+                host.send(probes[src, dst], 0)
+    bundle.sim.run_until(1_000_000)
+    assert sorted(map(id, arrived)) == sorted(map(id, probes.values()))
+    for (src, dst), probe in probes.items():
+        across = [(toward[sides[dst]].name, "sent")] if sides[src] != sides[dst] else []
+        assert crossed[probe] == [(f"access:{src}:up", "sent"), *across,
+                                  (f"access:{dst}:down", "sent")]
 
 
 HOME = ("host9", 5000)
