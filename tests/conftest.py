@@ -3,9 +3,24 @@ import random
 
 import pytest
 
-from rtmfpsim import netsim, wire
+from rtmfpsim import harness, netsim, wire
 from rtmfpsim.config import HostSpec
 from rtmfpsim.engine import HANDSHAKE_SID, RtmfpEngine
+
+
+@pytest.fixture(scope="session")
+def full_runs():
+    """preset name -> its RunResults at full duration, seed 1. Each preset
+    runs once per session: the acceptance criteria and the full-duration pins
+    share the runs."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = harness.run_preset(name, seed=1)
+        return cache[name]
+
+    return get
 
 
 class PacketSniffer:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per validation criterion, each printing a
 PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`.
 
-Expensive scenario runs are shared through module-scoped fixtures; every
-tolerance is pinned in the assertions themselves.
+Expensive scenario runs are shared through fixtures, the preset runs with
+`tests/test_preset_digests.py` (see `conftest.full_runs`); every tolerance is
+pinned in the assertions themselves.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 from conftest import PacketSniffer, random_packet
 from rtmfpsim import harness, wire
 from rtmfpsim.cli import main as cli_main
-from rtmfpsim.harness import compute_fairness, run_config, run_preset, sawtooth_drops
+from rtmfpsim.harness import compute_fairness, run_config, sawtooth_drops
 
 
 def check(num: int, name: str, conditions: list[tuple[str, bool]]) -> None:
@@ -26,28 +27,28 @@ def check(num: int, name: str, conditions: list[tuple[str, bool]]) -> None:
 
 
 @pytest.fixture(scope="module")
-def loss_sweep():
-    return run_preset("loss-sweep", seed=1)
+def loss_sweep(full_runs):
+    return full_runs("loss-sweep")
 
 
 @pytest.fixture(scope="module")
-def bdp_sweep():
-    return run_preset("bdp-sweep", seed=1)
+def bdp_sweep(full_runs):
+    return full_runs("bdp-sweep")
 
 
 @pytest.fixture(scope="module")
-def fairness_simultaneous():
-    return run_preset("fairness-simultaneous", seed=1)[0]
+def fairness_simultaneous(full_runs):
+    return full_runs("fairness-simultaneous")[0]
 
 
 @pytest.fixture(scope="module")
-def fairness_staggered():
-    return run_preset("fairness-staggered", seed=1)[0]
+def fairness_staggered(full_runs):
+    return full_runs("fairness-staggered")[0]
 
 
 @pytest.fixture(scope="module")
-def bundling_sweep():
-    return run_preset("bundling-sweep", seed=1)
+def bundling_sweep(full_runs):
+    return full_runs("bundling-sweep")
 
 
 SAWTOOTH_TEMPLATE = """

@@ -1,4 +1,5 @@
-"""Byte-identical outputs: every preset point, seed 1, cut to one second.
+"""Byte-identical outputs: every preset point, seed 1, cut to one second and
+at full duration.
 
 The pins live in `tests/vectors/`:
 
@@ -9,7 +10,14 @@ The pins live in `tests/vectors/`:
 - `trace_pins.txt`: per trace point, the line count and sha256 of the whole
   `--trace` text (kind `*`), of each event kind's lines, and of each kind's
   lines in each 100 ms slice of the run, so a failure names the kind and the
-  first slice that changed.
+  first slice that changed;
+- `preset_full.txt`: per preset point at its full duration, the sha256 of the
+  results CSV and of the cwnd CSV. The runs are the ones the acceptance
+  criteria use (`conftest.full_runs`), so only bottleneck-basic runs here;
+- `preset_full_seed3.txt`: the same at seed 3. Tier-1 does not run it; check
+  it (about 30 s, exit status 1 and the differing points on a mismatch) with
+
+      PYTHONPATH=src python tests/test_preset_digests.py --check-seed 3
 
 A change that alters any simulation output fails here; if the change is
 intended, regenerate every pin with
@@ -19,9 +27,11 @@ intended, regenerate every pin with
 and name the changed pins in CHANGES.md.
 """
 
+import argparse
 import functools
 import hashlib
 import os
+import sys
 
 import pytest
 
@@ -31,6 +41,7 @@ VECTORS = os.path.join(os.path.dirname(__file__), "vectors")
 DIGESTS = os.path.join(VECTORS, "preset_digests.txt")
 PARTS = os.path.join(VECTORS, "preset_parts.txt")
 TRACE_PINS = os.path.join(VECTORS, "trace_pins.txt")
+FULL_SEEDS = (1, 3)
 OVERRIDES = {"scenario.duration": "1s"}
 SLICE_US = 100_000
 KINDS = (netsim.KIND_APP_TICK, netsim.KIND_DELIVERY, netsim.KIND_TIMER)
@@ -81,6 +92,21 @@ def _points():
 POINTS = _points()
 PRESET_IDS = [sid for name in harness.PRESET_NAMES
               for sid, _ in harness.preset_points(name, seed=1)]
+
+
+def full_pins_path(seed: int) -> str:
+    return os.path.join(VECTORS, "preset_full.txt" if seed == 1
+                        else f"preset_full_seed{seed}.txt")
+
+
+# scenario id -> preset name, for every preset point.
+PRESET_OF = {sid: name for name in harness.PRESET_NAMES
+             for sid, _ in harness.preset_points(name, seed=1)}
+
+
+def csv_digests(res) -> tuple[str, str]:
+    """-> sha256 of the results CSV and of the cwnd CSV of one run."""
+    return sha256(harness.results_csv([res])), sha256(harness.cwnd_csv(res))
 
 
 @functools.cache
@@ -167,6 +193,41 @@ def test_trace_kind_matches_pinned(name, kind):
                 f"differing slice {first} ({first * SLICE_US}-{(first + 1) * SLICE_US} us)")
 
 
+@pytest.mark.parametrize("name", PRESET_IDS)
+def test_full_duration_results_and_cwnd_match_pins(name, full_runs):
+    res, = (r for r in full_runs(PRESET_OF[name]) if r.scenario == name)
+    want = dict((row[0], row[1:]) for row in read_pins(full_pins_path(1)))[name]
+    changed = [f for f, got, pin in zip(("results", "cwnd"), csv_digests(res), want)
+               if got != pin]
+    assert not changed, (f"{name}: {' and '.join(changed)} CSV at full duration differs "
+                         f"from its pin in {os.path.basename(full_pins_path(1))}")
+
+
+def full_digests(seed: int):
+    """-> [(scenario id, results sha256, cwnd sha256)] of every preset point at
+    its full duration; each preset's runs are dropped once hashed."""
+    return [(res.scenario, *csv_digests(res)) for name in harness.PRESET_NAMES
+            for res in harness.run_preset(name, seed=seed)]
+
+
+def check_seed(seed: int) -> int:
+    """Compare every full-duration point at `seed` with its pin file; print one
+    line per point, and return 1 if any differs."""
+    pins = {row[0]: tuple(row[1:]) for row in read_pins(full_pins_path(seed))}
+    differing = []
+    for sid, results, cwnd in full_digests(seed):
+        changed = [f for f, got, pin in zip(("results", "cwnd"), (results, cwnd),
+                                            pins.get(sid, ("", ""))) if got != pin]
+        print(f"{sid}: {' and '.join(changed) + ' differ' if changed else 'ok'}")
+        if changed:
+            differing.append(sid)
+    missing = sorted(pins.keys() - set(PRESET_IDS))
+    print(f"seed {seed}: {len(PRESET_IDS) - len(differing)} of {len(PRESET_IDS)} points "
+          f"match {os.path.basename(full_pins_path(seed))}"
+          + (f"; pins for unknown points: {', '.join(missing)}" if missing else ""))
+    return 1 if differing or missing else 0
+
+
 def regenerate():
     with open(DIGESTS, "w") as f:
         f.writelines(f"{sid} {point_digests(sid)[0]}\n" for sid in PRESET_IDS)
@@ -180,7 +241,17 @@ def regenerate():
                                                 int(k[1]) if k[1] != "*" else 0))
             f.writelines(f"{name} {kind} {slc} {pins[kind, slc][0]} {pins[kind, slc][1]}\n"
                          for kind, slc in order)
+    for seed in FULL_SEEDS:
+        with open(full_pins_path(seed), "w") as f:
+            f.writelines(" ".join(row) + "\n" for row in full_digests(seed))
 
 
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Rewrite every pin, or check one seed's "
+                                             "full-duration pins.")
+    ap.add_argument("--check-seed", type=int, metavar="N",
+                    help="check the full-duration points at seed N against their pins")
+    args = ap.parse_args()
+    if args.check_seed is not None:
+        sys.exit(check_seed(args.check_seed))
     regenerate()
