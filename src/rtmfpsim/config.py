@@ -286,7 +286,8 @@ TOPOLOGY_KEYS = (
 HOST_KEYS = (
     Key("localPort", "local_port", _int, 1, 65535),
     Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
-    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1),
+    # The ack advertises the free buffer in a u32 field.
+    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1, 0xFFFFFFFF),
     # A smaller initial window never admits the largest chunk a flow may send.
     Key("ccCwndInit", "cc_cwnd_init", parse_bytes, wire.MAX_CHUNK_PAYLOAD, aliases=("ccWndInit",)),
     Key("ccMss", "cc_mss", parse_bytes, MIN_CC_MSS),

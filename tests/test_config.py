@@ -238,7 +238,8 @@ def test_minimal_config_parses():
     ("app.1.0", "flowId", "65535"), ("app.1.0", "flowId", "0"),
     ("app.1.0", "flowNumPackets", "0"), ("app.1.0", "localEpd", "4294967295"),
     ("host.1", "maxSegmentSize", "1052byte"), ("host.1", "maxSegmentSize", "1500byte"),
-    ("host.1", "rcvBufferSize", "1byte"), ("host.1", "localPort", "65535"),
+    ("host.1", "rcvBufferSize", "1byte"), ("host.1", "rcvBufferSize", "4294967295byte"),
+    ("host.1", "localPort", "65535"),
     ("topology", "bottleneckQueue", "1500byte"), ("topology", "bottleneckLoss", "1"),
     ("topology", "backgroundLoad", "0.999"), ("host.1", "ccCwndInit", "1478byte"),
     ("topology", "bottleneckBandwidth", "1bit"), ("scenario", "duration", "1us"),
@@ -347,6 +348,9 @@ def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
     ("app.1.0.flowId", "19 70000", "override app.1.0.flowId: flowId = 70000 is outside"),
     ("host.1.maxSegmentSize", "30byte", "override host.1.maxSegmentSize: maxSegmentSize"),
     ("scenario.duration", "5", "override scenario.duration: time value '5' needs a unit"),
+    # Past the ack's u32 buffer field, which would wrap to 1,000 bytes.
+    ("host.2.rcvBufferSize", "4294968296byte",
+     "override host.2.rcvBufferSize: rcvBufferSize = 4294968296 is outside"),
 ])
 def test_override_errors_name_the_override(key, value, message):
     with pytest.raises(ConfigError) as err:

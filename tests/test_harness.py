@@ -297,6 +297,8 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
     ["app.1.0.remoteEpd=4712"],
     ["app.1.0.remotePort=4711", "app.1.0.remoteAddress=host1"],
     ["host.2.rcvBufferSize=1byte"],
+    # Wider than the ack's u32 buffer field.
+    ["scenario.duration=3s", "host.2.rcvBufferSize=4294968296byte"],
     ["app.1.0.flowPacketSize=1450byte", "host.2.rcvBufferSize=1400byte"],
     ["app.1.0.flowPacketSize=4000byte", "app.1.0.flowSendInterval=10ms",
      "host.2.rcvBufferSize=2000byte"],
