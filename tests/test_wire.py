@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from rtmfpsim import wire
+from rtmfpsim import harness, wire
 from conftest import random_packet
 
 
@@ -166,3 +167,53 @@ def test_golden_vector_file_round_trips(tmp_path):
     for line, pkt in zip(lines, _golden_packets()):
         assert wire.encode(pkt).hex() == line
         assert wire.decode(bytes.fromhex(line)) == pkt
+
+
+# ----------------------------------------------------------------- run path
+
+
+def _fields(obj, cls):
+    return [getattr(obj, f.name) for f in dataclasses.fields(cls)]
+
+
+def _run_path_points():
+    from test_preset_digests import EXTRA_POINTS
+    for name in harness.PRESET_NAMES:
+        for scenario_id, text in harness.preset_points(name, seed=1):
+            yield pytest.param(scenario_id, text, {}, id=scenario_id)
+    for preset, name, overrides in EXTRA_POINTS:
+        (scenario_id, text), = harness.preset_points(preset, seed=1)
+        yield pytest.param(scenario_id, text, overrides, id=name)
+
+
+@pytest.mark.parametrize("scenario_id,text,overrides", list(_run_path_points()))
+def test_every_packet_sent_encodes_to_its_size_and_round_trips(scenario_id, text,
+                                                                overrides):
+    """The codec is the reference for the packets engines send: each one
+    encodes to exactly its datagram's size, within its sender's
+    maxSegmentSize, and decodes back to the same fields."""
+    checked = set()
+
+    def observe(now, dgram, outcome, deliver_at):
+        engine = engines.get(dgram.src[0])
+        if engine is None or dgram in checked:  # background traffic, or seen
+            return
+        checked.add(dgram)
+        pkt = wire.decode(dgram.payload)
+        assert len(wire.encode(pkt)) == dgram.size <= engine.spec.max_segment_size
+        back = wire.decode(wire.encode(pkt))
+        assert _fields(back, wire.Packet)[:-1] == _fields(pkt, wire.Packet)[:-1]
+        assert len(back.chunks) == len(pkt.chunks)
+        for got, sent in zip(back.chunks, pkt.chunks):
+            assert isinstance(sent, type(got)), (got, sent)
+            assert _fields(got, type(got)) == _fields(sent, type(got))
+
+    def tap(bundle):
+        engines.update(bundle.engines)
+        for link in bundle.links.values():
+            link.observer = observe
+
+    engines = {}
+    harness.run_config(text, {"scenario.duration": "300ms", **overrides}, scenario_id,
+                       prepare=tap)
+    assert checked
