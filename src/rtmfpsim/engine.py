@@ -129,7 +129,7 @@ class RtmfpEngine:
         self.registry = cc_mod.CcRegistry()
         self._rng = sim.stream(f"engine:{host.node_id}:{self.local_port}")
         self._cookie_key = sim.stream(f"cookie:{host.node_id}:{self.local_port}").randbytes(32)
-        self.decode_errors = 0
+        self.decode_errors = 0  # engines pass packet objects: nothing to decode
         self.unknown_session = 0
         self.unknown_epd = 0
         self.delivered_packets = 0
@@ -253,11 +253,10 @@ class RtmfpEngine:
     # ----------------------------------------------------------------- demux
 
     def handle_datagram(self, dgram: netsim.Datagram, now: int) -> None:
-        try:
-            pkt = wire.decode(dgram.payload)
-        except wire.DecodeError:
-            self.decode_errors += 1
-            return
+        # The sender's own packet: its chunks, data chunks and ack gap lists
+        # included, are the sender's objects, so no receiving code may change
+        # them.
+        pkt: wire.Packet = dgram.payload
         if pkt.session_id == HANDSHAKE_SID:
             handled = False
             for chunk in pkt.chunks:
@@ -447,10 +446,14 @@ class RtmfpEngine:
 
     def _send(self, sid: int, flags: int, ts_echo: int, chunks: list,
               dst: tuple[str, int], now: int) -> None:
-        """Build, encode and send one packet; every packet sent passes here."""
+        """Build and send one packet; every packet sent passes here. The packet
+        object is the datagram's payload, and its size is the encoded size."""
         pkt = wire.Packet(sid, flags, (now // 1000) & 0xFFFF, ts_echo, chunks)
-        buf = wire.encode(pkt, max_size=self.spec.max_segment_size)
-        self.host.send(netsim.Datagram((self.host.node_id, self.local_port), dst, buf), now)
+        dgram = netsim.Datagram((self.host.node_id, self.local_port), dst, pkt)
+        if dgram.size > self.spec.max_segment_size:
+            raise wire.EncodeError(f"encoded packet {dgram.size}B exceeds limit "
+                                   f"{self.spec.max_segment_size}B")
+        self.host.send(dgram, now)
 
     # ----------------------------------------------------------- app surface
 

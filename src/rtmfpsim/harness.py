@@ -150,7 +150,6 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         "sessions_failed": sum(e.sessions_failed for e in engines),
         "mobility_events": sum(s.mobility_events for s in sessions),
         "rto_fires": sum(s.rto_fires for s in sessions),
-        "decode_errors": sum(e.decode_errors for e in engines),
         "unknown_session": sum(e.unknown_session for e in engines),
         "unknown_epd": sum(e.unknown_epd for e in engines),
         "delivered_packets": sum(e.delivered_packets for e in engines),

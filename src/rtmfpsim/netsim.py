@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sized
 
 MTU_DEFAULT = 1500
 DEFAULT_QUEUE_CAPACITY = 65536
@@ -36,11 +36,13 @@ def ceil_div(a: int, b: int) -> int:
 
 
 class Datagram:
-    """A UDP-style datagram addressed by (node id, port) pairs."""
+    """A UDP-style datagram addressed by (node id, port) pairs. The payload is
+    an engine's wire.Packet or, for background traffic, bytes; either way its
+    len() is its size on the wire."""
 
     __slots__ = ("src", "dst", "payload", "size")
 
-    def __init__(self, src: tuple[str, int], dst: tuple[str, int], payload: bytes):
+    def __init__(self, src: tuple[str, int], dst: tuple[str, int], payload: Sized):
         self.src = src
         self.dst = dst
         self.payload = payload

@@ -130,6 +130,13 @@ class Packet:
     ts_echo: int = TS_NONE
     chunks: list[Chunk] = field(default_factory=list)
 
+    def __len__(self) -> int:
+        """The encoded size, 12 + sum(10 + body_len), without encoding."""
+        n = PACKET_HEADER
+        for c in self.chunks:
+            n += CHUNK_HEADER + c.body_len()
+        return n
+
 
 def ack_body_len(n_gaps: int) -> int:
     return _ACK_FIXED.size + _GAP.size * n_gaps

@@ -30,10 +30,8 @@ class PacketSniffer:
         self.records = []  # (now, dgram, outcome, deliver_at, packet|None)
 
     def __call__(self, now, dgram, outcome, deliver_at):
-        try:
-            pkt = wire.decode(dgram.payload)
-        except wire.DecodeError:
-            pkt = None
+        # Bytes are background traffic.
+        pkt = dgram.payload if isinstance(dgram.payload, wire.Packet) else None
         self.records.append((now, dgram, outcome, deliver_at, pkt))
 
     def packets(self):
@@ -85,7 +83,7 @@ class Responder:
         pass
 
     def send(self, dgram, now):
-        self.sent.append(wire.decode(dgram.payload))
+        self.sent.append(dgram.payload)
 
     def session_opened(self, session, now):
         self.opened.append(session)
@@ -95,7 +93,7 @@ class Responder:
         self.sim.run_until(at)
         pkt = wire.Packet(sid, 0, 0, wire.TS_NONE, [chunk])
         self.engine.handle_datagram(
-            netsim.Datagram(src, ("host2", 2013), wire.encode(pkt)), at)
+            netsim.Datagram(src, ("host2", 2013), pkt), at)
 
     def ihello(self, initiator_sid, at):
         self.receive(HANDSHAKE_SID, wire.HandshakeChunk(

@@ -136,7 +136,7 @@ def test_all_packets_dropped_closes_after_five_attempts():
     late = wire.Packet(failed_sid, 0, 0, wire.TS_NONE, [wire.AckChunk(19, 0)])
     before = engine1.unknown_session
     engine1.handle_datagram(netsim.Datagram(("host2", 2013), ("host1", 4711),
-                                            wire.encode(late)), res.bundle.sim.now)
+                                            late), res.bundle.sim.now)
     assert engine1.unknown_session == before + 1
     # The app still reports its configured flow, with zero traffic.
     st = res.stats("host1", 4712, 19, "send")
@@ -261,24 +261,10 @@ def test_unknown_session_id_counted_and_dropped():
         from rtmfpsim.netsim import Datagram
         sim.schedule(5_000_000, "host2", "app-tick",
                      lambda t: host2.handle_datagram(
-                         Datagram(("host1", 4711), ("host2", 2013),
-                                  wire.encode(pkt)), t))
+                         Datagram(("host1", 4711), ("host2", 2013), pkt), t))
 
     res, _ = run_sniffed(mini_config(num=50), prepare=inject)
     assert res.bundle.engines["host2"].unknown_session == 1
-
-
-def test_undecodable_datagram_counted():
-    def inject(bundle):
-        from rtmfpsim.netsim import Datagram
-        host2 = bundle.hosts["host2"]
-        bundle.sim.schedule(5_000_000, "host2", "app-tick",
-                            lambda t: host2.handle_datagram(
-                                Datagram(("host1", 4711), ("host2", 2013),
-                                         b"\x01\x02\x03"), t))
-
-    res, _ = run_sniffed(mini_config(num=50), prepare=inject)
-    assert res.bundle.engines["host2"].decode_errors == 1
 
 
 def test_demux_totality_every_datagram_hits_exactly_one_counter():
@@ -287,7 +273,7 @@ def test_demux_totality_every_datagram_hits_exactly_one_counter():
     inbound = sum(link.admitted for link in res.bundle.links.values()
                   if any(link.dst_node is host for host in hosts))
     s = res.summary
-    assert s["delivered_packets"] + s["unknown_session"] + s["decode_errors"] == inbound
+    assert s["delivered_packets"] + s["unknown_session"] == inbound
 
 
 def test_ihello_for_unregistered_epd_is_ignored():
@@ -329,12 +315,11 @@ def test_acks_of_two_gappy_flows_are_split_to_fit_the_segment_size():
             rf.on_data_chunk(wire.DataChunk(flow_id, seq, wire.FRAG_WHOLE, False, b"x"), 0)
         chunks.append(wire.DataChunk(flow_id, top + 1, wire.FRAG_WHOLE, False, b"x"))
     pkt = wire.Packet(session.local_sid, wire.FLAG_ESTABLISHED, 0, wire.TS_NONE, chunks)
-    dgram = netsim.Datagram(session.peer_address, ("host2", engine2.local_port),
-                            wire.encode(pkt))
+    dgram = netsim.Datagram(session.peer_address, ("host2", engine2.local_port), pkt)
     before = len(uplink.records)
     engine2.handle_datagram(dgram, res.bundle.sim.now)
     sent = uplink.records[before:]
-    assert [len(d.payload) for _, d, *_ in sent] == [1052, 1052]
+    assert [d.size for _, d, *_ in sent] == [1052, 1052]
     acks = [c for *_, p in sent for c in p.chunks]
     assert [(a.flow_id, len(a.gaps)) for a in acks] == [(101, MAX_ACK_GAPS),
                                                        (102, MAX_ACK_GAPS)]
