@@ -43,9 +43,8 @@ _NUM_RE = re.compile(r"^(-?\d+(?:\.\d+)?)([A-Za-z]*)$")
 _DIST_ARGS = {"constant": 1, "uniform": 2, "exponential": 1}  # Dist constructors
 _DIST_RE = re.compile(rf"^({'|'.join(_DIST_ARGS)})\((.*)\)$")
 
-# The largest packet the engine builds without a size budget is an ack of one
-# flow with MAX_ACK_GAPS gap ranges (1052 bytes); a smaller maxSegmentSize
-# would fail to encode it at run time.
+# The largest packet the engine builds without a size budget, which
+# maxSegmentSize must hold: an ack of one flow with MAX_ACK_GAPS gap ranges.
 MIN_SEGMENT_SIZE = (wire.PACKET_HEADER + wire.CHUNK_HEADER
                     + wire.ack_body_len(flows.MAX_ACK_GAPS))
 # The window never shrinks below two segments (cc floor = 2 * ccMss); that
@@ -286,8 +285,7 @@ TOPOLOGY_KEYS = (
 HOST_KEYS = (
     Key("localPort", "local_port", _int, 1, 65535),
     Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
-    # The ack advertises the free buffer in a u32 field.
-    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1, 0xFFFFFFFF),
+    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1, 0xFFFFFFFF),  # ack's u32 field
     # A smaller initial window never admits the largest chunk a flow may send.
     Key("ccCwndInit", "cc_cwnd_init", parse_bytes, wire.MAX_CHUNK_PAYLOAD, aliases=("ccWndInit",)),
     Key("ccMss", "cc_mss", parse_bytes, MIN_CC_MSS),

@@ -170,7 +170,7 @@ class RtmfpEngine:
                       else (wire.T_IIKEYING, [s.peer_address]))
         chunk = wire.HandshakeChunk(kind, s.remote_epd, s.local_sid, s.cookie)
         for addr in dsts:
-            self._send_packet(s, [chunk], now, addr, established=False)
+            self._send_packet(s, [chunk], now, addr)
         s.hs_timer = self.sim.schedule(
             now + (HANDSHAKE_TIMEOUT_US << (s.hs_sends - 1)), self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
@@ -218,8 +218,7 @@ class RtmfpEngine:
         else:
             return False
         s.heard(pkt, now)
-        self._send_packet(s, [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)], now,
-                          established=False)
+        self._send_packet(s, [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)], now)
         return True
 
     def _on_handshake_chunk(self, s: Session, chunk: wire.HandshakeChunk,
@@ -253,9 +252,7 @@ class RtmfpEngine:
     # ----------------------------------------------------------------- demux
 
     def handle_datagram(self, dgram: netsim.Datagram, now: int) -> None:
-        # The sender's own packet: its chunks, data chunks and ack gap lists
-        # included, are the sender's objects, so no receiving code may change
-        # them.
+        # The sender's own packet, chunks and ack gap lists included: never change it.
         pkt: wire.Packet = dgram.payload
         if pkt.session_id == HANDSHAKE_SID:
             handled = False
@@ -435,24 +432,19 @@ class RtmfpEngine:
         return sent
 
     def _send_packet(self, s: Session, chunks: list, now: int,
-                     dst: Optional[tuple[str, int]] = None, established: bool = True) -> None:
+                     dst: Optional[tuple[str, int]] = None) -> None:
         """To the peer, or to `dst` (an IHello candidate). Until the RIKeying
         names the peer's session id, packets go to HANDSHAKE_SID."""
-        flags = wire.FLAG_ESTABLISHED if established else 0
-        if s.tc_active:
-            flags |= wire.FLAG_TIME_CRITICAL
+        flags = wire.FLAG_TIME_CRITICAL if s.tc_active else 0
         self._send(s.peer_sid if s.peer_sid is not None else HANDSHAKE_SID, flags,
                    s.last_peer_ts, chunks, dst or s.peer_address, now)
 
     def _send(self, sid: int, flags: int, ts_echo: int, chunks: list,
               dst: tuple[str, int], now: int) -> None:
-        """Build and send one packet; every packet sent passes here. The packet
-        object is the datagram's payload, and its size is the encoded size."""
+        """Build and send one packet; every packet sent passes here."""
         pkt = wire.Packet(sid, flags, (now // 1000) & 0xFFFF, ts_echo, chunks)
         dgram = netsim.Datagram((self.host.node_id, self.local_port), dst, pkt)
-        if dgram.size > self.spec.max_segment_size:
-            raise wire.EncodeError(f"encoded packet {dgram.size}B exceeds limit "
-                                   f"{self.spec.max_segment_size}B")
+        assert dgram.size <= self.spec.max_segment_size, f"{dgram.size}B > maxSegmentSize"
         self.host.send(dgram, now)
 
     # ----------------------------------------------------------- app surface

@@ -36,9 +36,7 @@ def ceil_div(a: int, b: int) -> int:
 
 
 class Datagram:
-    """A UDP-style datagram addressed by (node id, port) pairs. The payload is
-    an engine's wire.Packet or, for background traffic, bytes; either way its
-    len() is its size on the wire."""
+    """A datagram between (node id, port) pairs; size = len(payload), a wire.Packet or bytes."""
 
     __slots__ = ("src", "dst", "payload", "size")
 

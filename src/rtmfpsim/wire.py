@@ -5,7 +5,7 @@ Fixed layout, big-endian throughout:
   packet header (12 bytes):
       session_id  u32   id chosen by the packet's *receiver*; 0 on the
                         IHello and IIKeying, before the responder has one
-      flags       u8    bit0 established, bit1 time-critical transfer active
+      flags       u8    bit0 established (no sender sets it), bit1 time-critical transfer active
       reserved    3B    zero
       timestamp   u16   sender clock, 1 ms ticks mod 2^16 (0xFFFF = none)
       ts_echo     u16   most recently received peer timestamp (0xFFFF = none)
@@ -22,9 +22,9 @@ Fixed layout, big-endian throughout:
       ack         adv_buffer u32, gap_count u16, then gap_count * (from u32, to u32)
       handshake   epd u32, sid u32, cookie (64 bytes; zero but in RHello, IIKeying)
 
-An encoded packet is therefore exactly 12 + sum(10 + body_len) bytes, which
-makes bundling efficiency analytically checkable. Unknown chunk types are
-skipped via the length field instead of failing the whole packet.
+An encoded packet is exactly 12 + sum(10 + body_len) bytes, len(Packet):
+engines pass Packet objects, and encode and decode are the reference that
+tests hold them to. Unknown chunk types are skipped via the length field.
 """
 
 from __future__ import annotations

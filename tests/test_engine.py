@@ -267,6 +267,19 @@ def test_unknown_session_id_counted_and_dropped():
     assert res.bundle.engines["host2"].unknown_session == 1
 
 
+def test_a_packet_larger_than_max_segment_size_is_refused_at_send():
+    r = Responder()  # maxSegmentSize 1472
+
+    def send(payload_size):
+        chunk = wire.DataChunk(19, 1, wire.FRAG_WHOLE, False, b"x" * payload_size)
+        r.engine._send(7, 0, wire.TS_NONE, [chunk], ("host9", 5000), 0)
+
+    send(1450)  # 12 + 10 + 1450 = 1472 bytes
+    with pytest.raises(AssertionError, match="maxSegmentSize"):
+        send(1451)
+    assert [len(p) for p in r.sent] == [1472]
+
+
 def test_demux_totality_every_datagram_hits_exactly_one_counter():
     res, _ = run_sniffed(mini_config(num=500))
     hosts = [engine.host for engine in res.bundle.engines.values()]

@@ -78,6 +78,13 @@ def test_round_trip_randomized_packets():
         assert wire.decode(buf) == p
 
 
+def test_packet_len_is_its_encoded_size():
+    rng = random.Random(7016)
+    for _ in range(500):
+        p = random_packet(rng)
+        assert len(p) == len(wire.encode(p))
+
+
 # ------------------------------------------------------------------ decoding
 
 
