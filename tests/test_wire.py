@@ -5,6 +5,7 @@ import pytest
 
 from rtmfpsim import harness, wire
 from conftest import random_packet
+from test_preset_digests import POINTS
 
 
 def data(flow=19, seq=1, payload=b"x" * 140, frag=wire.FRAG_WHOLE, tc=False):
@@ -183,22 +184,12 @@ def _fields(obj, cls):
     return [getattr(obj, f.name) for f in dataclasses.fields(cls)]
 
 
-def _run_path_points():
-    from test_preset_digests import EXTRA_POINTS
-    for name in harness.PRESET_NAMES:
-        for scenario_id, text in harness.preset_points(name, seed=1):
-            yield pytest.param(scenario_id, text, {}, id=scenario_id)
-    for preset, name, overrides in EXTRA_POINTS:
-        (scenario_id, text), = harness.preset_points(preset, seed=1)
-        yield pytest.param(scenario_id, text, overrides, id=name)
-
-
-@pytest.mark.parametrize("scenario_id,text,overrides", list(_run_path_points()))
-def test_every_packet_sent_encodes_to_its_size_and_round_trips(scenario_id, text,
-                                                                overrides):
-    """The codec is the reference for the packets engines send: each one
-    encodes to exactly its datagram's size, within its sender's
-    maxSegmentSize, and decodes back to the same fields."""
+@pytest.mark.parametrize("name", list(POINTS))
+def test_every_packet_sent_encodes_to_its_size_and_round_trips(name):
+    """The codec is the reference for the packets engines send: each one, at
+    every preset and extra point cut to 300 ms, encodes to exactly its
+    datagram's size, within its sender's maxSegmentSize, and decodes back to
+    the same fields."""
     checked = set()
 
     def observe(now, dgram, outcome, deliver_at):
@@ -221,6 +212,7 @@ def test_every_packet_sent_encodes_to_its_size_and_round_trips(scenario_id, text
             link.observer = observe
 
     engines = {}
-    harness.run_config(text, {"scenario.duration": "300ms", **overrides}, scenario_id,
+    scenario_id, text, overrides = POINTS[name]
+    harness.run_config(text, {**overrides, "scenario.duration": "300ms"}, scenario_id,
                        prepare=tap)
     assert checked
