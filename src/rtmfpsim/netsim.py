@@ -36,7 +36,7 @@ def ceil_div(a: int, b: int) -> int:
 
 
 class Datagram:
-    """A datagram between (node id, port) pairs; size = len(payload), a wire.Packet or bytes."""
+    """A datagram between (node id, port) pairs carrying a wire.Packet or bytes."""
 
     __slots__ = ("src", "dst", "payload", "size")
 
