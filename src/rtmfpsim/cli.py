@@ -12,6 +12,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -49,6 +50,13 @@ def _open_trace(path: str | None):
     return f, lambda line: f.write(line + "\n")
 
 
+def _summary_line(s: dict) -> str:
+    return (f"{s['scenario']}: seed={s['seed']} util={s['bottleneck_utilization']:.3f} "
+            f"handshakes={s['handshakes_completed']} flows={s['flows_recv']} "
+            f"goodput={s['total_recv_goodput_bps']:.0f}bps jain={s['jain_index']:.4f} "
+            f"retx={s['total_retransmissions']}")
+
+
 def _finish(results, out_dir: str | None) -> None:
     if out_dir:
         try:
@@ -57,12 +65,7 @@ def _finish(results, out_dir: str | None) -> None:
             raise OutputError(f"output directory {out_dir}: {e}") from e
         for path in written:
             print(f"wrote {path}")
-    for res in results:
-        s = res.summary
-        print(f"{res.scenario}: seed={res.seed} "
-              f"util={s['bottleneck_utilization']:.3f} "
-              f"handshakes={s['handshakes_completed']} "
-              f"rows={len(res.flow_stats)}")
+    print("\n".join(_summary_line(res.summary) for res in results))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--trace", default=None)
         p.add_argument("--out", default=None)
 
-    p_report = sub.add_parser("report", help="summarize CSVs in an output directory")
+    p_report = sub.add_parser("report", help="print the run summaries in an output directory")
     p_report.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
@@ -108,15 +111,18 @@ def main(argv: list[str] | None = None) -> int:
             _finish(results, args.out)
         else:
             try:
-                entries = harness.summarize_results_csv(
-                    os.path.join(args.out, "results.csv"))
-            except (OSError, ValueError) as e:
+                lines = []
+                for name in sorted(os.listdir(args.out)):
+                    if name.startswith("summary__") and name.endswith(".json"):
+                        with open(os.path.join(args.out, name)) as f:
+                            lines.append(_summary_line(json.load(f)))
+            except OSError as e:
                 raise InputError(f"--out {args.out}: {e}") from e
-            for entry in entries:
-                print(f"{entry['scenario']}: flows={entry['flows_recv']} "
-                      f"goodput={entry['total_recv_goodput_bps']:.0f}bps "
-                      f"jain={entry['jain_index']:.4f} "
-                      f"retx={entry['total_retransmissions']}")
+            except (KeyError, TypeError, ValueError) as e:
+                raise InputError(f"--out {args.out}: {name}: not a run summary: {e!r}") from e
+            if not lines:
+                raise InputError(f"--out {args.out}: no summary__<scenario>.json file")
+            print("\n".join(lines))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

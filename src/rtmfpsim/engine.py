@@ -311,7 +311,7 @@ class RtmfpEngine:
                 losses += res.losses_detected
         ack_chunks = []
         for rf in touched:
-            ack = rf.end_of_packet(now)
+            ack = rf.end_of_packet()
             if ack is not None:
                 ack_chunks.append(ack)
                 if rf.delack_timer is not None:

@@ -1,5 +1,5 @@
 """Experiment harness: scenario execution, validation presets, fairness and
-window-trace analysis, CSV output.
+window-trace analysis, CSV and summary output.
 
 Presets (each point is one base config plus `section.key` overrides, rendered
 to config text by preset_points):
@@ -17,7 +17,7 @@ to config text by preset_points):
 
 from __future__ import annotations
 
-import csv
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -53,6 +53,8 @@ class RunResult:
     def window_rate_bps(self, host: str, epd: int, flow_id: int, probe_us: int,
                         until_us: Optional[int] = None) -> float:
         """Delivered-payload rate between a probe snapshot and end of run."""
+        if probe_us not in self.cfg.probe_times_us:
+            raise ValueError(f"no probe at {probe_us} us in probeTimes")
         end = until_us if until_us is not None else self.cfg.duration_us
         start_bytes = self.window_bytes.get((host, epd, flow_id, probe_us), 0)
         final = self.stats(host, epd, flow_id, "recv").bytes
@@ -109,16 +111,13 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
     cfg = bundle.cfg
     result = RunResult(scenario_id, cfg.seed, cfg, bundle)
 
-    def probe(at_us: int):
-        def snap(now: int):
-            for app in bundle.apps:
-                for flow_id, nbytes in app.recv_bytes_by_flow().items():
-                    key = (app.host_id, app.config.local_epd, flow_id, at_us)
-                    result.window_bytes[key] = nbytes
-        bundle.sim.schedule(at_us, "harness", KIND_APP_TICK, snap, f"probe@{at_us}")
+    def snap(now: int):
+        for app in bundle.apps:
+            for flow_id, nbytes in app.recv_bytes_by_flow().items():
+                result.window_bytes[(app.host_id, app.config.local_epd, flow_id, now)] = nbytes
 
     for t in cfg.probe_times_us:
-        probe(t)
+        bundle.sim.schedule(t, "harness", KIND_APP_TICK, snap, f"probe@{t}")
 
     bundle.sim.run_until(cfg.duration_us)
 
@@ -135,6 +134,7 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
     sessions = [s for e in engines for s in e.sessions.values()]
     full_packets = sum(s.full_packets_out for s in sessions)
     full_chunks = sum(s.full_packet_chunks for s in sessions)
+    recv_rates = [st.goodput_bps for st in result.flow_stats if st.direction == "recv"]
     result.summary = {
         "scenario": scenario_id,
         "seed": cfg.seed,
@@ -153,6 +153,10 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         "unknown_session": sum(e.unknown_session for e in engines),
         "unknown_epd": sum(e.unknown_epd for e in engines),
         "delivered_packets": sum(e.delivered_packets for e in engines),
+        "flows_recv": len(recv_rates),
+        "total_recv_goodput_bps": sum(recv_rates, 0.0),
+        "jain_index": compute_fairness(recv_rates) if recv_rates else 0.0,
+        "total_retransmissions": sum(st.retransmissions for st in result.flow_stats),
     }
     return result
 
@@ -262,7 +266,7 @@ def run_preset(name: str, seed: int = 1,
             for scenario_id, text in preset_points(name, seed)]
 
 
-# ----------------------------------------------------------------------- CSV
+# -------------------------------------------------------------------- output
 
 
 def results_csv(results: list[RunResult]) -> str:
@@ -285,6 +289,10 @@ def cwnd_csv(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def summary_json(result: RunResult) -> str:
+    return json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
+
+
 def _safe_name(scenario_id: str) -> str:
     return scenario_id.replace("/", "__").replace("=", "-")
 
@@ -293,6 +301,8 @@ def write_outputs(results: list[RunResult], out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     files = [("results.csv", results_csv(results))]
     files += [(f"cwnd__{_safe_name(res.scenario)}.csv", cwnd_csv(res)) for res in results]
+    files += [(f"summary__{_safe_name(res.scenario)}.json", summary_json(res))
+              for res in results]
     written = []
     for name, text in files:
         path = os.path.join(out_dir, name)
@@ -301,27 +311,3 @@ def write_outputs(results: list[RunResult], out_dir: str) -> list[str]:
         written.append(path)
     return written
 
-
-def summarize_results_csv(path: str) -> list[dict]:
-    """Recompute per-scenario aggregates from a results.csv file."""
-    with open(path) as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != RESULTS_HEADER.split(","):
-            raise ValueError(f"{path}: first line is not the results header")
-        rows = list(reader)
-    by_scenario: dict[str, list[dict]] = {}
-    for row in rows:
-        by_scenario.setdefault(row["scenario"], []).append(row)
-    out = []
-    for scenario, group in sorted(by_scenario.items()):
-        recv = [r for r in group if r["direction"] == "recv"]
-        rates = [float(r["goodput_bps"]) for r in recv]
-        entry = {
-            "scenario": scenario,
-            "flows_recv": len(recv),
-            "total_recv_goodput_bps": sum(rates),
-            "jain_index": compute_fairness(rates) if rates else 0.0,
-            "total_retransmissions": sum(int(r["retransmissions"]) for r in group),
-        }
-        out.append(entry)
-    return out

@@ -109,11 +109,13 @@ def test_01_determinism_byte_identical_outputs(tmp_path):
         outputs.append((
             (out_dir / "results.csv").read_bytes(),
             (out_dir / "cwnd__bottleneck-basic.csv").read_bytes(),
+            (out_dir / "summary__bottleneck-basic.json").read_bytes(),
             trace_path.read_bytes()))
-    (res_a, cwnd_a, trace_a), (res_b, cwnd_b, trace_b) = outputs
+    (res_a, cwnd_a, summary_a, trace_a), (res_b, cwnd_b, summary_b, trace_b) = outputs
     check(1, "determinism", [
         ("results.csv byte-identical", res_a == res_b),
         ("cwnd csv byte-identical", cwnd_a == cwnd_b),
+        ("summary json byte-identical", summary_a == summary_b),
         ("trace byte-identical", trace_a == trace_b),
         ("trace is non-trivial", len(trace_a.splitlines()) > 1000),
     ])

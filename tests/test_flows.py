@@ -215,9 +215,9 @@ def test_only_the_leader_of_each_priority_moves_to_the_back():
 # ----------------------------------------------------------------- acking
 
 
-def recv_chunk(rf, seq, payload=b"x" * 140, now=0):
-    rf.on_data_chunk(wire.DataChunk(rf.flow_id, seq, wire.FRAG_WHOLE, False, payload), now)
-    return rf.end_of_packet(now)
+def recv_chunk(rf, seq, payload=b"x" * 140):
+    rf.on_data_chunk(wire.DataChunk(rf.flow_id, seq, wire.FRAG_WHOLE, False, payload), 0)
+    return rf.end_of_packet()
 
 
 def test_ack_after_every_second_data_packet():

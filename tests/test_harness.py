@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import re
@@ -7,8 +8,7 @@ import pytest
 from rtmfpsim import harness
 from rtmfpsim.config import ConfigError, parse_config
 from rtmfpsim.harness import (bdp_bound_bps, compute_fairness, preset_points,
-                              run_config, run_preset, sawtooth_drops,
-                              summarize_results_csv, write_outputs)
+                              run_config, run_preset, sawtooth_drops, write_outputs)
 from rtmfpsim.topology import build_bottleneck
 
 
@@ -175,15 +175,37 @@ def test_results_csv_schema_and_determinism(tmp_path):
         "time_us,host,session,cwnd_bytes,flight_bytes,mode"
 
 
-def test_write_outputs_and_report_roundtrip(tmp_path):
+def test_write_outputs_and_report_roundtrip(tmp_path, capsys):
+    from rtmfpsim.cli import main
     results = run_preset("bottleneck-basic", seed=4)
     paths = write_outputs(results, str(tmp_path))
-    assert os.path.basename(paths[0]) == "results.csv"
-    entries = summarize_results_csv(paths[0])
-    assert len(entries) == 1
-    assert entries[0]["scenario"] == "bottleneck-basic"
-    assert entries[0]["flows_recv"] == 1
-    assert entries[0]["jain_index"] == 1.0
+    assert [os.path.basename(p) for p in paths] == [
+        "results.csv", "cwnd__bottleneck-basic.csv", "summary__bottleneck-basic.json"]
+    summary = json.loads((tmp_path / "summary__bottleneck-basic.json").read_text())
+    assert summary == results[0].summary
+    assert summary["scenario"] == "bottleneck-basic"
+    assert summary["flows_recv"] == 1
+    assert summary["jain_index"] == 1.0
+    recv = results[0].stats("host2", 2014, 19, "recv")
+    assert summary["total_recv_goodput_bps"] == recv.goodput_bps
+    assert summary["total_retransmissions"] == sum(st.retransmissions
+                                                   for st in results[0].flow_stats)
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("bottleneck-basic: seed=4 ") and " jain=1.0000 " in line
+
+
+def test_summary_of_a_run_without_receive_flows_has_jain_zero():
+    s = run_preset("bottleneck-basic", overrides={"scenario.duration": "1us"})[0].summary
+    assert s["flows_recv"] == 0 and s["jain_index"] == 0.0
+    assert s["total_recv_goodput_bps"] == 0.0 and isinstance(s["total_recv_goodput_bps"], float)
+
+
+def test_window_rate_needs_a_configured_probe_time():
+    res = run_preset("bdp-sweep", overrides={"scenario.duration": "3s"})[0]
+    assert res.window_rate_bps("host2", 2014, 19, 2_400_000) > 0
+    with pytest.raises(ValueError, match="no probe at 1000000 us"):
+        res.window_rate_bps("host2", 2014, 19, 1_000_000)
 
 
 def test_rtt_floor_shows_in_handshake_timing():
@@ -201,9 +223,10 @@ def test_cli_run_and_report(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     assert (out_dir / "results.csv").exists()
+    run_line = capsys.readouterr().out.splitlines()[-1]
     assert main(["report", "--out", str(out_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "jain" in out
+    assert capsys.readouterr().out.splitlines() == [run_line]
+    assert "jain" in run_line
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -216,11 +239,12 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("command,make", [
     ("run", lambda d: None),                                       # no such file
     ("run", lambda d: (d / "scenario.conf").mkdir()),              # a directory
-    ("report", lambda d: None),                                    # no results.csv
-    ("report", lambda d: (d / "results.csv").mkdir()),             # a directory
-    ("report", lambda d: (d / "results.csv").write_text("a,b\n1,2\n")),  # no header
+    ("report", lambda d: None),                                    # no summary file
+    ("report", lambda d: (d / "summary__x.json").mkdir()),         # a directory
+    ("report", lambda d: (d / "summary__x.json").write_text("a,b\n1,2\n")),  # not JSON
+    ("report", lambda d: (d / "summary__x.json").write_text('{"scenario": "x"}')),  # keys missing
 ], ids=["run-missing", "run-directory", "report-missing", "report-directory",
-        "report-no-header"])
+        "report-not-json", "report-missing-key"])
 def test_cli_unreadable_input_is_an_input_error(tmp_path, capsys, command, make):
     from rtmfpsim.cli import main
     make(tmp_path)

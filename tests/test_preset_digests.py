@@ -1,19 +1,22 @@
 """Byte-identical outputs: every preset point, seed 1, cut to one second and
-at full duration.
+at full duration; and the same outputs at two seeds for the points that draw
+nothing at random.
 
 The pins live in `tests/vectors/`:
 
 - `preset_digests.txt`: per preset point, the sha256 of
   `results_csv([r]) + cwnd_csv(r)`;
 - `preset_parts.txt`: per preset point and per extra point below, the sha256
-  of the results CSV and of the cwnd CSV, apart, so a failure names the file;
+  of the results CSV, of the cwnd CSV and of the summary JSON, apart, so a
+  failure names the file;
 - `trace_pins.txt`: per trace point, the line count and sha256 of the whole
   `--trace` text (kind `*`), of each event kind's lines, and of each kind's
   lines in each 100 ms slice of the run, so a failure names the kind and the
   first slice that changed;
 - `preset_full.txt`: per preset point at its full duration, the sha256 of the
-  results CSV and of the cwnd CSV. The runs are the ones the acceptance
-  criteria use (`conftest.full_runs`), so only bottleneck-basic runs here;
+  results CSV, of the cwnd CSV and of the summary JSON. The runs are the ones
+  the acceptance criteria use (`conftest.full_runs`), so only bottleneck-basic
+  runs here;
 - `preset_full_seed3.txt`: the same at seed 3. Tier-1 does not run it; check
   it (about 30 s, exit status 1 and the differing points on a mismatch) with
 
@@ -101,23 +104,27 @@ def full_pins_path(seed: int) -> str:
                         else f"preset_full_seed{seed}.txt")
 
 
-def csv_digests(res) -> tuple[str, str]:
-    """-> sha256 of the results CSV and of the cwnd CSV of one run."""
-    return sha256(harness.results_csv([res])), sha256(harness.cwnd_csv(res))
+OUTPUTS = ("results CSV", "cwnd CSV", "summary JSON")
 
 
-def changed_csvs(got, pinned) -> list[str]:
-    """-> which of the results and cwnd digests differ from their pins."""
-    return [f for f, g, p in zip(("results", "cwnd"), got, pinned) if g != p]
+def output_digests(res) -> tuple[str, str, str]:
+    """-> sha256 of the results CSV, the cwnd CSV and the summary JSON of one run."""
+    return (sha256(harness.results_csv([res])), sha256(harness.cwnd_csv(res)),
+            sha256(harness.summary_json(res)))
+
+
+def changed_outputs(got, pinned) -> str:
+    """-> which of the output digests differ from their pins, joined by "and"."""
+    return " and ".join(f for f, g, p in zip(OUTPUTS, got, pinned) if g != p)
 
 
 @functools.cache
-def point_digests(name: str) -> tuple[str, str, str]:
-    """-> sha256 of (results + cwnd, results, cwnd) CSV text of one point."""
+def point_digests(name: str) -> tuple[str, str, str, str]:
+    """-> sha256 of results + cwnd CSV text, then output_digests, of one point."""
     scenario_id, text, overrides = POINTS[name]
     res = harness.run_config(text, overrides, scenario_id)
-    results, cwnd = harness.results_csv([res]), harness.cwnd_csv(res)
-    return sha256(results + cwnd), sha256(results), sha256(cwnd)
+    return (sha256(harness.results_csv([res]) + harness.cwnd_csv(res)),
+            *output_digests(res))
 
 
 @functools.cache
@@ -149,7 +156,7 @@ def full_pins(seed):
 
 
 def pinned_parts():
-    return {name: (results, cwnd) for name, results, cwnd in read_pins(PARTS)}
+    return {name: tuple(digests) for name, *digests in read_pins(PARTS)}
 
 
 def pinned_trace(name):
@@ -165,8 +172,8 @@ def test_preset_digests_match_pinned_vectors():
 
 @pytest.mark.parametrize("name", list(POINTS))
 def test_results_and_cwnd_match_pinned_parts(name):
-    changed = changed_csvs(point_digests(name)[1:], pinned_parts()[name])
-    assert not changed, f"{name}: {' and '.join(changed)} CSV differs from its pin"
+    changed = changed_outputs(point_digests(name)[1:], pinned_parts()[name])
+    assert not changed, f"{name}: {changed} differs from its pin"
 
 
 @pytest.mark.parametrize("preset,name,overrides", EXTRA_POINTS,
@@ -199,15 +206,40 @@ def test_trace_kind_matches_pinned(name, kind):
 @pytest.mark.parametrize("name", PRESET_IDS)
 def test_full_duration_results_and_cwnd_match_pins(name, full_runs):
     res, = (r for r in full_runs(PRESET_OF[name]) if r.scenario == name)
-    changed = changed_csvs(csv_digests(res), full_pins(1)[name])
-    assert not changed, (f"{name}: {' and '.join(changed)} CSV at full duration differs "
+    changed = changed_outputs(output_digests(res), full_pins(1)[name])
+    assert not changed, (f"{name}: {changed} at full duration differs "
                          f"from its pin in {os.path.basename(full_pins_path(1))}")
 
 
+# Presets whose points have no loss, no background traffic and constant sizes
+# and intervals, so no model code should draw from a random stream.
+SEED_FREE_PRESETS = ("bdp-sweep", "bundling-sweep")
+
+
+def seedless_outputs(res) -> tuple[str, str, dict]:
+    """-> the results CSV with its seed column blanked, the cwnd CSV and the
+    summary without its `seed` key, of one run."""
+    rows = [row.split(",") for row in harness.results_csv([res]).splitlines()]
+    return ("\n".join(",".join([row[0], "", *row[2:]]) for row in rows),
+            harness.cwnd_csv(res), {k: v for k, v in res.summary.items() if k != "seed"})
+
+
+@pytest.mark.parametrize("preset", [*SEED_FREE_PRESETS, "bottleneck-basic"])
+def test_points_without_random_input_render_the_same_at_two_seeds(preset):
+    """bottleneck-basic, whose background traffic is random, is the control:
+    it shows that the seed reaches the simulation."""
+    one, two = ([seedless_outputs(res) for res in harness.run_preset(
+        preset, seed=seed, overrides={"scenario.duration": "300ms"})] for seed in (1, 2))
+    if preset in SEED_FREE_PRESETS:
+        assert one == two
+    else:
+        assert one != two
+
+
 def full_digests(seed: int):
-    """-> [(scenario id, results sha256, cwnd sha256)] of every preset point at
-    its full duration; each preset's runs are dropped once hashed."""
-    return [(res.scenario, *csv_digests(res)) for name in harness.PRESET_NAMES
+    """-> [(scenario id, *output_digests)] of every preset point at its full
+    duration; each preset's runs are dropped once hashed."""
+    return [(res.scenario, *output_digests(res)) for name in harness.PRESET_NAMES
             for res in harness.run_preset(name, seed=seed)]
 
 
@@ -217,8 +249,8 @@ def check_seed(seed: int) -> int:
     pins = full_pins(seed)
     differing = 0
     for sid, *got in full_digests(seed):
-        changed = changed_csvs(got, pins.get(sid, ("", "")))
-        print(f"{sid}: {' and '.join(changed) + ' differ' if changed else 'ok'}")
+        changed = changed_outputs(got, pins.get(sid, ("",) * len(OUTPUTS)))
+        print(f"{sid}: {changed + ' differ' if changed else 'ok'}")
         differing += bool(changed)
     print(f"seed {seed}: {len(PRESET_IDS) - differing} of {len(PRESET_IDS)} points "
           f"match {os.path.basename(full_pins_path(seed))}")
@@ -229,8 +261,7 @@ def regenerate():
     with open(DIGESTS, "w") as f:
         f.writelines(f"{sid} {point_digests(sid)[0]}\n" for sid in PRESET_IDS)
     with open(PARTS, "w") as f:
-        f.writelines(f"{name} {point_digests(name)[1]} {point_digests(name)[2]}\n"
-                     for name in POINTS)
+        f.writelines(f"{name} {' '.join(point_digests(name)[1:])}\n" for name in POINTS)
     with open(TRACE_PINS, "w") as f:
         for _, name, _ in TRACE_POINTS:
             pins = trace_pins(name)

@@ -230,7 +230,7 @@ def transfer(flows, drop, dup, rng, max_steps=20_000):
             if receivers[c.flow_id] not in touched:
                 touched.append(receivers[c.flow_id])
         for rf in touched:
-            ack = rf.end_of_packet(0)
+            ack = rf.end_of_packet()
             if ack is not None:
                 put("ack", [ack])
             got[rf.flow_id].extend(rf.app_read())
