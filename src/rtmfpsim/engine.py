@@ -79,9 +79,12 @@ class Session:
             base = max(RTO_MIN_US, self.srtt_us + 4 * self.rttvar_us)
         return base * self.rto_backoff
 
-    def heard(self, pkt: wire.Packet, now: int) -> None:
-        """Note a packet's timestamp for our echo; its echo, if any, is an
-        RTT sample for the smoothed estimate."""
+    def heard(self, pkt: wire.Packet, src: tuple[str, int], now: int) -> None:
+        """Note a packet from `src`, where an open session's peer moves; keep its
+        timestamp for our echo, and take its echo, if any, as an RTT sample."""
+        if self.state == S_OPEN and src != self.peer_address:
+            self.peer_address = src
+            self.mobility_events += 1
         self.last_peer_ts = pkt.timestamp
         rtt_ms = (now // 1000 - pkt.ts_echo) & 0xFFFF
         if pkt.ts_echo == wire.TS_NONE or rtt_ms >= 30_000:
@@ -204,20 +207,16 @@ class RtmfpEngine:
                 self._send(chunk.sid, 0, pkt.timestamp, [rhello], dgram.src, now)
             return True
         s = self._responders.get(chunk.cookie)
-        if s is not None:
-            if dgram.src != s.peer_address:
-                s.peer_address = dgram.src
-                s.mobility_events += 1
-        elif chunk.cookie == cookie:
+        if s is None:
+            if chunk.cookie != cookie:
+                return False
             s = Session(self, "responder", chunk.epd, 0, self._fresh_sid(), S_OPEN)
             s.app = self.apps[chunk.epd]
             s.peer_sid = chunk.sid
             s.peer_address = dgram.src
             self.sessions[s.local_sid] = self._responders[cookie] = s
             self._opened(s, now)
-        else:
-            return False
-        s.heard(pkt, now)
+        s.heard(pkt, dgram.src, now)
         self._send_packet(s, [wire.HandshakeChunk(wire.T_RIKEYING, sid=s.local_sid)], now)
         return True
 
@@ -270,11 +269,8 @@ class RtmfpEngine:
             self.unknown_session += 1
             return
         self.delivered_packets += 1
-        s.heard(pkt, now)
+        s.heard(pkt, dgram.src, now)
         if s.state == S_OPEN:
-            if dgram.src != s.peer_address:
-                s.peer_address = dgram.src
-                s.mobility_events += 1
             tc = bool(pkt.flags & wire.FLAG_TIME_CRITICAL)
             if tc != s.peer_signaled_tc:
                 s.peer_signaled_tc = tc

@@ -35,12 +35,10 @@ CWND_HEADER = "time_us,host,session,cwnd_bytes,flight_bytes,mode"
 @dataclass
 class RunResult:
     scenario: str
-    seed: int
     cfg: ScenarioConfig
     bundle: SimBundle
     flow_stats: list[FlowStats] = field(default_factory=list)
     cwnd_series: list[tuple[int, str, str, int, int, str]] = field(default_factory=list)
-    window_bytes: dict[tuple[str, int, int, int], int] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
     def stats(self, host: str, epd: int, flow_id: int, direction: str) -> FlowStats:
@@ -49,17 +47,6 @@ class RunResult:
                                                                    direction):
                 return st
         raise KeyError((host, epd, flow_id, direction))
-
-    def window_rate_bps(self, host: str, epd: int, flow_id: int, probe_us: int,
-                        until_us: Optional[int] = None) -> float:
-        """Delivered-payload rate between a probe snapshot and end of run."""
-        if probe_us not in self.cfg.probe_times_us:
-            raise ValueError(f"no probe at {probe_us} us in probeTimes")
-        end = until_us if until_us is not None else self.cfg.duration_us
-        start_bytes = self.window_bytes.get((host, epd, flow_id, probe_us), 0)
-        final = self.stats(host, epd, flow_id, "recv").bytes
-        span = end - probe_us
-        return (final - start_bytes) * 8 * 1_000_000 / span if span > 0 else 0.0
 
 
 def compute_fairness(rates: list[float]) -> float:
@@ -109,12 +96,13 @@ def bdp_bound_bps(link_bps: int, one_way_delay_us: int, rwnd_bytes: int,
 def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
     """Run a built scenario to its configured duration and gather results."""
     cfg = bundle.cfg
-    result = RunResult(scenario_id, cfg.seed, cfg, bundle)
+    result = RunResult(scenario_id, cfg, bundle)
+    probes: dict[int, dict[str, int]] = {}  # time -> {"host:epd:flow_id": bytes so far}
 
     def snap(now: int):
-        for app in bundle.apps:
-            for flow_id, nbytes in app.recv_bytes_by_flow().items():
-                result.window_bytes[(app.host_id, app.config.local_epd, flow_id, now)] = nbytes
+        probes[now] = {f"{app.host_id}:{app.config.local_epd}:{flow_id}": nbytes
+                       for app in bundle.apps
+                       for flow_id, nbytes in app.recv_bytes_by_flow().items()}
 
     for t in cfg.probe_times_us:
         bundle.sim.schedule(t, "harness", KIND_APP_TICK, snap, f"probe@{t}")
@@ -134,7 +122,12 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
     sessions = [s for e in engines for s in e.sessions.values()]
     full_packets = sum(s.full_packets_out for s in sessions)
     full_chunks = sum(s.full_packet_chunks for s in sessions)
-    recv_rates = [st.goodput_bps for st in result.flow_stats if st.direction == "recv"]
+    recv = {f"{st.host}:{st.app_epd}:{st.flow_id}": st
+            for st in result.flow_stats if st.direction == "recv"}
+    recv_rates = [st.goodput_bps for st in recv.values()]
+    window_rates = {str(t): {key: (st.bytes - seen.get(key, 0)) * 8 * 1_000_000
+                             / (cfg.duration_us - t) for key, st in recv.items()}
+                    for t, seen in probes.items() if t < cfg.duration_us}
     result.summary = {
         "scenario": scenario_id,
         "seed": cfg.seed,
@@ -156,6 +149,9 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         "flows_recv": len(recv_rates),
         "total_recv_goodput_bps": sum(recv_rates, 0.0),
         "jain_index": compute_fairness(recv_rates) if recv_rates else 0.0,
+        "window_rates_bps": window_rates,
+        "window_jain_index": {t: compute_fairness(list(rates.values())) if rates else 0.0
+                              for t, rates in window_rates.items()},
         "total_retransmissions": sum(st.retransmissions for st in result.flow_stats),
     }
     return result
@@ -276,7 +272,7 @@ def results_csv(results: list[RunResult]) -> str:
             # Receive rows carry no retransmissions: only send flows count them.
             counts = (f"{st.msgs},0,{st.bytes},0" if st.direction == "send"
                       else f"0,{st.msgs},0,{st.bytes}")
-            lines.append(f"{res.scenario},{res.seed},{st.host},{st.app_epd},{st.flow_id},"
+            lines.append(f"{res.scenario},{res.cfg.seed},{st.host},{st.app_epd},{st.flow_id},"
                          f"{st.direction},{counts},{st.retransmissions},{st.first_us or 0},"
                          f"{st.last_us or 0},{st.goodput_bps:.3f}")
     return "\n".join(lines) + "\n"
@@ -298,11 +294,16 @@ def _safe_name(scenario_id: str) -> str:
 
 
 def write_outputs(results: list[RunResult], out_dir: str) -> list[str]:
+    """Write a run's files; cwnd and summary files of other runs in `out_dir` go."""
     os.makedirs(out_dir, exist_ok=True)
     files = [("results.csv", results_csv(results))]
     files += [(f"cwnd__{_safe_name(res.scenario)}.csv", cwnd_csv(res)) for res in results]
     files += [(f"summary__{_safe_name(res.scenario)}.json", summary_json(res))
               for res in results]
+    for name in set(os.listdir(out_dir)) - dict(files).keys():
+        if (name.startswith("cwnd__") and name.endswith(".csv")
+                or name.startswith("summary__") and name.endswith(".json")):
+            os.remove(os.path.join(out_dir, name))
     written = []
     for name, text in files:
         path = os.path.join(out_dir, name)

@@ -13,7 +13,7 @@ import pytest
 from conftest import PacketSniffer, random_packet
 from rtmfpsim import harness, wire
 from rtmfpsim.cli import main as cli_main
-from rtmfpsim.harness import compute_fairness, run_config, sawtooth_drops
+from rtmfpsim.harness import run_config, sawtooth_drops
 
 
 def check(num: int, name: str, conditions: list[tuple[str, bool]]) -> None:
@@ -334,7 +334,7 @@ def test_07_flow_control_tracks_bandwidth_delay_product(bdp_sweep):
         bound = harness.bdp_bound_bps(topo.bottleneck_bandwidth_bps,
                                       topo.bottleneck_delay_us,
                                       res.cfg.hosts["host2"].rcv_buffer_size)
-        measured = res.window_rate_bps("host2", 2014, 19, 2_400_000)
+        measured = res.summary["window_rates_bps"]["2400000"]["host2:2014:19"]
         conditions.append(
             (f"delay {delay_ms} ms: {measured/1e6:.2f} Mbit within 10% of "
              f"bound {bound/1e6:.2f} Mbit", measured >= 0.9 * bound))
@@ -348,13 +348,12 @@ def test_07_flow_control_tracks_bandwidth_delay_product(bdp_sweep):
 
 
 def test_08_fairness(fairness_simultaneous, fairness_staggered):
-    sim = fairness_simultaneous
-    r1 = sim.window_rate_bps("host2", 200, 1, 12_000_000)
-    r2 = sim.window_rate_bps("host4", 400, 1, 12_000_000)
-    jain = compute_fairness([r1, r2])
-    stag = fairness_staggered
-    l1 = stag.window_rate_bps("host2", 200, 1, 40_000_000)
-    l2 = stag.window_rate_bps("host4", 400, 1, 40_000_000)
+    sim = fairness_simultaneous.summary
+    rates = sim["window_rates_bps"]["12000000"]
+    r1, r2 = rates["host2:200:1"], rates["host4:400:1"]
+    jain = sim["window_jain_index"]["12000000"]
+    late = fairness_staggered.summary["window_rates_bps"]["40000000"]
+    l1, l2 = late["host2:200:1"], late["host4:400:1"]
     late_share = l2 / (l1 + l2)
     check(8, "fairness", [
         (f"simultaneous start: Jain {jain:.4f} >= 0.95 over last 80%", jain >= 0.95),
@@ -440,8 +439,8 @@ localEpd = 201
 
 def test_10_time_critical_mode_dominates():
     res = run_config(MODE_ASYMMETRY_CONFIG, scenario_id="mode-asym")
-    tc_rate = res.window_rate_bps("host2", 200, 1, 20_000_000)
-    defer_rate = res.window_rate_bps("host2", 201, 1, 20_000_000)
+    rates = res.summary["window_rates_bps"]["20000000"]
+    tc_rate, defer_rate = rates["host2:200:1"], rates["host2:201:1"]
     modes = {mode for *_, mode in res.cwnd_series}
     check(10, "time-critical mode asymmetry", [
         ("one session ran time-critical", "time_critical" in modes),

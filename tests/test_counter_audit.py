@@ -38,9 +38,9 @@ def test_every_counter_is_read_outside_the_tests():
     assert unread_counters() == []
 
 
-# The verdict helpers that only tests call today; each gets a caller when
-# every preset writes its verdict to a summary file.
-UNCALLED_VERDICT_HELPERS = ["bdp_bound_bps", "sawtooth_drops", "window_rate_bps"]
+# The verdict helpers that only tests call today; each gets a caller when the
+# summary file holds the BDP bound and the sawtooth collapses (ROADMAP item 4).
+UNCALLED_VERDICT_HELPERS = ["bdp_bound_bps", "sawtooth_drops"]
 
 
 def uncalled_functions():

@@ -196,16 +196,43 @@ def test_write_outputs_and_report_roundtrip(tmp_path, capsys):
 
 
 def test_summary_of_a_run_without_receive_flows_has_jain_zero():
-    s = run_preset("bottleneck-basic", overrides={"scenario.duration": "1us"})[0].summary
+    # The session opens after two 40 ms round trips: no flow by 50 ms.
+    s = run_preset("bottleneck-basic", overrides={"scenario.duration": "50ms",
+                                                  "scenario.probeTimes": "10ms"})[0].summary
     assert s["flows_recv"] == 0 and s["jain_index"] == 0.0
     assert s["total_recv_goodput_bps"] == 0.0 and isinstance(s["total_recv_goodput_bps"], float)
+    assert s["window_rates_bps"] == {"10000": {}} and s["window_jain_index"] == {"10000": 0.0}
 
 
-def test_window_rate_needs_a_configured_probe_time():
-    res = run_preset("bdp-sweep", overrides={"scenario.duration": "3s"})[0]
-    assert res.window_rate_bps("host2", 2014, 19, 2_400_000) > 0
-    with pytest.raises(ValueError, match="no probe at 1000000 us"):
-        res.window_rate_bps("host2", 2014, 19, 1_000_000)
+def test_probe_windows_in_the_summary():
+    # Probes before the first delivery (the session opens at ~80 ms), mid-run,
+    # at the end and after it.
+    res, = run_preset("bottleneck-basic", overrides={
+        "scenario.duration": "1s", "scenario.probeTimes": "50ms 500ms 1s 2s"})
+    s = res.summary
+    assert sorted(s["window_rates_bps"]) == sorted(s["window_jain_index"]) == ["50000", "500000"]
+    delivered = res.stats("host2", 2014, 19, "recv").bytes
+    early, mid = (s["window_rates_bps"][t]["host2:2014:19"] for t in ("50000", "500000"))
+    assert early == delivered * 8 * 1_000_000 / 950_000  # from 0 bytes
+    assert 0 < mid * 500_000 / 8_000_000 < delivered
+    assert s["window_jain_index"] == {"50000": 1.0, "500000": 1.0}
+    assert json.loads(harness.summary_json(res)) == s
+
+
+def test_write_outputs_leaves_one_run_in_the_directory(tmp_path, capsys):
+    from rtmfpsim.cli import main
+    (tmp_path / "notes.txt").write_text("kept")
+    for name in ("bottleneck-basic", "bdp-sweep"):
+        assert main(["preset", name, "--override", "scenario.duration=300ms",
+                     "--out", str(tmp_path)]) == 0
+    bdp_lines = capsys.readouterr().out.splitlines()[-5:]
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(bdp_lines)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["notes.txt", "results.csv"] + [f"{kind}__bdp-sweep__delay-{d}ms.{ext}"
+                                        for d in harness.BDP_DELAYS_MS
+                                        for kind, ext in (("cwnd", "csv"), ("summary", "json"))])
+    assert (tmp_path / "notes.txt").read_text() == "kept"
 
 
 def test_rtt_floor_shows_in_handshake_timing():
