@@ -244,6 +244,8 @@ def _times(value: str, where: str) -> list[int]:
     for t in times:
         if t < 0:
             raise ConfigError(f"{where}: probeTimes = {t} is outside >= 0")
+        if times.count(t) > 1:
+            raise ConfigError(f"{where}: probeTimes = {value} repeats {t}us")
     return times
 
 

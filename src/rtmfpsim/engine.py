@@ -138,7 +138,7 @@ class RtmfpEngine:
         self.delivered_packets = 0
         self.handshakes_completed = 0
         self.sessions_failed = 0
-        self.cwnd_log: list[tuple[int, str, str, int, int, str]] = []
+        self.cwnd_log: list[str] = []  # cwnd CSV rows, in time order
 
     # ------------------------------------------------------------------ setup
 
@@ -461,5 +461,5 @@ class RtmfpEngine:
     # ------------------------------------------------------------ reporting
 
     def _log_cc(self, s: Session, now: int) -> None:
-        self.cwnd_log.append((now, self.host.node_id, s.label,
-                              int(s.cc.cwnd), s.flight(), s.cc.mode))
+        self.cwnd_log.append(f"{now},{self.host.node_id},{s.label},"
+                             f"{int(s.cc.cwnd)},{s.flight()},{s.cc.mode}")

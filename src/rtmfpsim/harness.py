@@ -17,6 +17,7 @@ to config text by preset_points):
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ class RunResult:
     cfg: ScenarioConfig
     bundle: SimBundle
     flow_stats: list[FlowStats] = field(default_factory=list)
-    cwnd_series: list[tuple[int, str, str, int, int, str]] = field(default_factory=list)
+    cwnd_series: list[str] = field(default_factory=list)  # cwnd CSV rows
     summary: dict = field(default_factory=dict)
 
     def stats(self, host: str, epd: int, flow_id: int, direction: str) -> FlowStats:
@@ -61,22 +62,23 @@ def compute_fairness(rates: list[float]) -> float:
 
 
 def sawtooth_drops(series, session_label: Optional[str] = None) -> list[tuple[int, float]]:
-    """Find window collapses: samples where cwnd fell after prior growth.
+    """Find window collapses in cwnd CSV rows: cwnd fell after prior growth.
 
     Returns (time_us, drop_ratio) pairs; ratio is post/pre collapse.
     """
     drops = []
     last: dict[str, int] = {}
     grew: dict[str, bool] = {}
-    for time_us, _host, label, cwnd, _flight, _mode in series:
+    for time_us, _host, label, cwnd, *_ in (row.split(",") for row in series):
         if session_label is not None and label != session_label:
             continue
+        cwnd = int(cwnd)
         prev = last.get(label)
         if prev is not None:
             if cwnd > prev:
                 grew[label] = True
             elif cwnd < prev and grew.get(label):
-                drops.append((time_us, cwnd / prev))
+                drops.append((int(time_us), cwnd / prev))
                 grew[label] = False
         last[label] = cwnd
     return drops
@@ -113,9 +115,9 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         result.flow_stats.extend(app.finalize())
     result.flow_stats.sort(key=lambda st: (st.host, st.app_epd, st.flow_id, st.direction))
 
-    for engine in bundle.engines.values():
-        result.cwnd_series.extend(engine.cwnd_log)
-    result.cwnd_series.sort(key=lambda row: row[0])
+    # Each log is in time order; a tie goes by engine order, then log order.
+    result.cwnd_series = list(heapq.merge(*(e.cwnd_log for e in bundle.engines.values()),
+                                          key=lambda row: int(row[:row.index(",")])))
 
     bn = bundle.bottleneck
     engines = list(bundle.engines.values())
@@ -279,10 +281,7 @@ def results_csv(results: list[RunResult]) -> str:
 
 
 def cwnd_csv(result: RunResult) -> str:
-    lines = [CWND_HEADER]
-    lines.extend(f"{t},{host},{label},{cwnd},{flight},{mode}"
-                 for t, host, label, cwnd, flight, mode in result.cwnd_series)
-    return "\n".join(lines) + "\n"
+    return "\n".join([CWND_HEADER, *result.cwnd_series]) + "\n"
 
 
 def summary_json(result: RunResult) -> str:

@@ -441,7 +441,7 @@ def test_10_time_critical_mode_dominates():
     res = run_config(MODE_ASYMMETRY_CONFIG, scenario_id="mode-asym")
     rates = res.summary["window_rates_bps"]["20000000"]
     tc_rate, defer_rate = rates["host2:200:1"], rates["host2:201:1"]
-    modes = {mode for *_, mode in res.cwnd_series}
+    modes = {row.rsplit(",", 1)[1] for row in res.cwnd_series}
     check(10, "time-critical mode asymmetry", [
         ("one session ran time-critical", "time_critical" in modes),
         ("the other session deferred", "deferring" in modes),
@@ -468,7 +468,8 @@ def test_10_every_mode_switch_has_a_cwnd_row_at_its_time():
     res = run_config(MODE_ASYMMETRY_CONFIG, {"scenario.duration": "2s",
                                              "app.1.0.flowNumPackets": "300"},
                      scenario_id="mode-switch", prepare=record)
-    rows = {(t, host, label, mode) for t, host, label, _, _, mode in res.cwnd_series}
+    rows = {(int(t), host, label, mode)
+            for t, host, label, _, _, mode in (row.split(",") for row in res.cwnd_series)}
     assert {mode for *_, mode in switches} == {"normal", "time_critical", "deferring"}
     assert [sw for sw in switches if sw not in rows] == []
 

@@ -106,6 +106,52 @@ def test_size_draws_are_clamped():
     assert res.stats("host2", 2014, 19, "recv").msgs == 500
 
 
+@pytest.mark.parametrize("overrides,backlog", [
+    # Every tick at once: flowNumPackets caps the count.
+    ({"flowSendInterval": "0us", "flowNumPackets": "100000", "flowPacketSize": "140byte"},
+     1000),
+    # flowNumPackets runs out before the end of the run.
+    ({"flowSendInterval": "10us", "flowNumPackets": "20000", "flowPacketSize": "1000byte"},
+     1000),
+    # maxRuntime, measured from a nonzero startTime, runs out first; a tick
+    # falls on its end, which no longer counts.
+    ({"flowSendInterval": "1us", "flowNumPackets": "1000000", "flowPacketSize": "50byte",
+      "startTime": "17ms", "maxRuntime": "150ms"}, 1000),
+    # The end of the run comes first.
+    ({"flowSendInterval": "7us", "flowNumPackets": "1000000", "flowPacketSize": "1450byte",
+      "startTime": "40ms"}, 1000),
+    # The busy flow's next tick falls after maxRuntime, before the end.
+    ({"flowSendInterval": "20ms", "flowNumPackets": "1000", "flowPacketSize": "40000byte",
+      "maxRuntime": "150ms"}, 0),
+], ids=["interval-0", "num-packets", "max-runtime", "end-of-run", "tick-past-max-runtime"])
+def test_ticks_due_at_the_end_count_the_same_in_closed_form_as_drawn(overrides, backlog):
+    # uniform(x,x) draws x, one draw at a time; constant(x) takes the
+    # closed form for the ticks that fell due behind the busy flow.
+    [(_, text)] = preset_points("bottleneck-basic")
+    size, interval = overrides["flowPacketSize"], overrides["flowSendInterval"]
+    base = {"scenario.duration": "200ms", "host.2.rcvBufferSize": "524288byte",
+            "topology.bottleneckDelay": "0ms", "topology.background": "0",
+            **{f"app.1.0.{key}": value for key, value in overrides.items()}}
+    closed = run_config(text, {**base, "app.1.0.flowPacketSize": f"constant({size})",
+                               "app.1.0.flowSendInterval": f"constant({interval})"})
+    drawn = run_config(text, {**base, "app.1.0.flowPacketSize": f"uniform({size},{size})",
+                              "app.1.0.flowSendInterval": f"uniform({interval},{interval})"})
+    assert results_csv([closed]) == results_csv([drawn])
+    sent = closed.stats("host1", 4712, 19, "send")
+    assert sent.msgs >= closed.stats("host2", 2014, 19, "recv").msgs + backlog
+
+
+def test_a_billion_messages_due_at_once_end_in_bounded_time():
+    [(_, text)] = preset_points("bottleneck-basic")
+    res = run_config(text, {"scenario.duration": "200ms",
+                            "app.1.0.flowSendInterval": "0us",
+                            "app.1.0.flowNumPackets": "1000000000"})
+    sent = res.stats("host1", 4712, 19, "send")
+    assert (sent.msgs, sent.bytes) == (10**9, 140 * 10**9)
+    row = next(csv.DictReader(io.StringIO(results_csv([res]))))
+    assert (row["direction"], row["msgs_sent"]) == ("send", "1000000000")
+
+
 # ------------------------------------------------------------------- reads
 
 

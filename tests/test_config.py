@@ -229,6 +229,17 @@ def test_out_of_range_value_names_its_line(section, key, value):
     assert "outside" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["1s 200ms 200ms", "0us 0us", "1s 1000ms"])
+def test_a_repeated_probe_time_names_its_line(value):
+    # A repeated probe would snapshot twice; a probe past the end stays
+    # accepted, since a shortened duration keeps a preset's probes.
+    text, line = text_with("scenario", "probeTimes", value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).startswith(f"line {line}: probeTimes = {value} repeats ")
+    parse_config(text, {"scenario.probeTimes": "1s 200ms", "scenario.duration": "300ms"})
+
+
 def test_minimal_config_parses():
     text, _ = text_with("scenario", "seed", "1")
     assert parse_config(text).apps[0][1].flows[0].flow_id == 19

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -146,19 +147,64 @@ def test_bottleneck_utilization_counts_only_bytes_serialized_in_the_run(duration
 
 def test_sawtooth_detector_finds_multiplicative_drops():
     series = [
-        (0, "h", "s", 10000, 0, "normal"),
-        (1, "h", "s", 12000, 0, "normal"),
-        (2, "h", "s", 6000, 0, "normal"),   # drop 0.5 after growth
-        (3, "h", "s", 7000, 0, "normal"),
-        (4, "h", "s", 7000, 0, "normal"),   # flat: not a drop
-        (5, "h", "s", 3500, 0, "normal"),   # drop 0.5 after growth
-        (6, "h", "s", 3000, 0, "normal"),   # second fall without growth: ignored
+        "0,h,s,10000,0,normal",
+        "1,h,s,12000,0,normal",
+        "2,h,s,6000,0,normal",   # drop 0.5 after growth
+        "3,h,s,7000,0,normal",
+        "4,h,s,7000,0,normal",   # flat: not a drop
+        "5,h,s,3500,0,normal",   # drop 0.5 after growth
+        "6,h,s,3000,0,normal",   # second fall without growth: ignored
     ]
     drops = sawtooth_drops(series)
     assert [(t, round(r, 3)) for t, r in drops] == [(2, 0.5), (5, 0.5)]
 
 
 # --------------------------------------------------------------------- CSV
+
+
+def test_cwnd_rows_logged_at_one_time_come_out_in_engine_order():
+    # Each engine logs at 10 ms granularity here, so the two senders tie
+    # often; the CSV orders a tie by engine, then by log order.
+    calls = []
+
+    def coarsen(bundle):
+        for engine in bundle.engines.values():
+            def log(s, now, engine=engine, inner=engine._log_cc):
+                now -= now % 10_000
+                calls.append((str(now), engine.host.node_id, s.label))
+                inner(s, now)
+            engine._log_cc = log
+
+    res = run_config(point_text("fairness-simultaneous"), {"scenario.duration": "1s"},
+                     prepare=coarsen)
+    order = {host: i for i, host in enumerate(res.bundle.engines)}
+    expected = sorted(calls, key=lambda c: (int(c[0]), order[c[1]]))
+    rows = [tuple(row.split(",")[:3]) for row in harness.cwnd_csv(res).splitlines()[1:]]
+    assert rows == expected
+    hosts_at = {}
+    for t, host, _ in calls:
+        hosts_at.setdefault(t, set()).add(host)
+    assert sum(len(hosts) > 1 for hosts in hosts_at.values()) > 10
+
+
+# Traced peak of a run and its cwnd CSV per cwnd row, bulk at 500 ms (4,153
+# rows): 412 B with a tuple per row rendered at the end, 236 B with each row
+# rendered as it is logged.
+CWND_PEAK_BYTES_PER_ROW = 320
+
+
+def test_cwnd_rows_cost_bounded_traced_memory():
+    [text] = [t for p, t in preset_points("bdp-sweep") if p == "bdp-sweep/delay=0ms"]
+    bundle = build_bottleneck(parse_config(text, {"scenario.duration": "500ms",
+                                                  "topology.background": "1"}))
+    tracemalloc.start()
+    try:
+        res = harness.execute(bundle, "bulk")
+        harness.cwnd_csv(res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(res.cwnd_series) <= CWND_PEAK_BYTES_PER_ROW
 
 
 def test_results_csv_schema_and_determinism(tmp_path):

@@ -313,6 +313,8 @@ class CreditEngine:
 class Script:
     """A distribution that returns its values in turn."""
 
+    kind = "script"  # not "constant": the app draws each value
+
     def __init__(self, values):
         self.values = iter(values)
 
@@ -366,9 +368,9 @@ class EagerSource:
                           max_size=60),
        drains=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3 * MTU_PAYLOAD)),
                        max_size=30),
-       max_runtime=st.integers(1, 60), end=st.integers(0, 50))
+       max_runtime=st.integers(1, 60), end=st.integers(0, 50), constant=st.booleans())
 def test_lazy_source_sends_what_an_eager_source_sends(sizes, intervals, drains,
-                                                      max_runtime, end):
+                                                      max_runtime, end, constant):
     """The app draws a tick behind a busy flow only when the flow asks for
     its next message, and makes a tick an event only while the flow is idle.
     Against a source whose every tick is an event, it puts the same timed
@@ -376,7 +378,11 @@ def test_lazy_source_sends_what_an_eager_source_sends(sizes, intervals, drains,
     send digest included, under any mix of ticks and drains, with intervals
     full of zeros and ties. The drains are scheduled before the first tick,
     so in the reference a drain fires before a tick of the same
-    microsecond, and the app must not draw that tick inside the drain."""
+    microsecond, and the app must not draw that tick inside the drain.
+    With `constant`, every size and interval is the first one, and the app
+    counts the ticks due at the end by arithmetic."""
+    if constant:
+        sizes, intervals = [sizes[0] if sizes else 1] * len(sizes), [intervals[0]] * 60
     runs = []
     for lazy in (True, False):
         sim = netsim.Simulator(seed=1)
@@ -384,6 +390,9 @@ def test_lazy_source_sends_what_an_eager_source_sends(sizes, intervals, drains,
         for at, credit in drains:
             sim.schedule(at, "test", netsim.KIND_TIMER, partial(engine.drain, credit))
         spec = FlowSpec(7, Script(sizes), Script(intervals), len(sizes))
+        if lazy and constant:
+            spec = FlowSpec(7, netsim.Dist.constant(sizes[0] if sizes else 1),
+                            netsim.Dist.constant(intervals[0]), len(sizes))
         if lazy:
             app = RtmfpApp(sim, engine, AppConfig(local_epd=1, flows=[spec],
                                                   max_runtime_us=max_runtime))
