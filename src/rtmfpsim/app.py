@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -47,19 +46,19 @@ def make_payload(flow_id: int, index: int, size: int) -> bytes:
     return _PATTERN[:size]
 
 
-@dataclass
-class FlowStats:
-    host: str
-    app_epd: int
-    flow_id: int
-    direction: str  # "send" | "recv"
-    msgs: int = 0
-    bytes: int = 0
-    first_us: Optional[int] = None
-    last_us: Optional[int] = None
-    retransmissions: int = 0
-    digest: str = ""
-    order_violations: int = 0
+class FlowStats(netsim.Record):
+    __slots__ = ("host", "app_epd", "flow_id", "direction", "msgs", "bytes", "first_us",
+                 "last_us", "retransmissions", "digest", "order_violations")
+
+    def __init__(self, host: str, app_epd: int, flow_id: int, direction: str):
+        self.host = host
+        self.app_epd = app_epd
+        self.flow_id = flow_id
+        self.direction = direction  # "send" | "recv"
+        self.msgs = self.bytes = self.retransmissions = self.order_violations = 0
+        self.first_us: Optional[int] = None
+        self.last_us: Optional[int] = None
+        self.digest = ""
 
     def touch(self, now: int) -> None:
         if self.first_us is None:

@@ -26,7 +26,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
-            raise ConfigError(f"override {pair!r}: expected key=value")
+            raise ConfigError(f"override {pair}: expected key=value")
         overrides[key.strip()] = value.strip()
     return overrides
 

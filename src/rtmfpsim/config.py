@@ -25,7 +25,6 @@ config they are given.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import flows, wire
@@ -55,9 +54,16 @@ SIZE_CLAMP_MIN = 1
 SIZE_CLAMP_MAX = 65536
 
 
-@dataclass
+def _assign(spec: object, given: dict[str, object]) -> None:
+    """Set each given field of a spec, which its class or __init__ defines."""
+    for name, value in given.items():
+        if not hasattr(spec, name):
+            raise TypeError(f"{type(spec).__name__} has no field {name!r}")
+        setattr(spec, name, value)
+
+
+# The spec classes hold their defaults as class attributes.
 class HostSpec:
-    name: str
     local_port: int = 4711
     max_segment_size: int = 1472
     rcv_buffer_size: int = 65536
@@ -67,14 +73,19 @@ class HostSpec:
     migrate_at_us: Optional[int] = None
     migrate_to_port: Optional[int] = None
 
+    def __init__(self, name: str, **given):
+        self.name = name
+        _assign(self, given)
 
-@dataclass
+
 class FlowSpec:
-    flow_id: int
-    size_dist: Dist
-    interval_dist: Dist
-    num_packets: int
-    time_critical: bool = False
+    def __init__(self, flow_id: int, size_dist: Dist, interval_dist: Dist,
+                 num_packets: int, time_critical: bool = False):
+        self.flow_id = flow_id
+        self.size_dist = size_dist
+        self.interval_dist = interval_dist
+        self.num_packets = num_packets
+        self.time_critical = time_critical
 
     def largest_message(self) -> int:
         """The largest message size the app can draw for this flow."""
@@ -83,19 +94,20 @@ class FlowSpec:
         return min(max(round(top), SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
 
 
-@dataclass
 class AppConfig:
-    local_epd: int
     remote_address: Optional[str] = None
     remote_port: Optional[int] = None
     remote_epd: Optional[int] = None
-    flows: list[FlowSpec] = field(default_factory=list)
     max_runtime_us: int = 1_800_000_000
     read_delay_us: int = 0
     start_time_us: int = 0
 
+    def __init__(self, local_epd: int, flows: Optional[list[FlowSpec]] = None, **given):
+        self.local_epd = local_epd
+        self.flows = [] if flows is None else flows
+        _assign(self, given)
 
-@dataclass
+
 class TopologySpec:
     bottleneck_bandwidth_bps: int = 10_000_000
     bottleneck_delay_us: int = 20_000
@@ -106,17 +118,22 @@ class TopologySpec:
     access_queue_bytes: int = 2 * 1024 * 1024
     background: bool = False
     background_load: float = 0.05
-    background_size: Dist = field(default_factory=lambda: Dist.constant(1000))
+    background_size: Dist = Dist.constant(1000)
+
+    def __init__(self, **given):
+        _assign(self, given)
 
 
-@dataclass
 class ScenarioConfig:
     seed: int = 1
     duration_us: int = 10_000_000
-    probe_times_us: list[int] = field(default_factory=list)
-    topology: TopologySpec = field(default_factory=TopologySpec)
-    hosts: dict[str, HostSpec] = field(default_factory=dict)
-    apps: list[tuple[str, AppConfig]] = field(default_factory=list)  # (host, app)
+
+    def __init__(self, topology: Optional[TopologySpec] = None, **given):
+        self.probe_times_us: list[int] = []
+        self.topology = TopologySpec() if topology is None else topology
+        self.hosts: dict[str, HostSpec] = {}
+        self.apps: list[tuple[str, AppConfig]] = []  # (host, app)
+        _assign(self, given)
 
 
 def parse_sections(text: str) -> tuple[dict[str, dict[str, tuple[str, str]]],

@@ -11,10 +11,9 @@ accounts the receive buffer that it advertises back to the sender.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import wire
+from . import netsim, wire
 
 # Chunk states on the send side.
 ST_QUEUED = 0
@@ -31,22 +30,35 @@ DEFAULT_ADV_BUFFER = 65536
 Message = bytes
 
 
-@dataclass(slots=True)
 class OutboundChunk(wire.DataChunk):
     """A data chunk as its send flow keeps it; the bundler sends it as is."""
-    state: int = ST_QUEUED
-    loss_reports: int = 0
-    # After a retransmission, only acks that cover data sent later may report
-    # this chunk missing again; otherwise stale acks from before the repair
-    # re-mark it every round trip.
-    recover_seq: int = 0
+
+    __slots__ = ("state", "loss_reports", "recover_seq")
+
+    def __init__(self, flow_id: int, seq: int, frag: int, time_critical: bool,
+                 payload: bytes, state: int = ST_QUEUED, loss_reports: int = 0,
+                 recover_seq: int = 0):
+        self.flow_id = flow_id
+        self.seq = seq
+        self.frag = frag
+        self.time_critical = time_critical
+        self.payload = payload
+        self.state = state
+        self.loss_reports = loss_reports
+        # After a retransmission, only acks that cover data sent later may report
+        # this chunk missing again; otherwise stale acks from before the repair
+        # re-mark it every round trip.
+        self.recover_seq = recover_seq
 
 
-@dataclass(slots=True)
-class AckResult:
+class AckResult(netsim.Record):
     """What one ack tells the congestion controller."""
-    acked_bytes: int = 0
-    losses_detected: int = 0
+
+    __slots__ = ("acked_bytes", "losses_detected")
+
+    def __init__(self, acked_bytes: int = 0, losses_detected: int = 0):
+        self.acked_bytes = acked_bytes
+        self.losses_detected = losses_detected
 
 
 class SendFlow:

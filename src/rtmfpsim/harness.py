@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .app import FlowStats
@@ -33,14 +32,14 @@ RESULTS_HEADER = ("scenario,seed,host,app,flow_id,direction,msgs_sent,msgs_recv,
 CWND_HEADER = "time_us,host,session,cwnd_bytes,flight_bytes,mode"
 
 
-@dataclass
 class RunResult:
-    scenario: str
-    cfg: ScenarioConfig
-    bundle: SimBundle
-    flow_stats: list[FlowStats] = field(default_factory=list)
-    cwnd_series: list[str] = field(default_factory=list)  # cwnd CSV rows
-    summary: dict = field(default_factory=dict)
+    def __init__(self, scenario: str, cfg: ScenarioConfig, bundle: SimBundle):
+        self.scenario = scenario
+        self.cfg = cfg
+        self.bundle = bundle
+        self.flow_stats: list[FlowStats] = []
+        self.cwnd_series: list[str] = []  # cwnd CSV rows
+        self.summary: dict = {}
 
     def stats(self, host: str, epd: int, flow_id: int, direction: str) -> FlowStats:
         for st in self.flow_stats:

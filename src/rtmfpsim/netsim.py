@@ -14,7 +14,6 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sized
 
@@ -33,6 +32,27 @@ class SimulationError(Exception):
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+class Record:
+    """Equality and a repr over the slots of a class and its bases, for the
+    slotted value classes: packets, chunks, distributions, flow statistics.
+    Instances of different classes are never equal; records are unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> list[tuple[str, object]]:
+        return [(name, getattr(self, name)) for cls in reversed(type(self).__mro__)
+                for name in cls.__dict__.get("__slots__", ())]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields())
+        return f"{type(self).__name__}({fields})"
 
 
 class Datagram:
@@ -214,17 +234,19 @@ class Link:
         return self.dropped_loss + self.dropped_queue + self.dropped_forced
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(Record):
     """A one-dimensional sampling distribution: constant, uniform or exponential.
 
     sample() consumes exactly one draw from the underlying stream per call
     (inverse-CDF mapping), keeping draw counts independent of the shape.
     """
 
-    kind: str
-    a: float
-    b: float = 0.0
+    __slots__ = ("kind", "a", "b")
+
+    def __init__(self, kind: str, a: float, b: float = 0.0):
+        self.kind = kind
+        self.a = a
+        self.b = b
 
     @classmethod
     def constant(cls, v: float) -> "Dist":

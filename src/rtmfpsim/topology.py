@@ -8,7 +8,6 @@ destination node id to the outgoing link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import netsim
@@ -81,18 +80,18 @@ class BackgroundSender:
                           self._tick, "background send")
 
 
-@dataclass
 class SimBundle:
     """Everything a built scenario consists of, pre-run."""
 
-    sim: netsim.Simulator
-    cfg: ScenarioConfig
-    hosts: dict[str, Host] = field(default_factory=dict)
-    routers: dict[str, Router] = field(default_factory=dict)
-    links: dict[str, netsim.Link] = field(default_factory=dict)
-    engines: dict[str, RtmfpEngine] = field(default_factory=dict)
-    apps: list[RtmfpApp] = field(default_factory=list)
-    background: Optional[BackgroundSender] = None
+    def __init__(self, sim: netsim.Simulator, cfg: ScenarioConfig):
+        self.sim = sim
+        self.cfg = cfg
+        self.hosts: dict[str, Host] = {}
+        self.routers: dict[str, Router] = {}
+        self.links: dict[str, netsim.Link] = {}
+        self.engines: dict[str, RtmfpEngine] = {}
+        self.apps: list[RtmfpApp] = []
+        self.background: Optional[BackgroundSender] = None
 
     @property
     def bottleneck(self) -> netsim.Link:

@@ -30,9 +30,7 @@ tests hold them to. Unknown chunk types are skipped via the length field.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-
-from .netsim import MTU_DEFAULT
+from .netsim import MTU_DEFAULT, Record
 
 PACKET_HEADER = 12
 CHUNK_HEADER = 10
@@ -85,35 +83,43 @@ class EncodeError(Exception):
     """The packet violates its invariants (bundler bug, not a runtime condition)."""
 
 
-@dataclass(slots=True)
-class DataChunk:
-    flow_id: int
-    seq: int
-    frag: int
-    time_critical: bool
-    payload: bytes
+class DataChunk(Record):
+    __slots__ = ("flow_id", "seq", "frag", "time_critical", "payload")
+
+    def __init__(self, flow_id: int, seq: int, frag: int, time_critical: bool,
+                 payload: bytes):
+        self.flow_id = flow_id
+        self.seq = seq
+        self.frag = frag
+        self.time_critical = time_critical
+        self.payload = payload
 
     def body_len(self) -> int:
         return len(self.payload)
 
 
-@dataclass(slots=True)
-class AckChunk:
-    flow_id: int
-    cum_ack: int
-    gaps: list[tuple[int, int]] = field(default_factory=list)
-    adv_buffer: int = 0
+class AckChunk(Record):
+    __slots__ = ("flow_id", "cum_ack", "gaps", "adv_buffer")
+
+    def __init__(self, flow_id: int, cum_ack: int,
+                 gaps: list[tuple[int, int]] | None = None, adv_buffer: int = 0):
+        self.flow_id = flow_id
+        self.cum_ack = cum_ack
+        self.gaps = [] if gaps is None else gaps
+        self.adv_buffer = adv_buffer
 
     def body_len(self) -> int:
         return _ACK_FIXED.size + _GAP.size * len(self.gaps)
 
 
-@dataclass(slots=True)
-class HandshakeChunk:
-    kind: int  # one of HANDSHAKE_TYPES
-    epd: int = 0
-    sid: int = 0
-    cookie: bytes = NO_COOKIE
+class HandshakeChunk(Record):
+    __slots__ = ("kind", "epd", "sid", "cookie")
+
+    def __init__(self, kind: int, epd: int = 0, sid: int = 0, cookie: bytes = NO_COOKIE):
+        self.kind = kind  # one of HANDSHAKE_TYPES
+        self.epd = epd
+        self.sid = sid
+        self.cookie = cookie
 
     def body_len(self) -> int:
         return _HS_FIXED.size + len(self.cookie)
@@ -122,13 +128,16 @@ class HandshakeChunk:
 Chunk = DataChunk | AckChunk | HandshakeChunk
 
 
-@dataclass(slots=True)
-class Packet:
-    session_id: int
-    flags: int = 0
-    timestamp: int = TS_NONE
-    ts_echo: int = TS_NONE
-    chunks: list[Chunk] = field(default_factory=list)
+class Packet(Record):
+    __slots__ = ("session_id", "flags", "timestamp", "ts_echo", "chunks")
+
+    def __init__(self, session_id: int, flags: int = 0, timestamp: int = TS_NONE,
+                 ts_echo: int = TS_NONE, chunks: list[Chunk] | None = None):
+        self.session_id = session_id
+        self.flags = flags
+        self.timestamp = timestamp
+        self.ts_echo = ts_echo
+        self.chunks = [] if chunks is None else chunks
 
     def __len__(self) -> int:
         """The encoded size, 12 + sum(10 + body_len), without encoding."""

@@ -65,6 +65,18 @@ def test_full_sample_block_parses():
     assert app.read_delay_us == 0
 
 
+@pytest.mark.parametrize("cls,args", [
+    (config.HostSpec, ("host1",)), (config.AppConfig, (1,)), (config.TopologySpec, ()),
+    (config.ScenarioConfig, ())])
+def test_spec_fields_default_per_instance_and_unknown_ones_are_rejected(cls, args):
+    one, two = cls(*args), cls(*args)
+    for name, value in vars(one).items():
+        if isinstance(value, (list, dict, config.TopologySpec)):
+            assert getattr(two, name) is not value, name  # never shared
+    with pytest.raises(TypeError, match="'bogus'"):
+        cls(*args, bogus=1)
+
+
 def test_both_cwnd_init_spellings_accepted():
     cfg = parse_config(FIG_STYLE.replace("ccWndInit", "ccCwndInit"))
     assert cfg.hosts["host1"].cc_cwnd_init == 4380
@@ -218,6 +230,8 @@ def out_of_range_cases():
     # A distribution: its mean is checked by the parser.
     yield pytest.param("topology", "backgroundPacketSize", "0byte",
                        id="backgroundPacketSize=0byte")
+    yield pytest.param("topology", "backgroundPacketSize", "uniform(0byte,0byte)",
+                       id="backgroundPacketSize=uniform(0byte,0byte)")
 
 
 @pytest.mark.parametrize("section,key,value", list(out_of_range_cases()))
@@ -362,6 +376,12 @@ def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
     # Past the ack's u32 buffer field, which would wrap to 1,000 bytes.
     ("host.2.rcvBufferSize", "4294968296byte",
      "override host.2.rcvBufferSize: rcvBufferSize = 4294968296 is outside"),
+    ("app.1.0.flowPacketSize", "uniform(1byte) 140byte",
+     "override app.1.0.flowPacketSize: bad distribution 'uniform(1byte)': "
+     "uniform takes 2 argument(s)"),
+    ("topology.bottleneckLoss", "lots",
+     "override topology.bottleneckLoss: expected a number, got 'lots'"),
+    ("host.1.side", "up", "override host.1.side: side must be left or right"),
 ])
 def test_override_errors_name_the_override(key, value, message):
     with pytest.raises(ConfigError) as err:
@@ -405,6 +425,12 @@ localEpd = 2
     pytest.param(FIG_STYLE, {"app.2.0.remoteEpd": "4712"},
                  "override app.2.0.remoteEpd: remoteEpd needs remoteAddress",
                  id="override-remote-without-address"),
+    pytest.param("[scenario]\nseed 3\n", {}, "line 2: expected 'key = value': 'seed 3'",
+                 id="line-without-equals"),
+    pytest.param("seed = 3\n[scenario]\n", {}, "line 1: key outside any [section]",
+                 id="key-before-section"),
+    pytest.param("[scenario]\nseed = 1\nseed = 2\n", {},
+                 "line 3: duplicate key 'seed' in [scenario]", id="duplicate-key"),
 ])
 def test_section_errors_name_a_line_or_override(text, overrides, message):
     with pytest.raises(ConfigError) as err:

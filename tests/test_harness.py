@@ -286,6 +286,8 @@ def test_rtt_floor_shows_in_handshake_timing():
     res = run_preset("bottleneck-basic", seed=6)[0]
     # The first message goes out when the session opens.
     assert 80_000 <= res.stats("host1", 4712, 19, "send").first_us <= 84_000
+    with pytest.raises(KeyError):
+        res.stats("host1", 4712, 19, "recv")  # host1 only sends flow 19
 
 
 def test_cli_run_and_report(tmp_path, capsys):
@@ -300,6 +302,12 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == 0
     assert capsys.readouterr().out.splitlines() == [run_line]
     assert "jain" in run_line
+
+
+def test_cli_run_seed_replaces_the_config_seed(tmp_path, capsys):
+    from rtmfpsim.cli import main
+    assert main(["run", "--config", small_config(tmp_path), "--seed", "5"]) == 0
+    assert " seed=5 " in capsys.readouterr().out.splitlines()[-1]
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -409,6 +417,7 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
      "app.1.0.flowSendInterval=1ms 1ms", "app.1.0.flowNumPackets=10 10",
      "app.1.0.flowId=19 19"],
     ["app.2.0.remoteAddress=host1"],
+    ["app.1.0.flowId"],  # no '='
 ])
 def test_cli_bad_override_is_a_config_error(overrides, capsys):
     from rtmfpsim.cli import main

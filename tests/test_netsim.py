@@ -46,6 +46,8 @@ def test_scheduling_in_the_past_is_an_error():
     sim.run_until(5)
     with pytest.raises(SimulationError):
         sim.schedule(4, "n", "timer", lambda t: None)
+    with pytest.raises(SimulationError, match=r"run_until\(4\) but clock already at 5"):
+        sim.run_until(4)
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -227,6 +229,7 @@ def test_uniform_degenerate_and_bounds():
     d = Dist.uniform(10, 20)
     for _ in range(1000):
         assert 10 <= d.sample(rng) < 20
+    assert d.mean() == 15.0
 
 
 def test_exponential_sample_mean_within_two_percent():

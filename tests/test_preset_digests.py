@@ -8,7 +8,8 @@ The pins live in `tests/vectors/`:
   `results_csv([r]) + cwnd_csv(r)`;
 - `preset_parts.txt`: per preset point and per extra point below, the sha256
   of the results CSV, of the cwnd CSV and of the summary JSON, apart, so a
-  failure names the file;
+  failure names the file. Each of these runs completes a handshake and
+  delivers a message; the points in LONGER_POINTS run 3 s to do so;
 - `trace_pins.txt`: per trace point, the line count and sha256 of the whole
   `--trace` text (kind `*`), of each event kind's lines, and of each kind's
   lines in each 100 ms slice of the run, so a failure names the kind and the
@@ -49,6 +50,12 @@ OVERRIDES = {"scenario.duration": "1s"}
 SLICE_US = 100_000
 KINDS = (netsim.KIND_APP_TICK, netsim.KIND_DELIVERY, netsim.KIND_TIMER)
 
+# At seed 1 these points lose their first IHello to the bottleneck's first
+# loss draw and open their session only at 2.04 s; cut to one second, their
+# runs would hold one dropped packet and nothing else.
+LONGER_POINTS = {f"loss-sweep/loss={pct}pct": {"scenario.duration": "3s"}
+                 for pct in (1, 2, 5)}
+
 # Cases no preset point covers, as (preset, name, overrides on top of
 # OVERRIDES): a time-critical flow that drains so the modes revert, a port
 # migration, a session with two outgoing flows, and 4,000-byte messages, each
@@ -85,7 +92,8 @@ def _points():
     out = {}
     for name in harness.PRESET_NAMES:
         for scenario_id, text in harness.preset_points(name, seed=1):
-            out[scenario_id] = (scenario_id, text, OVERRIDES)
+            out[scenario_id] = (scenario_id, text,
+                                {**OVERRIDES, **LONGER_POINTS.get(scenario_id, {})})
     for preset, name, overrides in EXTRA_POINTS:
         (scenario_id, text), = harness.preset_points(preset, seed=1)
         out[name] = (scenario_id, text, {**OVERRIDES, **overrides})
@@ -119,12 +127,18 @@ def changed_outputs(got, pinned) -> str:
 
 
 @functools.cache
-def point_digests(name: str) -> tuple[str, str, str, str]:
-    """-> sha256 of results + cwnd CSV text, then output_digests, of one point."""
+def point_run(name: str) -> tuple[tuple[str, str, str, str], tuple[int, int]]:
+    """-> (sha256 of results + cwnd CSV text, then output_digests; the
+    handshakes completed and the messages delivered) of one point."""
     scenario_id, text, overrides = POINTS[name]
     res = harness.run_config(text, overrides, scenario_id)
-    return (sha256(harness.results_csv([res]) + harness.cwnd_csv(res)),
-            *output_digests(res))
+    delivered = sum(st.msgs for st in res.flow_stats if st.direction == "recv")
+    return ((sha256(harness.results_csv([res]) + harness.cwnd_csv(res)),
+             *output_digests(res)), (res.summary["handshakes_completed"], delivered))
+
+
+def point_digests(name: str) -> tuple[str, str, str, str]:
+    return point_run(name)[0]
 
 
 @functools.cache
@@ -174,6 +188,13 @@ def test_preset_digests_match_pinned_vectors():
 def test_results_and_cwnd_match_pinned_parts(name):
     changed = changed_outputs(point_digests(name)[1:], pinned_parts()[name])
     assert not changed, f"{name}: {changed} differs from its pin"
+
+
+@pytest.mark.parametrize("name", list(POINTS))
+def test_every_pinned_point_opens_a_session_and_delivers(name):
+    handshakes, delivered = point_run(name)[1]
+    assert handshakes > 0 and delivered > 0, (
+        f"{name}: {handshakes} handshakes completed, {delivered} messages delivered")
 
 
 @pytest.mark.parametrize("preset,name,overrides", EXTRA_POINTS,

@@ -1,9 +1,9 @@
-import dataclasses
+import copy
 import random
 
 import pytest
 
-from rtmfpsim import harness, wire
+from rtmfpsim import flows, harness, wire
 from conftest import random_packet
 from test_preset_digests import POINTS
 
@@ -67,6 +67,32 @@ def test_round_trip_mixed_packet():
 def test_round_trip_ack_with_empty_gaps():
     p = wire.Packet(7, chunks=[wire.AckChunk(19, 100, [], 4096)])
     assert wire.decode(wire.encode(p)) == p
+
+
+def outbound(seq=1, loss_reports=0):
+    return flows.OutboundChunk(19, seq, wire.FRAG_WHOLE, False, b"x" * 140,
+                               loss_reports=loss_reports)
+
+
+@pytest.mark.parametrize("a,b", [
+    (data(), data(seq=2)), (data(), data(payload=b"y" * 140)), (data(), data(tc=True)),
+    (wire.AckChunk(19, 4, [(6, 7)]), wire.AckChunk(19, 4, [(6, 8)])),
+    (wire.AckChunk(19, 4), wire.AckChunk(19, 4, adv_buffer=1)),
+    (wire.HandshakeChunk(wire.T_IHELLO), wire.HandshakeChunk(wire.T_RHELLO)),
+    (wire.Packet(1, chunks=[data()]), wire.Packet(1, chunks=[data(seq=2)])),
+    (wire.Packet(1, chunks=[data()]), wire.Packet(1, ts_echo=5, chunks=[data()])),
+    (outbound(), outbound(seq=2)), (outbound(), outbound(loss_reports=1)),
+    # A send flow's chunk never equals the data chunk decoded from it.
+    (outbound(), data()),
+])
+def test_equality_compares_the_class_and_every_field(a, b):
+    """The round-trip tests' decode(encode(p)) == p holds only field by field."""
+    assert a == copy.deepcopy(a) and b == copy.deepcopy(b)
+    assert a != b and b != a
+
+
+def test_repr_names_the_class_and_every_field():
+    assert repr(wire.AckChunk(19, 4)) == "AckChunk(flow_id=19, cum_ack=4, gaps=[], adv_buffer=0)"
 
 
 def test_round_trip_randomized_packets():
@@ -181,7 +207,7 @@ def test_golden_vector_file_round_trips(tmp_path):
 
 
 def _fields(obj, cls):
-    return [getattr(obj, f.name) for f in dataclasses.fields(cls)]
+    return [getattr(obj, name) for name in cls.__slots__]
 
 
 @pytest.mark.parametrize("name", list(POINTS))
