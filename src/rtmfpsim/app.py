@@ -223,8 +223,8 @@ class RtmfpApp:
         side = self._recv_side(flow_id)
         side.read_pending = False
         msgs = self.engine.read_flow(session, flow_id)
-        if not msgs:
-            return
+        # Scheduled only for ready data, one per flow, and no other read pops it.
+        assert msgs, "a scheduled read found no message"
         st = side.stats
         st.msgs += len(msgs)
         st.touch(now)

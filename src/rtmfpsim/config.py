@@ -8,7 +8,7 @@ Dimensioned values require a unit suffix (byte, us, ms, s; bandwidths use
 bit/kbit/Mbit/Gbit). FLOW_KEYS values are space-separated lists, one entry per
 outgoing flow; `#` starts a comment anywhere on a line. Sizes and intervals
 may be distributions: constant(v) | uniform(a,b) | exponential(mean); a bare
-value means constant.
+value means constant. No argument may be negative.
 configs/two-peer-bottleneck.conf is a complete example.
 
 build_config also checks the rules that join keys: localEpd unique across
@@ -203,13 +203,13 @@ def parse_bandwidth(value: str, where: str = "config") -> int:
 def parse_dist(token: str, unit_parser, where: str = "config") -> Dist:
     """`140byte` / `constant(140byte)` / `uniform(a,b)` / `exponential(mean)`."""
     m = _DIST_RE.match(token)
-    if m is None:
-        return Dist.constant(unit_parser(token, where))
-    kind = m.group(1)
-    args = [unit_parser(a.strip(), where) for a in m.group(2).split(",") if a.strip()]
+    kind, args = ("constant", [token]) if m is None else (m.group(1), m.group(2).split(","))
+    args = [unit_parser(a.strip(), where) for a in args if a.strip()]
     try:
         if len(args) != _DIST_ARGS[kind]:
             raise ValueError(f"{kind} takes {_DIST_ARGS[kind]} argument(s)")
+        if min(args) < 0:
+            raise ValueError("every argument must be >= 0")
         return getattr(Dist, kind)(*args)
     except ValueError as e:
         raise ConfigError(f"{where}: bad distribution {token!r}: {e}")

@@ -372,8 +372,8 @@ class RtmfpEngine:
 
     def _on_rto(self, s: Session, now: int) -> None:
         s.rto_timer = None
-        if not s.in_flight():
-            return
+        # Flight 0 lets a retransmission go, and the ack of the last chunk in flight cancels this.
+        assert s.in_flight(), "retransmission timeout with nothing outstanding"
         s.rto_fires += 1
         for f in s.send_flows.values():
             f.force_retransmit_all()

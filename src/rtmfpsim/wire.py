@@ -109,7 +109,7 @@ class AckChunk(Record):
         self.adv_buffer = adv_buffer
 
     def body_len(self) -> int:
-        return _ACK_FIXED.size + _GAP.size * len(self.gaps)
+        return ack_body_len(len(self.gaps))
 
 
 class HandshakeChunk(Record):

@@ -379,6 +379,9 @@ def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
     ("app.1.0.flowPacketSize", "uniform(1byte) 140byte",
      "override app.1.0.flowPacketSize: bad distribution 'uniform(1byte)': "
      "uniform takes 2 argument(s)"),
+    ("app.1.0.flowSendInterval", "1ms uniform(-10ms,1ms)",
+     "override app.1.0.flowSendInterval: bad distribution 'uniform(-10ms,1ms)': "
+     "every argument must be >= 0"),
     ("topology.bottleneckLoss", "lots",
      "override topology.bottleneckLoss: expected a number, got 'lots'"),
     ("host.1.side", "up", "override host.1.side: side must be left or right"),

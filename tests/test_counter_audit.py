@@ -10,10 +10,15 @@ Tests do not count: a counter only tests read is write-only for every run.
 Likewise a function or method that `src/` defines counts as called where
 `src/` or `bench/` loads its name, as an attribute, a bare name or a string
 constant. Dunder methods are called by Python itself.
+
+And each line that `tests/line_audit.py` allows to go unrun is an executable
+line of `src/`.
 """
 
 import ast
 import pathlib
+
+import line_audit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -62,3 +67,13 @@ def uncalled_functions():
 
 def test_every_function_is_called_outside_the_tests():
     assert uncalled_functions() == UNCALLED_VERDICT_HELPERS
+
+
+def test_every_allowed_unrun_line_is_an_executable_src_line():
+    """The line audit's allow-list names lines by text; one that no longer
+    matches an executable line would hide nothing and mean nothing."""
+    for name, text in line_audit.ALLOWED:
+        path = line_audit.PACKAGE / name
+        source = path.read_text().splitlines()
+        assert any(source[n - 1].strip() == text
+                   for n in line_audit.executable_lines(path)), (name, text)

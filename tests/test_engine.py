@@ -2,7 +2,7 @@ import pytest
 
 from conftest import PacketSniffer, Responder
 from rtmfpsim import netsim, wire
-from rtmfpsim.engine import S_OPEN
+from rtmfpsim.engine import S_KEYING_SENT, S_OPEN
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import preset_points, run_config
 
@@ -265,6 +265,72 @@ def test_unknown_session_id_counted_and_dropped():
 
     res, _ = run_sniffed(mini_config(num=50), prepare=inject)
     assert res.bundle.engines["host2"].unknown_session == 1
+
+
+def inject_into_initiator(at, chunk):
+    """A 50-message run in which host1's session is handed, at `at`, a packet
+    from the responder's address that carries `chunk`; -> (the result, the
+    session, what it looked like just before and just after the packet).
+
+    The packet counts as delivered: host1's engine counts one packet more
+    than its links brought it."""
+    seen = []
+
+    def prepare(bundle):
+        engine1 = bundle.engines["host1"]
+
+        def deliver(now):
+            (s,) = engine1.sessions.values()
+
+            def look():
+                return {"session": s, "state": s.state, "cwnd": s.cc.cwnd,
+                        "cwnd_rows": len(engine1.cwnd_log), "send_flows": dict(s.send_flows),
+                        "delivered": engine1.delivered_packets}
+
+            seen.append(look())
+            pkt = wire.Packet(s.local_sid, chunks=[chunk])
+            engine1.handle_datagram(netsim.Datagram(("host2", 2013), ("host1", 4711), pkt), now)
+            seen.append(look())
+
+        bundle.sim.schedule(at, "host1", netsim.KIND_TIMER, deliver)
+
+    res, _ = run_sniffed(mini_config(num=50), prepare=prepare)
+    before, after = seen
+    engine1 = res.bundle.engines["host1"]
+    inbound = sum(link.admitted for link in res.bundle.links.values()
+                  if link.dst_node is engine1.host)
+    assert after["delivered"] == before["delivered"] + 1
+    assert engine1.delivered_packets + engine1.unknown_session == inbound + 1
+    return res, before["session"], before, after
+
+
+def test_second_rikeying_to_an_open_initiator_changes_nothing():
+    res, s, before, _ = inject_into_initiator(
+        5_000_000, wire.HandshakeChunk(wire.T_RIKEYING, sid=0xBEEF))
+    engine1 = res.bundle.engines["host1"]
+    (responder,) = res.bundle.engines["host2"].sessions.values()
+    assert before["state"] == S_OPEN and s.peer_sid == responder.local_sid != 0xBEEF
+    assert engine1.handshakes_completed == 1
+    assert engine1.registry.sessions == [s]
+    assert list(s.send_flows) == list(before["send_flows"])
+    assert all(s.send_flows[k] is f for k, f in before["send_flows"].items())
+
+
+def test_data_chunk_to_a_session_in_keying_sent_is_dropped():
+    res, s, before, after = inject_into_initiator(
+        60_000, wire.DataChunk(19, 1, wire.FRAG_WHOLE, False, b"x" * 140))
+    assert before["state"] == after["state"] == S_KEYING_SENT
+    assert s.state == S_OPEN and s.recv_flows == {}
+    assert [st for st in res.flow_stats if st.direction == "recv"] == [
+        res.stats("host2", 2014, 19, "recv")]
+    assert res.stats("host2", 2014, 19, "recv").msgs == 50
+
+
+def test_ack_for_a_flow_never_sent_changes_nothing():
+    _, _, before, after = inject_into_initiator(
+        5_000_000, wire.AckChunk(999, 5, [(7, 9)], 1000))
+    assert before["state"] == S_OPEN and list(after["send_flows"]) == [19]
+    assert (after["cwnd"], after["cwnd_rows"]) == (before["cwnd"], before["cwnd_rows"])
 
 
 def test_a_packet_larger_than_max_segment_size_is_refused_at_send():

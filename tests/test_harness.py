@@ -418,6 +418,11 @@ def test_cli_runtime_failure_exit_code(monkeypatch):
      "app.1.0.flowId=19 19"],
     ["app.2.0.remoteAddress=host1"],
     ["app.1.0.flowId"],  # no '='
+    # A negative size or time, bare or as a distribution's argument.
+    ["app.1.0.flowSendInterval=-5us"],
+    ["app.1.0.flowPacketSize=-5byte"],
+    ["app.1.0.flowSendInterval=uniform(-10ms,1ms)"],
+    ["topology.backgroundPacketSize=uniform(-100byte,300byte)"],
 ])
 def test_cli_bad_override_is_a_config_error(overrides, capsys):
     from rtmfpsim.cli import main

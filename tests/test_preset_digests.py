@@ -4,8 +4,6 @@ nothing at random.
 
 The pins live in `tests/vectors/`:
 
-- `preset_digests.txt`: per preset point, the sha256 of
-  `results_csv([r]) + cwnd_csv(r)`;
 - `preset_parts.txt`: per preset point and per extra point below, the sha256
   of the results CSV, of the cwnd CSV and of the summary JSON, apart, so a
   failure names the file. Each of these runs completes a handshake and
@@ -42,7 +40,6 @@ import pytest
 from rtmfpsim import harness, netsim
 
 VECTORS = os.path.join(os.path.dirname(__file__), "vectors")
-DIGESTS = os.path.join(VECTORS, "preset_digests.txt")
 PARTS = os.path.join(VECTORS, "preset_parts.txt")
 TRACE_PINS = os.path.join(VECTORS, "trace_pins.txt")
 FULL_SEEDS = (1, 3)
@@ -127,18 +124,13 @@ def changed_outputs(got, pinned) -> str:
 
 
 @functools.cache
-def point_run(name: str) -> tuple[tuple[str, str, str, str], tuple[int, int]]:
-    """-> (sha256 of results + cwnd CSV text, then output_digests; the
-    handshakes completed and the messages delivered) of one point."""
+def point_run(name: str) -> tuple[tuple[str, str, str], tuple[int, int]]:
+    """-> (output_digests; the handshakes completed and the messages
+    delivered) of one point."""
     scenario_id, text, overrides = POINTS[name]
     res = harness.run_config(text, overrides, scenario_id)
     delivered = sum(st.msgs for st in res.flow_stats if st.direction == "recv")
-    return ((sha256(harness.results_csv([res]) + harness.cwnd_csv(res)),
-             *output_digests(res)), (res.summary["handshakes_completed"], delivered))
-
-
-def point_digests(name: str) -> tuple[str, str, str, str]:
-    return point_run(name)[0]
+    return output_digests(res), (res.summary["handshakes_completed"], delivered)
 
 
 @functools.cache
@@ -178,15 +170,16 @@ def pinned_trace(name):
             for point, kind, slc, lines, digest in read_pins(TRACE_PINS) if point == name}
 
 
-def test_preset_digests_match_pinned_vectors():
-    expected = [tuple(row) for row in read_pins(DIGESTS)]
-    assert len(expected) == 19
-    assert [(sid, point_digests(sid)[0]) for sid in PRESET_IDS] == expected
+def test_pin_files_name_every_point_in_order():
+    """The pin tests run once per point, so a point dropped from a preset or
+    from EXTRA_POINTS would take its pins' tests with it unnoticed."""
+    assert list(pinned_parts()) == list(POINTS)
+    assert list(full_pins(1)) == PRESET_IDS
 
 
 @pytest.mark.parametrize("name", list(POINTS))
 def test_results_and_cwnd_match_pinned_parts(name):
-    changed = changed_outputs(point_digests(name)[1:], pinned_parts()[name])
+    changed = changed_outputs(point_run(name)[0], pinned_parts()[name])
     assert not changed, f"{name}: {changed} differs from its pin"
 
 
@@ -195,12 +188,6 @@ def test_every_pinned_point_opens_a_session_and_delivers(name):
     handshakes, delivered = point_run(name)[1]
     assert handshakes > 0 and delivered > 0, (
         f"{name}: {handshakes} handshakes completed, {delivered} messages delivered")
-
-
-@pytest.mark.parametrize("preset,name,overrides", EXTRA_POINTS,
-                         ids=[name for _, name, _ in EXTRA_POINTS])
-def test_extra_point_results_match_pinned_digest(preset, name, overrides):
-    assert point_digests(name)[1] == pinned_parts()[name][0]
 
 
 @pytest.mark.parametrize("preset,name,overrides", TRACE_POINTS,
@@ -279,10 +266,8 @@ def check_seed(seed: int) -> int:
 
 
 def regenerate():
-    with open(DIGESTS, "w") as f:
-        f.writelines(f"{sid} {point_digests(sid)[0]}\n" for sid in PRESET_IDS)
     with open(PARTS, "w") as f:
-        f.writelines(f"{name} {' '.join(point_digests(name)[1:])}\n" for name in POINTS)
+        f.writelines(f"{name} {' '.join(point_run(name)[0])}\n" for name in POINTS)
     with open(TRACE_PINS, "w") as f:
         for _, name, _ in TRACE_POINTS:
             pins = trace_pins(name)
