@@ -3,20 +3,21 @@
 Sections are `[scenario]`, `[topology]`, `[host.N]` and `[app.N.M]` (app M on
 host N). The keys each section accepts are the rows of the key tables below
 (SCENARIO_KEYS, TOPOLOGY_KEYS, HOST_KEYS, APP_KEYS, FLOW_KEYS): config key,
-target field, parser, allowed range and other accepted spellings.
+target field, parser, allowed range, other accepted spellings, default, and
+`needs`, the keys the same section must also give. The spec classes take
+their fields and defaults from these rows.
 Dimensioned values require a unit suffix (byte, us, ms, s; bandwidths use
 bit/kbit/Mbit/Gbit). FLOW_KEYS values are space-separated lists, one entry per
 outgoing flow; `#` starts a comment anywhere on a line. Sizes and intervals
 may be distributions: constant(v) | uniform(a,b) | exponential(mean); a bare
-value means constant. No argument may be negative.
+value means constant. No argument may be negative or empty.
 configs/two-peer-bottleneck.conf is a complete example.
 
-build_config also checks the rules that join keys: localEpd unique across
-apps; remoteAddress needs remotePort and remoteEpd, and each of those needs
-remoteAddress; flowsOutgoing > 0 needs remoteAddress; flowId unique within an
-app and among the flows into one receiving app; migrateAt and migrateTo
-together; a remote host's rcvBufferSize holds the largest chunk and the
-largest message its sender may send.
+build_config also checks the rules that join keys beyond `needs`: localEpd
+unique across apps; flowsOutgoing > 0 needs remoteAddress; flowId unique
+within an app and among the flows into one receiving app; a remote host's
+rcvBufferSize holds the largest chunk and the largest message its sender may
+send.
 Every rule about a valid scenario is checked here, once, at parse time, and
 its error names the line or override at fault; the layers below trust the
 config they are given.
@@ -24,6 +25,7 @@ config they are given.
 
 from __future__ import annotations
 
+import copy
 import re
 from typing import Callable, NamedTuple, Optional
 
@@ -52,88 +54,6 @@ MIN_CC_MSS = -(-wire.MAX_CHUNK_PAYLOAD // 2)
 # An app rounds each message size it draws and clamps it to this range.
 SIZE_CLAMP_MIN = 1
 SIZE_CLAMP_MAX = 65536
-
-
-def _assign(spec: object, given: dict[str, object]) -> None:
-    """Set each given field of a spec, which its class or __init__ defines."""
-    for name, value in given.items():
-        if not hasattr(spec, name):
-            raise TypeError(f"{type(spec).__name__} has no field {name!r}")
-        setattr(spec, name, value)
-
-
-# The spec classes hold their defaults as class attributes.
-class HostSpec:
-    local_port: int = 4711
-    max_segment_size: int = 1472
-    rcv_buffer_size: int = 65536
-    cc_cwnd_init: int = 4380
-    cc_mss: int = 1460
-    side: Optional[str] = None  # "left" | "right"; derived when absent
-    migrate_at_us: Optional[int] = None
-    migrate_to_port: Optional[int] = None
-
-    def __init__(self, name: str, **given):
-        self.name = name
-        _assign(self, given)
-
-
-class FlowSpec:
-    def __init__(self, flow_id: int, size_dist: Dist, interval_dist: Dist,
-                 num_packets: int, time_critical: bool = False):
-        self.flow_id = flow_id
-        self.size_dist = size_dist
-        self.interval_dist = interval_dist
-        self.num_packets = num_packets
-        self.time_critical = time_critical
-
-    def largest_message(self) -> int:
-        """The largest message size the app can draw for this flow."""
-        dist = self.size_dist
-        top = {"constant": dist.a, "uniform": dist.b}.get(dist.kind, SIZE_CLAMP_MAX)
-        return min(max(round(top), SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
-
-
-class AppConfig:
-    remote_address: Optional[str] = None
-    remote_port: Optional[int] = None
-    remote_epd: Optional[int] = None
-    max_runtime_us: int = 1_800_000_000
-    read_delay_us: int = 0
-    start_time_us: int = 0
-
-    def __init__(self, local_epd: int, flows: Optional[list[FlowSpec]] = None, **given):
-        self.local_epd = local_epd
-        self.flows = [] if flows is None else flows
-        _assign(self, given)
-
-
-class TopologySpec:
-    bottleneck_bandwidth_bps: int = 10_000_000
-    bottleneck_delay_us: int = 20_000
-    bottleneck_queue_bytes: int = 65536
-    bottleneck_loss: float = 0.0
-    access_bandwidth_bps: int = 1_000_000_000
-    access_delay_us: int = 0
-    access_queue_bytes: int = 2 * 1024 * 1024
-    background: bool = False
-    background_load: float = 0.05
-    background_size: Dist = Dist.constant(1000)
-
-    def __init__(self, **given):
-        _assign(self, given)
-
-
-class ScenarioConfig:
-    seed: int = 1
-    duration_us: int = 10_000_000
-
-    def __init__(self, topology: Optional[TopologySpec] = None, **given):
-        self.probe_times_us: list[int] = []
-        self.topology = TopologySpec() if topology is None else topology
-        self.hosts: dict[str, HostSpec] = {}
-        self.apps: list[tuple[str, AppConfig]] = []  # (host, app)
-        _assign(self, given)
 
 
 def parse_sections(text: str) -> tuple[dict[str, dict[str, tuple[str, str]]],
@@ -204,8 +124,11 @@ def parse_dist(token: str, unit_parser, where: str = "config") -> Dist:
     """`140byte` / `constant(140byte)` / `uniform(a,b)` / `exponential(mean)`."""
     m = _DIST_RE.match(token)
     kind, args = ("constant", [token]) if m is None else (m.group(1), m.group(2).split(","))
-    args = [unit_parser(a.strip(), where) for a in args if a.strip()]
+    args = [a.strip() for a in args]
     try:
+        if "" in args and args != [""]:  # `constant()` has no argument, not an empty one
+            raise ValueError("an argument is empty")
+        args = [unit_parser(a, where) for a in args if a]
         if len(args) != _DIST_ARGS[kind]:
             raise ValueError(f"{kind} takes {_DIST_ARGS[kind]} argument(s)")
         if min(args) < 0:
@@ -227,10 +150,6 @@ def _float(value: str, where: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-
-
-def _flag(value: str, where: str) -> bool:
-    return bool(_int(value, where))
 
 
 def _side(value: str, where: str) -> str:
@@ -273,7 +192,8 @@ def _dist_of(unit_parser: Callable[[str, str], int]) -> Callable[[str, str], Dis
 class Key(NamedTuple):
     """One row of a key table. A parsed value must lie in [lo, hi]; None
     leaves that side unbounded. `aliases` are other accepted spellings, of
-    which a section may use only one."""
+    which a section may use only one. `default` is the field's value when the
+    key is absent; `needs` are the keys the same section must give with it."""
     key: str
     field: str
     parse: Callable[[str, str], object]
@@ -281,46 +201,56 @@ class Key(NamedTuple):
     hi: Optional[float] = None
     aliases: tuple[str, ...] = ()
     required: bool = False
+    default: object = None
+    needs: tuple[str, ...] = ()
 
 
 SCENARIO_KEYS = (
-    Key("seed", "seed", _int),
-    Key("duration", "duration_us", parse_time_us, 1),
-    Key("probeTimes", "probe_times_us", _times),
+    Key("seed", "seed", _int, default=1),
+    Key("duration", "duration_us", parse_time_us, 1, default=10_000_000),
+    Key("probeTimes", "probe_times_us", _times, default=[]),
 )
 TOPOLOGY_KEYS = (
-    Key("bottleneckBandwidth", "bottleneck_bandwidth_bps", parse_bandwidth, 1),
-    Key("bottleneckDelay", "bottleneck_delay_us", parse_time_us, 0),
+    Key("bottleneckBandwidth", "bottleneck_bandwidth_bps", parse_bandwidth, 1,
+        default=10_000_000),
+    Key("bottleneckDelay", "bottleneck_delay_us", parse_time_us, 0, default=20_000),
     # A queue smaller than one MTU would drop everything.
-    Key("bottleneckQueue", "bottleneck_queue_bytes", parse_bytes, MTU_DEFAULT),
-    Key("bottleneckLoss", "bottleneck_loss", _float, 0.0, 1.0),
-    Key("accessBandwidth", "access_bandwidth_bps", parse_bandwidth, 1),
-    Key("accessDelay", "access_delay_us", parse_time_us, 0),
-    Key("accessQueue", "access_queue_bytes", parse_bytes, MTU_DEFAULT),
-    Key("background", "background", _flag),
-    Key("backgroundLoad", "background_load", _load),
-    Key("backgroundPacketSize", "background_size", _background_size),
+    Key("bottleneckQueue", "bottleneck_queue_bytes", parse_bytes, MTU_DEFAULT, default=65536),
+    Key("bottleneckLoss", "bottleneck_loss", _float, 0.0, 1.0, default=0.0),
+    Key("accessBandwidth", "access_bandwidth_bps", parse_bandwidth, 1, default=1_000_000_000),
+    Key("accessDelay", "access_delay_us", parse_time_us, 0, default=0),
+    Key("accessQueue", "access_queue_bytes", parse_bytes, MTU_DEFAULT, default=2 * 1024 * 1024),
+    Key("background", "background", _int, 0, 1, default=0),
+    Key("backgroundLoad", "background_load", _load, default=0.05),
+    Key("backgroundPacketSize", "background_size", _background_size,
+        default=Dist.constant(1000)),
 )
 HOST_KEYS = (
-    Key("localPort", "local_port", _int, 1, 65535),
-    Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT),
-    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1, 0xFFFFFFFF),  # ack's u32 field
+    Key("localPort", "local_port", _int, 1, 65535, default=4711),
+    Key("maxSegmentSize", "max_segment_size", parse_bytes, MIN_SEGMENT_SIZE, MTU_DEFAULT,
+        default=1472),
+    Key("rcvBufferSize", "rcv_buffer_size", parse_bytes, 1, 0xFFFFFFFF,  # ack's u32 field
+        default=65536),
     # A smaller initial window never admits the largest chunk a flow may send.
-    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, wire.MAX_CHUNK_PAYLOAD, aliases=("ccWndInit",)),
-    Key("ccMss", "cc_mss", parse_bytes, MIN_CC_MSS),
-    Key("side", "side", _side),
-    Key("migrateAt", "migrate_at_us", parse_time_us, 0),
-    Key("migrateTo", "migrate_to_port", _int, 1, 65535),
+    Key("ccCwndInit", "cc_cwnd_init", parse_bytes, wire.MAX_CHUNK_PAYLOAD, aliases=("ccWndInit",),
+        default=4380),
+    Key("ccMss", "cc_mss", parse_bytes, MIN_CC_MSS, default=1460),
+    Key("side", "side", _side),  # derived from the apps when absent
+    Key("migrateAt", "migrate_at_us", parse_time_us, 0, needs=("migrateTo",)),
+    Key("migrateTo", "migrate_to_port", _int, 1, 65535, needs=("migrateAt",)),
 )
+# Sizes the flow lists below; it is not a field of AppConfig.
+FLOWS_OUTGOING = Key("flowsOutgoing", "flows_outgoing", _int, 0, default=0)
 APP_KEYS = (
     Key("localEpd", "local_epd", _int, 0, 0xFFFFFFFF, required=True),
-    Key("remoteAddress", "remote_address", lambda value, where: value),
-    Key("remotePort", "remote_port", _int, 1, 65535),
-    Key("remoteEpd", "remote_epd", _int, 0, 0xFFFFFFFF),
-    Key("maxRuntime", "max_runtime_us", parse_time_us, 0),
-    Key("readDelay", "read_delay_us", parse_time_us, 0),
-    Key("startTime", "start_time_us", parse_time_us, 0),
-    Key("flowsOutgoing", "flows_outgoing", _int, 0),
+    Key("remoteAddress", "remote_address", lambda value, where: value,
+        needs=("remotePort", "remoteEpd")),
+    Key("remotePort", "remote_port", _int, 1, 65535, needs=("remoteAddress",)),
+    Key("remoteEpd", "remote_epd", _int, 0, 0xFFFFFFFF, needs=("remoteAddress",)),
+    Key("maxRuntime", "max_runtime_us", parse_time_us, 0, default=1_800_000_000),
+    Key("readDelay", "read_delay_us", parse_time_us, 0, default=0),
+    Key("startTime", "start_time_us", parse_time_us, 0, default=0),
+    FLOWS_OUTGOING,
 )
 # Fields of FlowSpec. In an app section each value is a space-separated list
 # with one entry per outgoing flow; flow i is read from entry i.
@@ -328,16 +258,69 @@ FLOW_KEYS = (
     Key("flowPacketSize", "size_dist", _dist_of(parse_bytes), required=True),
     Key("flowSendInterval", "interval_dist", _dist_of(parse_time_us), required=True),
     Key("flowNumPackets", "num_packets", _int, 0, required=True),
-    Key("flowTimeCritical", "time_critical", _flag),
-    Key("flowId", "flow_id", _int, 0, 0xFFFF),
+    Key("flowTimeCritical", "time_critical", _int, 0, 1, default=0),
+    Key("flowId", "flow_id", _int, 0, 0xFFFF),  # build_config numbers flows from 1
 )
 
 
+class Spec:
+    """The values of one section: an attribute per row of the class's KEYS,
+    holding the given value or a copy of the row's default."""
+    KEYS: tuple[Key, ...] = ()
+
+    def __init__(self, **given):
+        for row in self.KEYS:
+            setattr(self, row.field,
+                    given.pop(row.field) if row.field in given else copy.copy(row.default))
+        for name in given:
+            raise TypeError(f"{type(self).__name__} has no field {name!r}")
+
+
+class HostSpec(Spec):
+    KEYS = HOST_KEYS
+
+    def __init__(self, name: str, **given):
+        self.name = name
+        super().__init__(**given)
+
+
+class FlowSpec(Spec):
+    KEYS = FLOW_KEYS
+
+    def largest_message(self) -> int:
+        """The largest message size the app can draw for this flow."""
+        dist = self.size_dist
+        top = {"constant": dist.a, "uniform": dist.b}.get(dist.kind, SIZE_CLAMP_MAX)
+        return min(max(round(top), SIZE_CLAMP_MIN), SIZE_CLAMP_MAX)
+
+
+class AppConfig(Spec):
+    KEYS = tuple(row for row in APP_KEYS if row is not FLOWS_OUTGOING)
+
+    def __init__(self, flows: Optional[list[FlowSpec]] = None, **given):
+        self.flows = [] if flows is None else flows
+        super().__init__(**given)
+
+
+class TopologySpec(Spec):
+    KEYS = TOPOLOGY_KEYS
+
+
+class ScenarioConfig(Spec):
+    KEYS = SCENARIO_KEYS
+
+    def __init__(self, topology: Optional[TopologySpec] = None, **given):
+        self.topology = TopologySpec() if topology is None else topology
+        self.hosts: dict[str, HostSpec] = {}
+        self.apps: list[tuple[str, AppConfig]] = []  # (host, app)
+        super().__init__(**given)
+
+
 def _read(sec: dict, section: str, rows: tuple[Key, ...], missing_at: str) -> dict:
-    """Parse and range-check each row's key of a raw section and reject any
-    other key; -> {field: value}. A missing required key is reported at
-    `missing_at`."""
-    out = {}
+    """Parse and range-check each row's key of a raw section, reject any
+    other key, then check each given key's `needs`; -> {field: value} of the
+    given keys. A missing required key is reported at `missing_at`."""
+    out, wheres = {}, {}
     for row in rows:
         spellings = [k for k in (row.key, *row.aliases) if k in sec]
         if len(spellings) > 1:
@@ -349,11 +332,17 @@ def _read(sec: dict, section: str, rows: tuple[Key, ...], missing_at: str) -> di
             continue
         value, where = sec.pop(spellings[0])
         out[row.field] = value = row.parse(value, where)
-        if (row.lo is not None and value < row.lo) or (row.hi is not None and value > row.hi):
+        wheres[row.key] = where
+        # Written so that NaN, which fails every comparison, is out of range.
+        if (row.lo is not None and not row.lo <= value) or (
+                row.hi is not None and not value <= row.hi):
             span = f">= {row.lo}" if row.hi is None else f"[{row.lo}, {row.hi}]"
             raise ConfigError(f"{where}: {row.key} = {value} is outside {span}")
     for key, (_, where) in sec.items():
         raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+    for row in rows:
+        if row.key in wheres and not all(key in wheres for key in row.needs):
+            raise ConfigError(f"{wheres[row.key]}: {row.key} needs {' and '.join(row.needs)}")
     return out
 
 
@@ -379,10 +368,6 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
     host_names = sorted((n for n in sections if n.startswith("host.")), key=_sort_key)
     for name in host_names:
         host = HostSpec(name="host" + name.split(".", 1)[1], **read(name, HOST_KEYS))
-        if (host.migrate_at_us is None) != (host.migrate_to_port is None):
-            key, other = (("migrateAt", "migrateTo") if host.migrate_to_port is None
-                          else ("migrateTo", "migrateAt"))
-            raise ConfigError(f"{given[name, key]}: {key} needs {other}")
         cfg.hosts[host.name] = host
 
     app_names = sorted((n for n in sections if n.startswith("app.")), key=_sort_key)
@@ -397,7 +382,7 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
         sec = sections[name]
         columns = {row.key: sec.pop(row.key) for row in FLOW_KEYS if row.key in sec}
         values = read(name, APP_KEYS)
-        n_flows = values.pop("flows_outgoing", 0)
+        n_flows = values.pop(FLOWS_OUTGOING.field, FLOWS_OUTGOING.default)
         app = AppConfig(**values)
         if any(a.local_epd == app.local_epd for _, a in cfg.apps):
             raise ConfigError(f"{given[name, 'localEpd']}: localEpd = {app.local_epd} "
@@ -405,12 +390,6 @@ def build_config(sections: dict[str, dict[str, tuple[str, str]]],
         if n_flows and app.remote_address is None:
             raise ConfigError(f"{given[name, 'flowsOutgoing']}: flowsOutgoing = "
                               f"{n_flows} needs a remoteAddress")
-        if app.remote_address is not None and None in (app.remote_port, app.remote_epd):
-            raise ConfigError(f"{given[name, 'remoteAddress']}: remoteAddress needs "
-                              f"remotePort and remoteEpd")
-        for key in ("remotePort", "remoteEpd"):
-            if app.remote_address is None and (name, key) in given:
-                raise ConfigError(f"{given[name, key]}: {key} needs remoteAddress")
         for key, (value, where) in columns.items():
             if len(value.split()) != n_flows:
                 raise ConfigError(f"{where}: {key} has {len(value.split())} entries, "

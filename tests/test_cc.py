@@ -10,7 +10,8 @@ from rtmfpsim.flows import Message, SendFlow
 
 def make_cc(cwnd=None, ssthresh=None, mode=MODE_NORMAL):
     # A host's defaults: 4380-byte initial window, 1460-byte segments.
-    cc = CongestionController(HostSpec.cc_cwnd_init, HostSpec.cc_mss)
+    host = HostSpec("host1")
+    cc = CongestionController(host.cc_cwnd_init, host.cc_mss)
     if cwnd is not None:
         cc.cwnd = float(cwnd)
     if ssthresh is not None:

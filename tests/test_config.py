@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -66,15 +67,15 @@ def test_full_sample_block_parses():
 
 
 @pytest.mark.parametrize("cls,args", [
-    (config.HostSpec, ("host1",)), (config.AppConfig, (1,)), (config.TopologySpec, ()),
-    (config.ScenarioConfig, ())])
+    (config.HostSpec, {"name": "host1"}), (config.AppConfig, {"local_epd": 1}),
+    (config.TopologySpec, {}), (config.ScenarioConfig, {})])
 def test_spec_fields_default_per_instance_and_unknown_ones_are_rejected(cls, args):
-    one, two = cls(*args), cls(*args)
+    one, two = cls(**args), cls(**args)
     for name, value in vars(one).items():
         if isinstance(value, (list, dict, config.TopologySpec)):
             assert getattr(two, name) is not value, name  # never shared
     with pytest.raises(TypeError, match="'bogus'"):
-        cls(*args, bogus=1)
+        cls(**args, bogus=1)
 
 
 def test_both_cwnd_init_spellings_accepted():
@@ -225,6 +226,8 @@ def out_of_range_cases():
     # The one open range, (0, 1), is checked by its parser, not by lo/hi.
     for value in ("0", "1", "-0.5", "1.5"):
         yield pytest.param("topology", "backgroundLoad", value, id=f"backgroundLoad={value}")
+    # NaN fails every comparison, so it must not pass as inside [lo, hi].
+    yield pytest.param("topology", "bottleneckLoss", "nan", id="bottleneckLoss=nan")
     # A list value: each entry is checked by the parser.
     yield pytest.param("scenario", "probeTimes", "1s -1us", id="probeTimes=1s -1us")
     # A distribution: its mean is checked by the parser.
@@ -382,6 +385,15 @@ def test_both_cwnd_init_spellings_in_one_section_is_a_duplicate():
     ("app.1.0.flowSendInterval", "1ms uniform(-10ms,1ms)",
      "override app.1.0.flowSendInterval: bad distribution 'uniform(-10ms,1ms)': "
      "every argument must be >= 0"),
+    ("app.1.0.flowPacketSize", "uniform(1byte,,2byte) 140byte",
+     "override app.1.0.flowPacketSize: bad distribution 'uniform(1byte,,2byte)': "
+     "an argument is empty"),
+    ("topology.backgroundPacketSize", "constant(5byte,)",
+     "override topology.backgroundPacketSize: bad distribution 'constant(5byte,)': "
+     "an argument is empty"),
+    ("topology.backgroundPacketSize", "constant()",
+     "override topology.backgroundPacketSize: bad distribution 'constant()': "
+     "constant takes 1 argument(s)"),
     ("topology.bottleneckLoss", "lots",
      "override topology.bottleneckLoss: expected a number, got 'lots'"),
     ("host.1.side", "up", "override host.1.side: side must be left or right"),
@@ -439,6 +451,35 @@ def test_section_errors_name_a_line_or_override(text, overrides, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text, overrides)
     assert str(err.value).startswith(message)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_SECTIONS = {"`[scenario]`": config.SCENARIO_KEYS, "`[topology]`": config.TOPOLOGY_KEYS,
+                   "`[host.N]`": config.HOST_KEYS, "`[app.N.M]`": config.APP_KEYS,
+                   "`[app.N.M]`, per flow": config.FLOW_KEYS}
+README_KEY = re.compile(r"`(\w+)`(?: \(alias `(\w+)`\))?( \(required\))?")
+
+
+def test_readme_key_table_states_every_row_and_its_default():
+    lines = README.read_text().splitlines()
+    start = lines.index("| section | key | value | default | range |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section, key, _, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        documented.setdefault(section, []).append((key, default.strip("`")))
+    assert list(documented) == list(README_SECTIONS)
+    for section, rows in README_SECTIONS.items():
+        assert len(documented[section]) == len(rows), section
+        for (key, default), row in zip(documented[section], rows):
+            m = README_KEY.fullmatch(key)
+            assert m, key
+            assert (m[1], tuple(filter(None, [m[2]])), bool(m[3])) == (
+                row.key, row.aliases, row.required)
+            # An empty cell is no default, or the empty value (no probe times).
+            value = row.parse(default, "README") if default or row.default is not None else None
+            assert value == row.default, row.key
 
 
 def _raised_name(exc):

@@ -389,10 +389,12 @@ def test_lazy_source_sends_what_an_eager_source_sends(sizes, intervals, drains,
         engine = CreditEngine(QueueingSession())
         for at, credit in drains:
             sim.schedule(at, "test", netsim.KIND_TIMER, partial(engine.drain, credit))
-        spec = FlowSpec(7, Script(sizes), Script(intervals), len(sizes))
+        spec = FlowSpec(flow_id=7, size_dist=Script(sizes), interval_dist=Script(intervals),
+                        num_packets=len(sizes))
         if lazy and constant:
-            spec = FlowSpec(7, netsim.Dist.constant(sizes[0] if sizes else 1),
-                            netsim.Dist.constant(intervals[0]), len(sizes))
+            spec = FlowSpec(flow_id=7, size_dist=netsim.Dist.constant(sizes[0] if sizes else 1),
+                            interval_dist=netsim.Dist.constant(intervals[0]),
+                            num_packets=len(sizes))
         if lazy:
             app = RtmfpApp(sim, engine, AppConfig(local_epd=1, flows=[spec],
                                                   max_runtime_us=max_runtime))
