@@ -125,7 +125,7 @@ class RtmfpApp:
         if self.config.remote_address is not None:
             self.engine.open_session(
                 self.config.local_epd, self.config.remote_epd,
-                [(self.config.remote_address, self.config.remote_port)], now)
+                (self.config.remote_address, self.config.remote_port), now)
 
     def session_opened(self, session: Session, now: int) -> None:
         if session.role != "initiator":

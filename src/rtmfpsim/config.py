@@ -48,8 +48,8 @@ _DIST_RE = re.compile(rf"^({'|'.join(_DIST_ARGS)})\((.*)\)$")
 # maxSegmentSize must hold: an ack of one flow with MAX_ACK_GAPS gap ranges.
 MIN_SEGMENT_SIZE = (wire.PACKET_HEADER + wire.CHUNK_HEADER
                     + wire.ack_body_len(flows.MAX_ACK_GAPS))
-# The window never shrinks below two segments (cc floor = 2 * ccMss); that
-# floor must still admit the largest chunk payload.
+# A loss never shrinks the window below two segments (cc floor = 2 * ccMss);
+# that floor must still admit the largest chunk payload.
 MIN_CC_MSS = -(-wire.MAX_CHUNK_PAYLOAD // 2)
 # An app rounds each message size it draws and clamps it to this range.
 SIZE_CLAMP_MIN = 1

@@ -54,7 +54,6 @@ class Session:
         self.last_fill_was_full = False
         self.tc_active = False
         self.peer_signaled_tc = False
-        self.candidates: list[tuple[str, int]] = []
         self.cookie = wire.NO_COOKIE  # the responder's, from its RHello
         self.hs_sends = 0
         self.hs_timer: Optional[list] = None  # a Simulator.schedule entry
@@ -146,14 +145,13 @@ class RtmfpEngine:
         self.apps[epd] = app
 
     def open_session(self, local_epd: int, remote_epd: int,
-                     candidates: list[tuple[str, int]], now: int) -> Session:
+                     address: tuple[str, int], now: int) -> None:
         s = Session(self, "initiator", local_epd, remote_epd, self._fresh_sid(),
                     S_IHELLO_SENT)
         s.app = self.apps[local_epd]
-        s.candidates = list(candidates)
+        s.peer_address = address
         self.sessions[s.local_sid] = s
         self._handshake_step(s, now)
-        return s
 
     def _fresh_sid(self) -> int:
         while True:
@@ -164,16 +162,13 @@ class RtmfpEngine:
     # ------------------------------------------------------------- handshake
 
     def _handshake_step(self, s: Session, now: int) -> None:
-        """The initiator's one send rule: the chunk its state calls for (an
-        IHello to every candidate, or an IIKeying echoing the cookie to the
-        responder), then the retry, which waits twice as long as the one
-        before."""
+        """The initiator's one send rule: the chunk its state calls for, an
+        IHello or an IIKeying echoing the responder's cookie, goes to the
+        peer's address (the one opened to, until an RHello's source replaces
+        it); then the retry, which waits twice as long as the one before."""
         s.hs_sends += 1
-        kind, dsts = ((wire.T_IHELLO, s.candidates) if s.state == S_IHELLO_SENT
-                      else (wire.T_IIKEYING, [s.peer_address]))
-        chunk = wire.HandshakeChunk(kind, s.remote_epd, s.local_sid, s.cookie)
-        for addr in dsts:
-            self._send_packet(s, [chunk], now, addr)
+        kind = wire.T_IHELLO if s.state == S_IHELLO_SENT else wire.T_IIKEYING
+        self._send_packet(s, [wire.HandshakeChunk(kind, s.remote_epd, s.local_sid, s.cookie)], now)
         s.hs_timer = self.sim.schedule(
             now + (HANDSHAKE_TIMEOUT_US << (s.hs_sends - 1)), self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_handshake_timer(s, t), f"handshake {s.label}")
@@ -305,28 +300,14 @@ class RtmfpEngine:
                 res = sf.on_ack(chunk, now)
                 acked += res.acked_bytes
                 losses += res.losses_detected
-        ack_chunks = []
+        acks = []
         for rf in touched:
             ack = rf.end_of_packet()
             if ack is not None:
-                ack_chunks.append(ack)
-                if rf.delack_timer is not None:
-                    self.sim.cancel(rf.delack_timer)
-                    rf.delack_timer = None
-            elif rf.ack_pending():
+                acks.append(ack)
+            else:  # the packet counted, so an ack is pending
                 self._arm_delack(s, rf, now)
-        # Greedy packing: a new packet whenever the next ack does not fit.
-        packets: list[list[wire.AckChunk]] = []
-        room = 0
-        for ack in ack_chunks:
-            size = wire.CHUNK_HEADER + ack.body_len()
-            if size > room:
-                packets.append([])
-                room = self.spec.max_segment_size - wire.PACKET_HEADER
-            packets[-1].append(ack)
-            room -= size
-        for batch in packets:
-            self._send_packet(s, batch, now)
+        self._send_acks(s, acks, now)
         for rf in touched:
             if rf.has_ready():
                 s.app.data_notification(s, rf.flow_id, now)
@@ -347,8 +328,8 @@ class RtmfpEngine:
     # ---------------------------------------------------------------- timers
 
     def _arm_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
-        if rf.delack_timer is not None:
-            return
+        # Only a flow's first data packet since its last ack arms it; that ack cleared it.
+        assert rf.delack_timer is None, "delayed-ack flush armed twice"
         rf.delack_timer = self.sim.schedule(
             now + DELAYED_ACK_US, self.host.node_id, netsim.KIND_TIMER,
             lambda t: self._on_delack(s, rf, t),
@@ -356,9 +337,9 @@ class RtmfpEngine:
 
     def _on_delack(self, s: Session, rf: flows_mod.RecvFlow, now: int) -> None:
         rf.delack_timer = None
-        if not rf.ack_pending():
-            return
-        self._send_packet(s, [rf.make_ack(now)], now)
+        # Every ack sent cancels this flush, so one is always pending.
+        assert rf.ack_pending(), "delayed-ack flush with nothing to ack"
+        self._send_acks(s, [rf.make_ack(now)], now)
 
     def _rearm_rto(self, s: Session, now: int) -> None:
         if s.rto_timer is not None:
@@ -427,13 +408,32 @@ class RtmfpEngine:
             self._log_cc(s, now)
         return sent
 
-    def _send_packet(self, s: Session, chunks: list, now: int,
-                     dst: Optional[tuple[str, int]] = None) -> None:
-        """To the peer, or to `dst` (an IHello candidate). Until the RIKeying
-        names the peer's session id, packets go to HANDSHAKE_SID."""
+    def _send_acks(self, s: Session, acks: list[wire.AckChunk], now: int) -> None:
+        """Every ack a session sends leaves here and cancels its flow's pending
+        delayed-ack flush, since it answers all the flow has received. Greedy
+        packing: a new packet whenever the next ack does not fit."""
+        packets: list[list[wire.AckChunk]] = []
+        room = 0
+        for ack in acks:
+            rf = s.recv_flows[ack.flow_id]
+            if rf.delack_timer is not None:
+                self.sim.cancel(rf.delack_timer)
+                rf.delack_timer = None
+            size = wire.CHUNK_HEADER + ack.body_len()
+            if size > room:
+                packets.append([])
+                room = self.spec.max_segment_size - wire.PACKET_HEADER
+            packets[-1].append(ack)
+            room -= size
+        for batch in packets:
+            self._send_packet(s, batch, now)
+
+    def _send_packet(self, s: Session, chunks: list, now: int) -> None:
+        """Every packet a session sends goes to the peer's address; until the
+        RIKeying names the peer's session id, to HANDSHAKE_SID."""
         flags = wire.FLAG_TIME_CRITICAL if s.tc_active else 0
         self._send(s.peer_sid if s.peer_sid is not None else HANDSHAKE_SID, flags,
-                   s.last_peer_ts, chunks, dst or s.peer_address, now)
+                   s.last_peer_ts, chunks, s.peer_address, now)
 
     def _send(self, sid: int, flags: int, ts_echo: int, chunks: list,
               dst: tuple[str, int], now: int) -> None:
@@ -449,7 +449,7 @@ class RtmfpEngine:
         rf = s.recv_flows[flow_id]
         msgs = rf.app_read()
         if msgs and rf.window_update_due():
-            self._send_packet(s, [rf.make_ack(self.sim.now)], self.sim.now)
+            self._send_acks(s, [rf.make_ack(self.sim.now)], self.sim.now)
         return msgs
 
     def migrate(self, new_port: int) -> None:

@@ -88,6 +88,9 @@ class Responder:
     def session_opened(self, session, now):
         self.opened.append(session)
 
+    def data_notification(self, session, flow_id, now):
+        pass  # a test reads, through engine.read_flow, when it chooses
+
     def receive(self, sid, chunk, at, src=("host9", 5000)):
         """A packet to session id `sid` from the peer at `src`."""
         self.sim.run_until(at)

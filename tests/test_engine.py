@@ -2,7 +2,7 @@ import pytest
 
 from conftest import PacketSniffer, Responder
 from rtmfpsim import netsim, wire
-from rtmfpsim.engine import S_KEYING_SENT, S_OPEN
+from rtmfpsim.engine import DELAYED_ACK_US, S_KEYING_SENT, S_OPEN
 from rtmfpsim.flows import MAX_ACK_GAPS, Message, RecvFlow
 from rtmfpsim.harness import preset_points, run_config
 
@@ -56,6 +56,13 @@ def run_sniffed(text, **kw):
     return res, sniffer
 
 
+def handshake_dsts(sniffer):
+    """Where each handshake packet host1 sent went, in send order."""
+    return [dgram.dst for _, dgram, _, _, pkt in sniffer.records
+            if dgram.src == ("host1", 4711) and pkt is not None
+            and isinstance(pkt.chunks[0], wire.HandshakeChunk)]
+
+
 # ---------------------------------------------------------------- handshake
 
 
@@ -78,6 +85,8 @@ def test_lost_ihello_retransmits_after_one_second_and_opens():
     hs = sniffer.handshake_packets()
     assert len(hs) == 5  # IHello, IHello again, then the normal three
     assert hs[1][0] - hs[0][0] == 1_000_000
+    # The IHello, its retry and the IIKeying all go to the one peer address.
+    assert handshake_dsts(sniffer) == [("host2", 2013)] * 3
     assert res.summary["handshakes_completed"] == 2
     sender = res.stats("host1", 4712, 19, "send")
     receiver = res.stats("host2", 2014, 19, "recv")
@@ -86,7 +95,8 @@ def test_lost_ihello_retransmits_after_one_second_and_opens():
 
 def run_keying_drops(ordinals, duration):
     """bottleneck-basic with the given packets of host1's uplink dropped;
-    -> (result, [(send time, handshake kind)] of host1's handshake sends)."""
+    -> (result, [(send time, handshake kind)] of host1's handshake sends,
+    the destination of each)."""
     [(_, text)] = preset_points("bottleneck-basic", seed=1)
     sniffer = PacketSniffer()
 
@@ -97,25 +107,28 @@ def run_keying_drops(ordinals, duration):
 
     res = run_config(text, {"scenario.duration": duration}, "keying-drops",
                      prepare=prepare)
-    return res, [(now, pkt.chunks[0].kind) for now, pkt, _ in sniffer.handshake_packets()]
+    return (res, [(now, pkt.chunks[0].kind) for now, pkt, _ in sniffer.handshake_packets()],
+            handshake_dsts(sniffer))
 
 
 def test_lost_iikeying_is_resent_on_the_doubled_timeout_and_opens():
     # Packet 0 is the IHello, packet 1 the first IIKeying. The retry doubles on
     # from the IHello step: the IIKeying is the second send, so it waits 2 s.
-    res, sends = run_keying_drops({1}, "15s")
+    res, sends, dsts = run_keying_drops({1}, "15s")
     assert sends[:3] == [(0, wire.T_IHELLO), (40_156, wire.T_IIKEYING),
                          (2_040_156, wire.T_IIKEYING)]
+    assert dsts == [("host2", 2013)] * len(sends)
     assert res.summary["handshakes_completed"] == 2
     assert res.summary["sessions_failed"] == 0
     assert res.stats("host2", 2014, 19, "recv").msgs > 0
 
 
 def test_iikeying_attempts_share_the_five_attempt_budget():
-    res, sends = run_keying_drops({1, 2, 3, 4}, "31s")
+    res, sends, dsts = run_keying_drops({1, 2, 3, 4}, "31s")
     assert sends == [(0, wire.T_IHELLO), (40_156, wire.T_IIKEYING),
                      (2_040_156, wire.T_IIKEYING), (6_040_156, wire.T_IIKEYING),
                      (14_040_156, wire.T_IIKEYING)]
+    assert dsts == [("host2", 2013)] * 5
     assert res.summary["sessions_failed"] == 1
     assert res.summary["handshakes_completed"] == 0
 
@@ -150,27 +163,6 @@ def test_handshake_timing_reflects_path_rtt():
     assert 80_000 <= opened_at <= 84_000  # two RTTs of 2*20 ms
     session = res.bundle.apps[0].session
     assert 40_000 <= session.srtt_us <= 42_000
-
-
-def test_two_candidate_addresses_first_responder_wins():
-    text = mini_config(num=50)
-
-    def prepare(bundle):
-        app = bundle.apps[0]
-        original = app.engine.open_session
-
-        def with_extra_candidate(local_epd, remote_epd, candidates, now):
-            return original(local_epd, remote_epd,
-                            [("host2", 2013), ("host2", 2013)], now)
-
-        app.engine.open_session = with_extra_candidate
-
-    res, sniffer = run_sniffed(text, prepare=prepare)
-    ihellos = [p for _, p, _ in sniffer.handshake_packets()
-               if p.chunks[0].kind == wire.T_IHELLO]
-    assert len(ihellos) == 2
-    assert res.summary["handshakes_completed"] == 2
-    assert res.stats("host2", 2014, 19, "recv").msgs == 50
 
 
 def opened_777(r):
@@ -314,6 +306,17 @@ def test_second_rikeying_to_an_open_initiator_changes_nothing():
     assert engine1.registry.sessions == [s]
     assert list(s.send_flows) == list(before["send_flows"])
     assert all(s.send_flows[k] is f for k, f in before["send_flows"].items())
+
+
+def test_late_rhello_to_an_open_initiator_changes_nothing():
+    res, s, before, after = inject_into_initiator(
+        5_000_000, wire.HandshakeChunk(wire.T_RHELLO, 2014, 0, b"\x01" * wire.COOKIE_LEN))
+    engine2 = res.bundle.engines["host2"]
+    (cookie,) = engine2._responders
+    # It takes neither the new cookie nor a handshake step.
+    assert before["state"] == after["state"] == S_OPEN
+    assert (s.cookie, s.hs_sends) == (cookie, 2)
+    assert s.peer_sid == engine2._responders[cookie].local_sid
 
 
 def test_data_chunk_to_a_session_in_keying_sent_is_dropped():
@@ -501,6 +504,43 @@ def test_window_update_keeps_variable_chunks_flowing_into_a_small_buffer(seed):
                             "app.1.0.flowSendInterval": "1ms", "app.2.0.readDelay": "50ms",
                             "scenario.duration": "3s"}, scenario_id)
     assert res.stats("host2", 2014, 19, "recv").last_us > 2_000_000
+
+
+@pytest.mark.parametrize("next_data_at", [170_000, 300_000])
+def test_a_window_update_ack_clears_the_pending_flush(next_data_at):
+    # A 2,000-byte buffer: two chunks bring an ack advertising 100 bytes, a
+    # third arms the flush, due at 180 ms, and a read at 140 ms frees the
+    # buffer and sends a window update. That ack answers the third chunk too,
+    # so the flush goes with it: it neither fires with nothing to ack nor acks
+    # the next chunk (at 170 ms or at 300 ms) before its own 50 ms are up.
+    r = Responder()
+    r.engine.spec.rcv_buffer_size = 2000
+    flushes = []  # whether each flush that fired found an ack pending
+    on_delack = r.engine._on_delack
+    r.engine._on_delack = lambda s, rf, now: (flushes.append(rf.ack_pending()),
+                                              on_delack(s, rf, now))
+    s, _ = opened_777(r)
+
+    def data(seq, size, at):
+        r.receive(s.local_sid, wire.DataChunk(19, seq, wire.FRAG_WHOLE, False, b"x" * size), at)
+
+    data(1, 1000, 110_000)
+    data(2, 900, 120_000)
+    data(3, 50, 130_000)
+    rf = s.recv_flows[19]
+    assert [p.chunks[0].adv_buffer for p in r.sent[2:]] == [100]
+    assert rf.delack_timer is not None
+    r.sim.run_until(140_000)
+    assert len(r.engine.read_flow(s, 19)) == 3
+    assert [(p.chunks[0].cum_ack, p.chunks[0].adv_buffer) for p in r.sent[2:]] == [
+        (2, 100), (3, 2000)]
+    assert rf.delack_timer is None
+    data(4, 1, next_data_at)
+    r.sim.run_until(next_data_at + DELAYED_ACK_US - 1)
+    assert len(r.sent) == 4
+    r.sim.run_until(next_data_at + DELAYED_ACK_US)
+    assert [p.chunks[0].cum_ack for p in r.sent[2:]] == [2, 3, 4]
+    assert flushes == [True]
 
 
 def idle_sender(flows=1):

@@ -1,7 +1,8 @@
 """Property tests: the event queue with cancels, the wire codec, send/receive
 flows sharing a session, an app's lazy traffic source against an eager one,
-a responder's handshake, a flow into a small receive buffer and the
-dumbbell's routes, over inputs generated by hypothesis.
+a responder's handshake, a flow into a small receive buffer, the congestion
+window's floors and the dumbbell's routes, over inputs generated by
+hypothesis.
 Skipped where hypothesis is not installed."""
 
 import hashlib
@@ -19,7 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
 from rtmfpsim import netsim, wire  # noqa: E402
 from rtmfpsim.app import FlowStats, RtmfpApp, make_payload  # noqa: E402
-from rtmfpsim.config import AppConfig, FlowSpec, parse_config  # noqa: E402
+from rtmfpsim.cc import (MODE_DEFERRING, MODE_NORMAL, MODE_TIME_CRITICAL,  # noqa: E402
+                         CongestionController)
+from rtmfpsim.config import MIN_CC_MSS, AppConfig, FlowSpec, parse_config  # noqa: E402
 from rtmfpsim.engine import S_OPEN  # noqa: E402
 from rtmfpsim.flows import (DEFAULT_ADV_BUFFER, ST_IN_FLIGHT, Message, RecvFlow,  # noqa: E402
                             SendFlow, fill_packet)
@@ -427,6 +430,40 @@ def test_a_receive_buffer_under_two_chunks_keeps_delivering(buffer, read_delay, 
                             "app.2.0.readDelay": f"{read_delay}us",
                             "scenario.duration": "3s"}, scenario_id)
     assert res.stats("host2", 2014, 19, "recv").last_us > 2_000_000
+
+
+# One step of a session's congestion controller: acked bytes, a loss event
+# after some time with some SRTT, a retransmission timeout, or a mode switch.
+cc_steps = st.lists(st.one_of(
+    st.tuples(st.just("ack"), st.integers(1, 20_000)),
+    st.tuples(st.just("loss"), st.integers(0, 300_000), st.integers(0, 300_000)),
+    st.tuples(st.just("timeout")),
+    st.tuples(st.just("mode"), st.sampled_from((MODE_NORMAL, MODE_TIME_CRITICAL,
+                                                MODE_DEFERRING)))), max_size=80)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(cwnd_init=st.integers(wire.MAX_CHUNK_PAYLOAD, 8760), mss=st.integers(MIN_CC_MSS, 1460),
+       steps=cc_steps)
+def test_the_window_keeps_its_floors_through_acks_losses_and_timeouts(cwnd_init, mss, steps):
+    """A loss keeps cwnd and ssthresh at or above two segments, but the
+    start and every timeout set cwnd to ccCwndInit, which may be smaller."""
+    cc = CongestionController(cwnd_init, mss)
+    floor = 2 * mss
+    now = 0
+    for op, *args in steps:
+        if op == "ack":
+            cc.on_ack_progress(*args)
+        elif op == "loss":
+            elapsed, srtt_us = args
+            now += elapsed
+            cc.on_loss_event(now, srtt_us)
+        elif op == "timeout":
+            cc.on_timeout()
+        else:
+            cc.mode = args[0]
+        assert cc.cwnd >= min(cwnd_init, floor)
+        assert cc.ssthresh >= floor
 
 
 @st.composite
