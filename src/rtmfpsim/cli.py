@@ -54,7 +54,9 @@ def _summary_line(s: dict) -> str:
     return (f"{s['scenario']}: seed={s['seed']} util={s['bottleneck_utilization']:.3f} "
             f"handshakes={s['handshakes_completed']} flows={s['flows_recv']} "
             f"goodput={s['total_recv_goodput_bps']:.0f}bps jain={s['jain_index']:.4f} "
-            f"retx={s['total_retransmissions']}")
+            f"retx={s['total_retransmissions']}"
+            + "".join(f" jain@{t}us={x:.4f}" for t, x in
+                      sorted(s["window_jain_index"].items(), key=lambda p: int(p[0]))))
 
 
 def _finish(results, out_dir: str | None) -> None:

@@ -10,6 +10,7 @@ single event loop.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from typing import Optional
 
@@ -28,10 +29,40 @@ HANDSHAKE_ATTEMPTS = 5
 RTO_MIN_US = 200_000
 RTO_INITIAL_US = 1_000_000
 DELAYED_ACK_US = 50_000
+CWND_HEADER = "time_us,host,session,cwnd_bytes,flight_bytes,mode"
+CWND_JOIN_ROWS = 1024
 
 S_IHELLO_SENT = "IHelloSent"
 S_KEYING_SENT = "KeyingSent"
 S_OPEN = "Open"
+
+
+class CwndLog:
+    """A run's cwnd CSV, header first, written as its engines log. The rows of
+    the current time stay last, by engine rank, then log order; once the clock
+    moves on, every CWND_JOIN_ROWS rows are joined into one string."""
+
+    def __init__(self):
+        self._time = 0
+        self._ranks: list[int] = []  # of the last rows, all logged at _time
+        self._rows = [CWND_HEADER + "\n"]
+        self._parts: list[str] = []
+
+    def add(self, now: int, rank: int, row: str) -> None:
+        if now != self._time:
+            assert now > self._time, "cwnd row logged before an earlier one"
+            self._time, self._ranks = now, []
+            if len(self._rows) >= CWND_JOIN_ROWS:
+                self._parts.append("".join(self._rows))
+                self._rows.clear()
+        at = bisect.bisect_right(self._ranks, rank)
+        self._rows.insert(len(self._rows) - len(self._ranks) + at, row)
+        self._ranks.insert(at, rank)
+
+    def text(self) -> str:
+        """The whole CSV, once the run is over, as one string the log keeps."""
+        self._parts, self._rows = [], ["".join(self._parts + self._rows)]
+        return self._rows[0]
 
 
 class Session:
@@ -117,7 +148,8 @@ class Session:
 class RtmfpEngine:
     """Protocol layer bound to one (host, port)."""
 
-    def __init__(self, sim: netsim.Simulator, host, spec: HostSpec):
+    def __init__(self, sim: netsim.Simulator, host, spec: HostSpec,
+                 cwnd_log: CwndLog, cwnd_rank: int):
         self.sim = sim
         self.host = host
         self.spec = spec
@@ -137,7 +169,7 @@ class RtmfpEngine:
         self.delivered_packets = 0
         self.handshakes_completed = 0
         self.sessions_failed = 0
-        self.cwnd_log: list[str] = []  # cwnd CSV rows, in time order
+        self.cwnd_log, self.cwnd_rank = cwnd_log, cwnd_rank  # ties in the log go by rank
 
     # ------------------------------------------------------------------ setup
 
@@ -461,5 +493,5 @@ class RtmfpEngine:
     # ------------------------------------------------------------ reporting
 
     def _log_cc(self, s: Session, now: int) -> None:
-        self.cwnd_log.append(f"{now},{self.host.node_id},{s.label},"
-                             f"{int(s.cc.cwnd)},{s.flight()},{s.cc.mode}")
+        self.cwnd_log.add(now, self.cwnd_rank, f"{now},{self.host.node_id},{s.label},"
+                          f"{int(s.cc.cwnd)},{s.flight()},{s.cc.mode}\n")

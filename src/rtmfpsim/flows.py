@@ -73,6 +73,7 @@ class SendFlow:
         self.unsent: deque[OutboundChunk] = deque()
         # Sent but not yet acknowledged, ascending by seq (insertion order).
         self.outstanding: dict[int, OutboundChunk] = {}
+        # The seqs of the outstanding chunks in ST_RETRANSMIT, in resend order.
         self._retx: deque[int] = deque()
         self.outstanding_payload = 0
         # Payload of the outstanding chunks in ST_IN_FLIGHT: sent and not yet
@@ -112,12 +113,8 @@ class SendFlow:
         Retransmissions go first; new chunks are gated so that the payload
         outstanding at the receiver never exceeds its advertised buffer.
         """
-        while self._retx:
-            ch = self.outstanding.get(self._retx[0])
-            if ch is None or ch.state != ST_RETRANSMIT:
-                self._retx.popleft()
-                continue
-            return ch
+        if self._retx:
+            return self.outstanding[self._retx[0]]
         if self.unsent:
             head = self.unsent[0]
             if self.outstanding_payload + len(head.payload) <= self.peer_adv_buffer:
@@ -169,6 +166,8 @@ class SendFlow:
             freed += len(ch.payload)
             if ch.state == ST_IN_FLIGHT:
                 acked += len(ch.payload)
+            else:  # acked while it waited to be resent
+                self._retx.remove(seq)
         self.outstanding_payload -= freed
         self.flight_bytes -= acked
         res = AckResult(acked)

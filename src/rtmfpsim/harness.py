@@ -17,7 +17,6 @@ to config text by preset_points):
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from typing import Callable, Optional
@@ -29,7 +28,6 @@ from .topology import SimBundle, build_bottleneck
 
 RESULTS_HEADER = ("scenario,seed,host,app,flow_id,direction,msgs_sent,msgs_recv,"
                   "bytes_sent,bytes_recv,retransmissions,start_us,end_us,goodput_bps")
-CWND_HEADER = "time_us,host,session,cwnd_bytes,flight_bytes,mode"
 
 
 class RunResult:
@@ -38,8 +36,12 @@ class RunResult:
         self.cfg = cfg
         self.bundle = bundle
         self.flow_stats: list[FlowStats] = []
-        self.cwnd_series: list[str] = []  # cwnd CSV rows
+        self.cwnd_text = ""  # the cwnd CSV
         self.summary: dict = {}
+
+    @property
+    def cwnd_series(self) -> list[str]:  # the cwnd CSV's rows, split on each read
+        return self.cwnd_text.splitlines()[1:]
 
     def stats(self, host: str, epd: int, flow_id: int, direction: str) -> FlowStats:
         for st in self.flow_stats:
@@ -114,9 +116,7 @@ def execute(bundle: SimBundle, scenario_id: str) -> RunResult:
         result.flow_stats.extend(app.finalize())
     result.flow_stats.sort(key=lambda st: (st.host, st.app_epd, st.flow_id, st.direction))
 
-    # Each log is in time order; a tie goes by engine order, then log order.
-    result.cwnd_series = list(heapq.merge(*(e.cwnd_log for e in bundle.engines.values()),
-                                          key=lambda row: int(row[:row.index(",")])))
+    result.cwnd_text = bundle.cwnd_log.text()
 
     bn = bundle.bottleneck
     engines = list(bundle.engines.values())
@@ -280,7 +280,7 @@ def results_csv(results: list[RunResult]) -> str:
 
 
 def cwnd_csv(result: RunResult) -> str:
-    return "\n".join([CWND_HEADER, *result.cwnd_series]) + "\n"
+    return result.cwnd_text
 
 
 def summary_json(result: RunResult) -> str:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from . import netsim
 from .app import RtmfpApp
 from .config import ScenarioConfig
-from .engine import RtmfpEngine
+from .engine import CwndLog, RtmfpEngine
 
 BG_PORT = 9
 
@@ -90,6 +90,7 @@ class SimBundle:
         self.routers: dict[str, Router] = {}
         self.links: dict[str, netsim.Link] = {}
         self.engines: dict[str, RtmfpEngine] = {}
+        self.cwnd_log = CwndLog()  # the run's cwnd CSV, written by every engine
         self.apps: list[RtmfpApp] = []
         self.background: Optional[BackgroundSender] = None
 
@@ -134,7 +135,8 @@ def build_bottleneck(cfg: ScenarioConfig,
                                    if router_side == side else across[side])
         if spec is None:
             continue
-        engine = bundle.engines[name] = RtmfpEngine(sim, host, spec)
+        engine = bundle.engines[name] = RtmfpEngine(
+            sim, host, spec, bundle.cwnd_log, len(bundle.engines))
         if spec.migrate_at_us is not None:
             sim.schedule(spec.migrate_at_us, name, netsim.KIND_APP_TICK,
                          lambda t, e=engine, p=spec.migrate_to_port: e.migrate(p),

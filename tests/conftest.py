@@ -5,7 +5,7 @@ import pytest
 
 from rtmfpsim import harness, netsim, wire
 from rtmfpsim.config import HostSpec
-from rtmfpsim.engine import HANDSHAKE_SID, RtmfpEngine
+from rtmfpsim.engine import HANDSHAKE_SID, CwndLog, RtmfpEngine
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +76,8 @@ class Responder:
         self.sent = []
         self.opened = []
         self.sim = netsim.Simulator(seed=1)
-        self.engine = RtmfpEngine(self.sim, self, HostSpec("host2", local_port=2013))
+        self.engine = RtmfpEngine(self.sim, self, HostSpec("host2", local_port=2013),
+                                  CwndLog(), 0)
         self.engine.register_app(2014, self)
 
     def bind(self, port, handler):

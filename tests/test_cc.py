@@ -4,7 +4,7 @@ from rtmfpsim import netsim, wire
 from rtmfpsim.cc import (MODE_DEFERRING, MODE_NORMAL, MODE_TIME_CRITICAL,
                          CcRegistry, CongestionController)
 from rtmfpsim.config import HostSpec
-from rtmfpsim.engine import S_OPEN, RtmfpEngine, Session
+from rtmfpsim.engine import S_OPEN, CwndLog, RtmfpEngine, Session
 from rtmfpsim.flows import Message, SendFlow
 
 
@@ -164,7 +164,7 @@ def test_has_room_boundaries():
     # The engine sends only while flight < cwnd, and only whole payload bytes
     # of the window count: flight == int(cwnd) admits nothing.
     host = RecordingHost()
-    engine = RtmfpEngine(netsim.Simulator(seed=1), host, HostSpec("host1"))
+    engine = RtmfpEngine(netsim.Simulator(seed=1), host, HostSpec("host1"), CwndLog(), 0)
     s = Session(engine, "initiator", 1, 2, 7, S_OPEN)
     s.peer_address = ("host2", 2013)
     flow = s.create_send_flow(19, False)

@@ -387,6 +387,20 @@ def test_retransmission_resets_loss_reports_and_keeps_seq():
     assert f.retransmissions == 1
 
 
+def test_a_chunk_acked_while_it_waits_to_be_resent_leaves_no_trace():
+    # Seq 5 is reported lost three times, then acked before it is resent:
+    # a fill that finds nothing to send leaves the flow as it was.
+    f = sent_flow(9)
+    for k in (6, 7, 8):
+        f.on_ack(wire.AckChunk(19, 4, [(6, k)], 65536), now=0)
+    assert f.outstanding[5].state == ST_RETRANSMIT
+    f.on_ack(wire.AckChunk(19, 9, [], 65536), now=0)
+    s = FakeSession(f)
+    before = snapshot(s)
+    assert fill_packet(s, budget=1472) is None
+    assert snapshot(s) == before
+
+
 def test_force_retransmit_all_moves_in_flight_bytes():
     f = sent_flow(9)
     assert f.flight_bytes == 9 * 140

@@ -8,6 +8,7 @@ import pytest
 
 from rtmfpsim import harness
 from rtmfpsim.config import ConfigError, parse_config
+from rtmfpsim.engine import CwndLog
 from rtmfpsim.harness import (bdp_bound_bps, compute_fairness, preset_points,
                               run_config, run_preset, sawtooth_drops, write_outputs)
 from rtmfpsim.topology import build_bottleneck
@@ -187,10 +188,19 @@ def test_cwnd_rows_logged_at_one_time_come_out_in_engine_order():
     assert sum(len(hosts) > 1 for hosts in hosts_at.values()) > 10
 
 
+def test_a_cwnd_row_logged_before_the_last_one_fails():
+    log = CwndLog()
+    log.add(2_000, 0, "2000,host1,1->2,4380,0,normal\n")
+    log.add(2_000, 1, "2000,host3,3->4,4380,0,normal\n")
+    with pytest.raises(AssertionError, match="before an earlier one"):
+        log.add(1_999, 0, "1999,host1,1->2,4380,0,normal\n")
+
+
 # Traced peak of a run and its cwnd CSV per cwnd row, bulk at 500 ms (4,153
-# rows): 412 B with a tuple per row rendered at the end, 236 B with each row
-# rendered as it is logged.
-CWND_PEAK_BYTES_PER_ROW = 320
+# rows): 412 B with a tuple per row rendered at the end, 235 B with a string
+# per row merged and joined at the end, 125 B with the rows written into one
+# text as they are logged.
+CWND_PEAK_BYTES_PER_ROW = 160
 
 
 def test_cwnd_rows_cost_bounded_traced_memory():
@@ -205,6 +215,7 @@ def test_cwnd_rows_cost_bounded_traced_memory():
     finally:
         tracemalloc.stop()
     assert peak / len(res.cwnd_series) <= CWND_PEAK_BYTES_PER_ROW
+    assert harness.cwnd_csv(res) is harness.cwnd_csv(res)  # the render copies nothing
 
 
 def test_results_csv_schema_and_determinism(tmp_path):
@@ -302,6 +313,14 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == 0
     assert capsys.readouterr().out.splitlines() == [run_line]
     assert "jain" in run_line
+    # Each probe's window index follows, in probe order, though the summary
+    # file sorts its keys as text ("2000000" before "600000").
+    assert main(["preset", "fairness-simultaneous", "--override", "scenario.duration=3s",
+                 "--override", "scenario.probeTimes=600ms 2s", "--out", str(out_dir)]) == 0
+    run_line = capsys.readouterr().out.splitlines()[-1]
+    assert main(["report", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines() == [run_line]
+    assert run_line.endswith(" retx=38 jain@600000us=0.9864 jain@2000000us=0.9734")
 
 
 def test_cli_run_seed_replaces_the_config_seed(tmp_path, capsys):

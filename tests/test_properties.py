@@ -1,15 +1,17 @@
 """Property tests: the event queue with cancels, the wire codec, send/receive
 flows sharing a session, an app's lazy traffic source against an eager one,
 a responder's handshake, a flow into a small receive buffer, the congestion
-window's floors and the dumbbell's routes, over inputs generated by
-hypothesis.
+window's floors, the dumbbell's routes and the order of the cwnd log, over
+inputs generated by hypothesis.
 Skipped where hypothesis is not installed."""
 
 import hashlib
+import heapq
 import random
 from collections import deque
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -18,12 +20,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import FakeSession, Responder, snapshot  # noqa: E402
+from rtmfpsim import engine as engine_mod  # noqa: E402
 from rtmfpsim import netsim, wire  # noqa: E402
 from rtmfpsim.app import FlowStats, RtmfpApp, make_payload  # noqa: E402
 from rtmfpsim.cc import (MODE_DEFERRING, MODE_NORMAL, MODE_TIME_CRITICAL,  # noqa: E402
                          CongestionController)
 from rtmfpsim.config import MIN_CC_MSS, AppConfig, FlowSpec, parse_config  # noqa: E402
-from rtmfpsim.engine import S_OPEN  # noqa: E402
+from rtmfpsim.engine import CWND_HEADER, S_OPEN, CwndLog  # noqa: E402
 from rtmfpsim.flows import (DEFAULT_ADV_BUFFER, ST_IN_FLIGHT, Message, RecvFlow,  # noqa: E402
                             SendFlow, fill_packet)
 from rtmfpsim.harness import preset_points, run_config  # noqa: E402
@@ -579,3 +582,33 @@ def test_responder_opens_a_session_only_for_an_echoed_cookie(steps):
         assert {s.peer_sid: s.peer_address for s in engine.sessions.values()} == echoed
         assert len(r.rikeyings()) == answered
         assert engine.unknown_session == unknown
+
+
+# ------------------------------------------------------------------ cwnd log
+
+
+@SETTINGS
+@given(entries=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.text(st.characters(exclude_characters="\n"),
+                                          max_size=8)), max_size=60),
+       join_rows=st.integers(1, 8))
+def test_the_cwnd_log_orders_rows_by_time_then_engine_rank(entries, join_rows):
+    """Nondecreasing times, many of them tied, engine ranks 0-3: the text is
+    the header plus the rows stably sorted by (time, rank), which is what a
+    heapq.merge of one time-ordered list per engine gives. A small join size
+    makes the log join its kept rows often."""
+    rows, now = [], 0
+    for i, (step, rank, text) in enumerate(entries):
+        now += step
+        rows.append((now, rank, f"{now},{rank},{i},{text}\n"))
+    log = CwndLog()
+    with mock.patch.object(engine_mod, "CWND_JOIN_ROWS", join_rows):
+        for now, rank, row in rows:
+            log.add(now, rank, row)
+        text = log.text()
+    expected = [row for _, _, row in sorted(rows, key=lambda r: r[:2])]
+    merged = heapq.merge(*([(t, row) for t, r, row in rows if r == rank] for rank in range(4)),
+                         key=lambda r: r[0])
+    assert [row for _, row in merged] == expected
+    assert text == CWND_HEADER + "\n" + "".join(expected)
+    assert log.text() is text
